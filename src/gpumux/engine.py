@@ -14,9 +14,13 @@ group take over. Suspended buffers resume in the group's next slice.
 
 Workload drivers are generator processes. They submit work, then yield wait
 conditions (a stream semaphore threshold, or an absolute deadline) and are
-resumed when the condition holds. Resumption order, completion ties, and
-channel launch order are all broken on ids, so identical inputs produce
-byte-identical traces.
+resumed when the condition holds. Waiting drivers are not polled: a semaphore
+waiter sits in a min-heap keyed by the semaphore's physical location and is
+looked at only after a write to that location, and a deadline sits in a timer
+heap that is looked at only after the clock moves. Drivers resume in rounds,
+each in ascending pid order (see ``Engine._run_ready_processes``).
+Resumption order, completion ties, and channel launch order are all broken on
+ids, so identical inputs produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import dataclasses
 import json
 from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .channels import (AlreadyBound, Channel, ChannelError, ComputeConfig, Context,
                        ContextKind, GpFifoEntry, NotBound, PoolExhausted, Ring,
@@ -184,6 +189,14 @@ class Engine:
         self.trace = MetricsTrace()
         self.phys_mem: dict[tuple[int, int], int] = {}
         self.processes: list[_Process] = []
+        # wake-up structures; every live process is in exactly one of them
+        self._ready: list[int] = []      # pids to resume in the next round
+        self._yielded: list[int] = []    # pids whose new condition is unchecked
+        self._sem_waiters: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._dirty: set[tuple[int, int]] = set()   # written since last checked
+        self._timers: list[tuple[float, int]] = []
+        self._timers_checked_at = self.clock
+        self._waiters_resolved_at = self.memory.total_tlb_invalidations
         self.grafted_pairs: dict[tuple[int, int], object] = {}
         self._token_owner: dict[int, int] = {}
         self._tsg_order: list[int] = []
@@ -441,35 +454,104 @@ class Engine:
     def spawn(self, gen) -> _Process:
         proc = _Process(len(self.processes), gen)
         self.processes.append(proc)
+        # the newest pid is the largest, so a process spawned by a running
+        # driver still takes its turn at the end of the current round
+        self._ready.append(proc.pid)
         return proc
 
     def _run_ready_processes(self) -> bool:
+        """Resume every driver whose condition holds, in rounds, until none does.
+
+        A round resumes the ready pids in ascending order. A resumed driver's
+        next condition is checked at the start of the following round, and
+        joins it if it already holds. Drivers only submit work and request
+        inference, so no semaphore value or clock reading changes during this
+        call; the rounds are therefore exactly the passes of re-checking every
+        process in pid order until a pass resumes nothing.
+
+        Returns whether any driver was resumed.
+        """
         ran_any = False
-        progressed = True
-        while progressed:
-            progressed = False
-            for proc in self.processes:
-                if proc.done:
-                    continue
-                cond = proc.condition
-                if cond is not None and not cond.satisfied(self):
-                    continue
-                proc.condition = None
-                try:
-                    proc.condition = next(proc.gen)
-                except StopIteration:
-                    proc.done = True
-                else:
-                    if proc.condition is not None and not isinstance(proc.condition, Condition):
-                        raise TypeError("drivers must yield Condition objects")
-                progressed = ran_any = True
-        return ran_any
+        while True:
+            self._collect_ready()
+            if not self._ready:
+                return ran_any
+            self._ready.sort()
+            for pid in self._ready:  # spawn() may append during the round
+                self._resume(self.processes[pid])
+            self._ready.clear()
+            ran_any = True
+
+    def _resume(self, proc: _Process):
+        try:
+            proc.condition = next(proc.gen)
+        except StopIteration:
+            proc.done = True
+            return
+        cond = proc.condition
+        if cond is not None and not isinstance(cond, (SemaphoreAtLeast, TimeReached)):
+            raise TypeError("drivers must yield SemaphoreAtLeast or TimeReached conditions")
+        self._yielded.append(proc.pid)
+
+    def _collect_ready(self):
+        """Move the processes whose condition now holds into the ready list.
+
+        Only three things can make a condition hold: a semaphore write (its
+        location is dirty), the clock moving (timers), or a driver's new
+        condition. A moved translation re-keys the semaphore waiters first.
+        """
+        procs = self.processes
+        if self.memory.total_tlb_invalidations != self._waiters_resolved_at:
+            self._resolve_waiters()
+        for loc in self._dirty:
+            heap = self._sem_waiters.get(loc)
+            while heap and procs[heap[0][1]].condition.satisfied(self):
+                self._ready.append(heappop(heap)[1])
+        self._dirty.clear()
+        timers = self._timers
+        if timers and self.clock != self._timers_checked_at:
+            while timers and procs[timers[0][1]].condition.satisfied(self):
+                self._ready.append(heappop(timers)[1])
+        self._timers_checked_at = self.clock
+        # heap entries pushed below do not hold now, which keeps the
+        # dirty-only and clock-moved-only checks above exact
+        while self._yielded:
+            pid = self._yielded[-1]  # popped once placed: a PageFault loses no driver
+            cond = procs[pid].condition
+            if cond is None or cond.satisfied(self):
+                self._ready.append(pid)
+            elif isinstance(cond, TimeReached):
+                heappush(timers, (cond.time, pid))
+            else:
+                self._wait_semaphore(self._sem_waiters, pid)
+            self._yielded.pop()
+
+    def _wait_semaphore(self, index: dict, pid: int):
+        cond = self.processes[pid].condition
+        page, off = self.memory.translate(self.memory.spaces[cond.space_id], cond.vaddr)
+        heappush(index.setdefault((page.id, off), []), (cond.value, pid))
+
+    def _resolve_waiters(self):
+        """Re-key every semaphore waiter after an unmap or graft may have moved
+        a translation, and re-check each location."""
+        index: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for heap in self._sem_waiters.values():
+            for _, pid in heap:
+                self._wait_semaphore(index, pid)
+        self._sem_waiters = index
+        self._dirty.update(index)
+        self._waiters_resolved_at = self.memory.total_tlb_invalidations
 
     def _next_timer(self) -> float | None:
-        times = [p.condition.time for p in self.processes
-                 if not p.done and isinstance(p.condition, TimeReached)
-                 and p.condition.time > self.clock + _EPS]
-        return min(times) if times else None
+        """Earliest deadline not yet due. Due deadlines were woken by the last
+        ``_run_ready_processes``, so the heap top is the answer unless rounding
+        left one within _EPS of the clock that does not hold yet."""
+        limit = self.clock + _EPS
+        timers = self._timers
+        if timers and timers[0][0] > limit:
+            return timers[0][0]
+        later = [t for t, _ in timers if t > limit]
+        return min(later) if later else None
 
     # ------------------------------------------------------------------
     # scheduling
@@ -680,6 +762,7 @@ class Engine:
             page, off = self.memory.translate(self.memory.spaces[ctx.space_id],
                                               cmd.sem_vaddr)
             self.phys_mem[(page.id, off)] = cmd.sem_value
+            self._dirty.add((page.id, off))
             stream_id = ch.active_entry.stream_id if ch.active_entry else None
             self._log("semaphore", ch.id, ch.tsg_id, stream_id, value=cmd.sem_value,
                       vaddr=cmd.sem_vaddr)

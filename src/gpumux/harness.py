@@ -260,14 +260,16 @@ def cmd_rl(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
     return rows
 
 
-def run_graft_microbenchmark(cfg: ExperimentConfig, n_buffers: int) -> dict:
+def run_graft_microbenchmark(cfg: ExperimentConfig, n_buffers: int,
+                             dump_tables: bool = False) -> dict:
     """Op-count cost of sharing n 2 MiB buffers: graft-and-propagate vs a
     2-ops-per-buffer export/import model.
 
     Fresh tables each time: both sides get a small resident footprint, the
     graft runs once, then the buffers are mapped on the source. Graft cost is
     the initial merge's entry writes, plus subscriber writes caused by the
-    new mappings, plus the merge's TLB invalidation.
+    new mappings, plus the merge's TLB invalidation. With ``dump_tables`` the
+    result also carries both final tables under ``"tables"``.
     """
     mem = MemorySystem(cfg.device.geometry)
     source = mem.create_space(AllocPolicy.HIGH_RANGE, base=cfg.device.high_base)
@@ -283,10 +285,12 @@ def run_graft_microbenchmark(cfg: ExperimentConfig, n_buffers: int) -> dict:
         mem.map_range(source, va, mem.alloc_phys(SizeClass.BIG))
     subscriber_writes = mem.copy_log.writes - writes_before
     graft_ops = report.entry_writes + subscriber_writes + report.tlb_invalidations
-    return {"n_buffers": n_buffers, "export_import_ops": 2 * n_buffers,
-            "graft_ops": graft_ops,
-            "tables": {"source": mem.dump_tables(source),
-                       "target": mem.dump_tables(target)}}
+    result = {"n_buffers": n_buffers, "export_import_ops": 2 * n_buffers,
+              "graft_ops": graft_ops}
+    if dump_tables:
+        result["tables"] = {"source": mem.dump_tables(source),
+                            "target": mem.dump_tables(target)}
+    return result
 
 
 def cmd_graftbench(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
@@ -294,9 +298,10 @@ def cmd_graftbench(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
     """Scaling of memory-sharing cost with the number of shared 2 MiB buffers."""
     rows, events = [], []
     tables = None
-    for n in cfg.buffer_counts:
-        result = run_graft_microbenchmark(cfg, n)
-        tables = result.pop("tables")
+    last = len(cfg.buffer_counts) - 1
+    for i, n in enumerate(cfg.buffer_counts):
+        result = run_graft_microbenchmark(cfg, n, dump_tables and i == last)
+        tables = result.pop("tables", None)  # only the last run's are kept
         rows.append(result)
         events.append({"run": f"N{n}", "time": 0.0, "event": "graftbench",
                        "channel": None, "tsg": None, "stream": None,
@@ -309,7 +314,7 @@ def cmd_graftbench(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
     if json_events:
         meta = {"meta": {"command": "graftbench", "seed": seed}}
         _write_jsonl(out_dir / "events.jsonl", [meta] + events)
-    if dump_tables and tables is not None:
+    if tables is not None:
         (out_dir / "tables.json").write_text(json.dumps(tables, indent=2) + "\n")
     return rows
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class VmError(Exception):
@@ -90,8 +90,13 @@ class PageGeometry:
     page_shift: int = 12
     big_page_level: int = 3
     va_width: int = 48
+    # right shift that brings a level's index bits down to bit 0
+    level_shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "level_shifts", tuple(
+            self.page_shift + self.bits_per_level * (self.levels - 1 - level)
+            for level in range(self.levels)))
         if self.levels < 2:
             raise ValueError("need at least a root and a leaf level")
         if SizeClass.SMALL.nbytes != 1 << self.page_shift:
@@ -113,11 +118,10 @@ class PageGeometry:
 
     def entry_span(self, level: int) -> int:
         """Bytes covered by one entry of a node at `level`."""
-        return 1 << (self.page_shift + self.bits_per_level * (self.levels - 1 - level))
+        return 1 << self.level_shifts[level]
 
     def index(self, vaddr: int, level: int) -> int:
-        shift = self.page_shift + self.bits_per_level * (self.levels - 1 - level)
-        return (vaddr >> shift) & (self.fanout - 1)
+        return (vaddr >> self.level_shifts[level]) & ((1 << self.bits_per_level) - 1)
 
     def leaf_level(self, size_class: SizeClass) -> int:
         if size_class is SizeClass.SMALL:
@@ -382,12 +386,14 @@ class MemorySystem:
 
         geo = self.geometry
         leaf_level = geo.leaf_level(size_class)
+        shifts = geo.level_shifts
+        mask = geo.fanout - 1
         new_pdes = 0
         for i, page in enumerate(pages):
             va = vaddr + i * size
             node = self.nodes[space.root]
             for level in range(leaf_level):
-                idx = geo.index(va, level)
+                idx = (va >> shifts[level]) & mask
                 entry = node.entries[idx]
                 if entry is None:
                     child = self._new_node(level + 1, space.id)
@@ -401,7 +407,7 @@ class MemorySystem:
                 if isinstance(entry, LeafEntry):
                     raise AlreadyMapped(f"{va:#x} covered by a leaf at level {level}")
                 node = self.nodes[entry.child]
-            idx = geo.index(va, leaf_level)
+            idx = (va >> shifts[leaf_level]) & mask
             if node.entries[idx] is not None:
                 raise AlreadyMapped(f"leaf slot for {va:#x} already occupied")
             leaf = LeafEntry(page)
@@ -418,20 +424,21 @@ class MemorySystem:
         for this space (replicated to subscribers unless replication is off).
         """
         geo = self.geometry
+        mask = geo.fanout - 1
         targets = []
         va = vaddr
         for _ in range(n_pages):
             chain = []  # (node, idx) per visited level, leaf last
             node = self.nodes[space.root]
             leaf_span = None
-            for level in range(geo.levels):
-                idx = geo.index(va, level)
+            for shift in geo.level_shifts:
+                idx = (va >> shift) & mask
                 entry = node.entries[idx]
                 if entry is None:
                     raise NotMapped(f"{va:#x} not mapped")
                 chain.append((node, idx))
                 if isinstance(entry, LeafEntry):
-                    leaf_span = geo.entry_span(level)
+                    leaf_span = 1 << shift
                     break
                 node = self.nodes[entry.child]
             if leaf_span is None:
@@ -476,12 +483,13 @@ class MemorySystem:
             page, base = hit
             return page, vaddr - base
         node = self.nodes[space.root]
-        for level in range(geo.levels):
-            entry = node.entries[geo.index(vaddr, level)]
+        mask = geo.fanout - 1
+        for level, shift in enumerate(geo.level_shifts):
+            entry = node.entries[(vaddr >> shift) & mask]
             if entry is None:
                 raise PageFault(vaddr, level)
             if isinstance(entry, LeafEntry):
-                base = vaddr & ~(geo.entry_span(level) - 1)
+                base = vaddr & ~((1 << shift) - 1)
                 space.tlb[vpn] = (entry.page, base)
                 return entry.page, vaddr - base
             node = self.nodes[entry.child]
@@ -678,7 +686,7 @@ class MemorySystem:
         geo = self.geometry
 
         def rec(node: PageTableNode, prefix: int):
-            shift = geo.page_shift + geo.bits_per_level * (geo.levels - 1 - node.level)
+            shift = geo.level_shifts[node.level]
             for idx, entry in enumerate(node.entries):
                 if entry is None:
                     continue

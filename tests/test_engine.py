@@ -6,10 +6,11 @@ import pytest
 
 from gpumux.audits import check_all, check_temporal_exclusivity
 from gpumux.channels import ContextKind
-from gpumux.commands import graphics_draw, kernel_dispatch, sleep
+from gpumux.commands import graphics_draw, kernel_dispatch, semaphore_write, sleep
 from gpumux.config import DeviceConfig
-from gpumux.engine import Engine, TimeReached
+from gpumux.engine import Condition, Engine, SemaphoreAtLeast, TimeReached
 from gpumux.vm import SizeClass
+from gpumux.workloads import PhaseCost, RolloutMode, RolloutSpec, run_rl_rollout
 
 
 def compute_engine(n_contexts=1, streams_per=1, config=None):
@@ -237,6 +238,142 @@ def test_idle_engine_with_timer_advances_clock():
     trace = e.run()
     assert trace.makespan == pytest.approx(1.5)
     assert trace.stalled == []
+
+
+# ----------------------------------------------------------------------
+# wake order: rounds of ascending pid, re-checking resumed drivers next round
+
+def logging_driver(e, log, pid, conditions):
+    """Yields each condition in turn and logs (pid, clock) on every resume."""
+    for cond in conditions:
+        yield cond
+        log.append((pid, e.clock))
+
+
+def test_semaphore_waiters_wake_by_threshold_then_pid():
+    # writes 1, 2, 3 land at t = 1, 2, 3; pids 1 and 3 share threshold 1
+    e, ((s,),) = compute_engine()
+    for _ in range(3):
+        e.submit(s, [kernel_dispatch(1.0, 0.1)])
+    log = []
+    for pid, value in enumerate([3, 1, 2, 1]):
+        e.spawn(logging_driver(e, log, pid, [e.stream_condition(s, value)]))
+    trace = e.run()
+    assert log == [(1, 1.0), (3, 1.0), (2, 2.0), (0, 3.0)]
+    assert trace.stalled == []
+
+
+def test_condition_already_holding_resumes_next_round():
+    # all three wake at t=1 in one round; pids 0 and 2 then yield conditions
+    # that already hold, so they resume in a second round at t=1, after pid 1
+    # has had its turn
+    e, ((s,),) = compute_engine()
+    log = []
+    e.spawn(logging_driver(e, log, 0, [TimeReached(1.0), e.stream_condition(s, 0)]))
+    e.spawn(logging_driver(e, log, 1, [TimeReached(1.0), TimeReached(5.0)]))
+    e.spawn(logging_driver(e, log, 2, [TimeReached(1.0), TimeReached(0.5)]))
+    e.run()
+    assert log == [(0, 1.0), (1, 1.0), (2, 1.0), (0, 1.0), (2, 1.0), (1, 5.0)]
+
+
+def test_driver_spawned_mid_round_runs_at_the_round_end():
+    e = Engine()
+    log = []
+
+    def child():
+        log.append((2, e.clock))
+        yield TimeReached(0.0)
+        log.append((2, e.clock))
+
+    def parent():
+        yield TimeReached(1.0)
+        log.append((0, e.clock))
+        e.spawn(child())
+        yield TimeReached(0.0)  # holds: next round
+        log.append((0, e.clock))
+
+    e.spawn(parent())
+    e.spawn(logging_driver(e, log, 1, [TimeReached(1.0)]))
+    e.run()
+    assert log == [(0, 1.0), (1, 1.0), (2, 1.0), (0, 1.0), (2, 1.0)]
+
+
+def test_zero_latency_inference_queues_behind_busy_inference():
+    # t=0: pid 0 asks for 0 latency (due at 0, holds next round), pid 1 for 1.0
+    # (due 1.0); pid 0 then asks for 1.0, queued behind pid 1 (due 2.0); at
+    # t=1 pid 1 asks for 0 latency, which still finishes behind pid 0 at 2.0
+    e = Engine()
+    log = []
+
+    def driver(pid, latencies):
+        for latency in latencies:
+            yield e.request_inference(latency)
+            log.append((pid, e.clock))
+
+    e.spawn(driver(0, [0.0, 1.0]))
+    e.spawn(driver(1, [1.0, 0.0]))
+    trace = e.run()
+    assert log == [(0, 0.0), (1, 1.0), (0, 2.0), (1, 2.0)]
+    assert trace.makespan == 2.0
+
+
+def test_tied_deadlines_wake_in_pid_order():
+    # 0.1 + 0.2 lies 5.6e-17 above 0.3: the clock jumps to 0.3 and both hold,
+    # so pid 0 wakes first although its deadline sorts second
+    e = Engine()
+    log = []
+    e.spawn(logging_driver(e, log, 0, [TimeReached(0.1 + 0.2)]))
+    e.spawn(logging_driver(e, log, 1, [TimeReached(0.3)]))
+    e.spawn(logging_driver(e, log, 2, [TimeReached(0.1), TimeReached(0.3)]))
+    e.run()
+    assert log == [(2, 0.1), (0, 0.3), (1, 0.3), (2, 0.3)]
+
+
+def test_unsupported_condition_rejected():
+    class Never(Condition):
+        def satisfied(self, engine):
+            return False
+
+    e = Engine()
+
+    def driver():
+        yield Never()
+
+    e.spawn(driver())
+    with pytest.raises(TypeError):
+        e.run()
+
+
+def test_waiter_follows_a_remapped_semaphore():
+    # the waiter is keyed by physical page; remapping its vaddr must re-key it
+    e, ((s,),) = compute_engine()
+    ctx = e.contexts[s.context_id]
+    space = e.memory.spaces[ctx.space_id]
+    va = mapped_vaddr(e, ctx, SizeClass.SMALL)
+    log = []
+    e.spawn(logging_driver(e, log, 0, [SemaphoreAtLeast(space.id, va, 7)]))
+    assert e.run().stalled == [0]
+    e.memory.unmap_range(space, va, 1)
+    e.memory.map_range(space, va, e.memory.alloc_phys(SizeClass.SMALL))
+    e.submit(s, [semaphore_write(va, 7)])
+    assert e.run().stalled == []
+    assert log == [(0, 0.0)]
+
+
+def test_rl_condition_checks_do_not_exceed_trace_events(monkeypatch):
+    # polling every driver on every pass made ~40 checks per event here
+    checks = 0
+    for cls in (SemaphoreAtLeast, TimeReached):
+        def counted(self, engine, _inner=cls.satisfied):
+            nonlocal checks
+            checks += 1
+            return _inner(self, engine)
+        monkeypatch.setattr(cls, "satisfied", counted)
+    metrics = run_rl_rollout(RolloutSpec(4, 512, 64, RolloutMode.INTERLEAVED),
+                             PhaseCost())
+    events = len(metrics.trace.events)
+    assert metrics.trace.stalled == []
+    assert 0 < checks <= events
 
 
 # ----------------------------------------------------------------------
