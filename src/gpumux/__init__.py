@@ -8,8 +8,7 @@ from .channels import (AlreadyBound, ChannelError, ComputeConfig, ContextKind,
 from .commands import (CommandKind, GpuCommand, graphics_draw, init_compute,
                        kernel_dispatch, semaphore_write, sleep)
 from .config import DeviceConfig
-from .engine import (Engine, FaultRecord, MetricsTrace, SemaphoreAtLeast,
-                     TimeReached, run_until_idle, sample_utilization)
+from .engine import Engine, FaultRecord, MetricsTrace, SemaphoreAtLeast, TimeReached
 from .harness import (ConfigError, ExperimentConfig, cmd_datagen, cmd_graftbench,
                       cmd_rl, cmd_trace, parse_config, run_graft_microbenchmark)
 from .vm import (AddressSpace, AddressSpaceExhausted, AllocPolicy, AlreadyMapped,
@@ -17,7 +16,7 @@ from .vm import (AddressSpace, AddressSpaceExhausted, AllocPolicy, AlreadyMapped
                  MemorySystem, NotMapped, OverlapDetected, PageFault, PageGeometry,
                  PhysPage, SizeClass, VmError)
 from .workloads import (ENV_PRESETS, AsyncHandle, DatagenMode, EpisodeSpec, Metrics,
-                        PhaseCost, RolloutMode, RolloutSpec, SimSession,
-                        custream_bind, custream_unbind, run_datagen, run_rl_rollout)
+                        PhaseCost, RolloutMode, RolloutSpec, SimSession, run_datagen,
+                        run_rl_rollout)
 
 __version__ = "0.1.0"

@@ -13,43 +13,49 @@ class InvariantViolation(Exception):
 
 def check_temporal_exclusivity(trace: MetricsTrace):
     """At most one timeslice group active at any instant."""
-    windows = sorted(trace.windows, key=lambda w: (w[1], w[2]))
-    for (tsg_a, _, end_a), (tsg_b, start_b, _) in zip(windows, windows[1:]):
+    windows = sorted(enumerate(trace.windows), key=lambda iw: (iw[1][1], iw[1][2]))
+    for (_, (tsg_a, _, end_a)), (i, (tsg_b, start_b, _)) in zip(windows, windows[1:]):
         if end_a > start_b + _EPS:
             raise InvariantViolation(
-                f"groups {tsg_a} and {tsg_b} overlap: {end_a} > {start_b}")
+                f"window {i}: groups {tsg_a} and {tsg_b} overlap: {end_a} > {start_b}")
 
 
 def check_fifo_completion(trace: MetricsTrace):
     """Buffers complete in submission order within each channel."""
     last_seq: dict[int, int] = {}
-    for ev in trace.events:
+    for i, ev in enumerate(trace.events):
         if ev["event"] != "buffer_complete":
             continue
         ch = ev["channel"]
         if ch in last_seq and ev["seq"] <= last_seq[ch]:
             raise InvariantViolation(
-                f"channel {ch} completed seq {ev['seq']} after {last_seq[ch]}")
+                f"event {i}: channel {ch} completed seq {ev['seq']} after {last_seq[ch]}")
         last_seq[ch] = ev["seq"]
 
 
 def check_semaphores_monotonic(trace: MetricsTrace):
     """Per stream, observed semaphore values strictly increase."""
     last: dict[int, int] = {}
-    for ev in trace.events:
+    for i, ev in enumerate(trace.events):
         if ev["event"] != "semaphore" or ev["stream"] is None:
             continue
         sid = ev["stream"]
         if sid in last and ev["value"] <= last[sid]:
             raise InvariantViolation(
-                f"stream {sid} semaphore went {last[sid]} -> {ev['value']}")
+                f"event {i}: stream {sid} semaphore went {last[sid]} -> {ev['value']}")
         last[sid] = ev["value"]
 
 
-def check_all(trace: MetricsTrace):
-    check_temporal_exclusivity(trace)
-    check_fifo_completion(trace)
-    check_semaphores_monotonic(trace)
+def check_all(trace: MetricsTrace, run: str | None = None):
+    """Every audit above; a failure is prefixed with the run label, if given."""
+    try:
+        check_temporal_exclusivity(trace)
+        check_fifo_completion(trace)
+        check_semaphores_monotonic(trace)
+    except InvariantViolation as exc:
+        if run is None:
+            raise
+        raise InvariantViolation(f"run {run}: {exc}") from None
 
 
 def interval_inside_windows(trace: MetricsTrace, start: float, end: float,

@@ -63,7 +63,6 @@ class UserD:
 
 @dataclass(frozen=True)
 class GpFifoEntry:
-    cmdbuf_vaddr: int
     length: int
     buffer: tuple
     seq: int

@@ -31,9 +31,9 @@ from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .channels import (AlreadyBound, Channel, ChannelError, ComputeConfig, Context,
+from .channels import (AlreadyBound, Channel, ComputeConfig, Context,
                        ContextKind, GpFifoEntry, NotBound, PoolExhausted, Ring,
-                       RingFull, Snapshot, StreamHandle, restore_snapshot,
+                       RingFull, StreamHandle, restore_snapshot,
                        swap_submission_state, take_snapshot)
 from .commands import CommandKind, GpuCommand, init_compute, semaphore_write
 from .config import DeviceConfig
@@ -109,14 +109,8 @@ class MetricsTrace:
     def compute_busy(self) -> float:
         return sum((t1 - t0) * cu for t0, t1, cu, _, _ in self.segments)
 
-    def graphics_busy(self) -> float:
-        return sum((t1 - t0) * gu for t0, t1, _, gu, _ in self.segments)
-
     def mean_compute_util(self) -> float:
         return self.compute_busy() / self.makespan if self.makespan > 0 else 0.0
-
-    def mean_graphics_util(self) -> float:
-        return self.graphics_busy() / self.makespan if self.makespan > 0 else 0.0
 
     def utilization_samples(self, sample_dt: float) -> list[dict]:
         """Fixed-interval averages of the exact utilization segments."""
@@ -140,10 +134,6 @@ class MetricsTrace:
         return [{"time": i * sample_dt, "compute_util": acc_c[i],
                  "graphics_util": acc_g[i], "tsg": tsg_of[i]}
                 for i in range(n_bins)]
-
-    def summary(self) -> dict:
-        return {"makespan": self.makespan, "compute_busy": self.compute_busy(),
-                "graphics_busy": self.graphics_busy(), "faults": len(self.faults)}
 
     def event_lines(self) -> list[str]:
         return [json.dumps(e, separators=(",", ":")) for e in self.events]
@@ -197,7 +187,7 @@ class Engine:
         self._timers: list[tuple[float, int]] = []
         self._timers_checked_at = self.clock
         self._waiters_resolved_at = self.memory.total_tlb_invalidations
-        self.grafted_pairs: dict[tuple[int, int], object] = {}
+        self.grafted_pairs: set[tuple[int, int]] = set()
         self._token_owner: dict[int, int] = {}
         self._tsg_order: list[int] = []
         self._rr_index = -1
@@ -302,58 +292,57 @@ class Engine:
     # submission path
 
     def submit(self, stream: StreamHandle, commands: list[GpuCommand]):
-        """Four micro-ops, identical whether or not the stream is redirected:
-        write the command buffer, append a ring entry, advance PUT, ring the
-        doorbell. A trailing semaphore write is appended to every buffer."""
-        ch = self.channels[stream.channel_id]
-        if ch.userd.put - ch.userd.get >= ch.ring.capacity:
-            raise RingFull(f"channel {ch.id} ring is full")
-        ctx = self.contexts[stream.context_id]
-        space = self.memory.spaces[ctx.space_id]
-        stream.next_semaphore_value += 1
-        buf = tuple(commands) + (semaphore_write(stream.sync_vaddr,
-                                                 stream.next_semaphore_value),)
-        seq = self._next_seq()
-        micro_ops = 0
-        # 1: command buffer written into the stream's context memory
-        slot_vaddr = stream.cmdbuf_base + (ch.userd.put % ch.ring.capacity) * SizeClass.SMALL.nbytes
-        self.memory.translate(space, slot_vaddr)
-        micro_ops += 1
-        # 2: ring entry appended
-        entry = GpFifoEntry(slot_vaddr, len(buf), buf, seq, stream.id)
-        ch.ring.slots[ch.userd.put % ch.ring.capacity] = entry
-        micro_ops += 1
-        # 3: PUT advanced
-        ch.userd.put += 1
-        micro_ops += 1
-        # 4: doorbell rung with the channel's current token
-        owner = self._ring_doorbell(ch.token, stream.id)
-        micro_ops += 1
+        """Append the commands plus a trailing semaphore write to the stream's
+        ring, in the same micro-ops whether or not the stream is redirected.
+        A failed submit (RingFull, PageFault) changes nothing."""
+        value = stream.next_semaphore_value + 1
+        buf = tuple(commands) + (semaphore_write(stream.sync_vaddr, value),)
+        seq, owner, micro_ops = self._append(
+            self.channels[stream.channel_id], self.contexts[stream.context_id],
+            stream.cmdbuf_base, buf, stream.id)
+        stream.next_semaphore_value = value
         self._log("submit", owner.id, owner.tsg_id, stream.id, seq=seq,
                   micro_ops=micro_ops)
         return seq
-
-    def _ring_doorbell(self, token: int, stream_id: int | None) -> Channel:
-        owner = self.channels[self._token_owner[token]]
-        owner.pending = True
-        self._log("doorbell", owner.id, owner.tsg_id, stream_id, token=token)
-        return owner
 
     def bootstrap(self, channel: Channel, config: ComputeConfig):
         """Queue compute-state initialization through the channel's own ring."""
         ctx = self.contexts[channel.context_id]
         if ctx.kind is not ContextKind.GRAPHICS:
             raise ValueError("bootstrap targets channels in the graphics group")
-        if channel.userd.put - channel.userd.get >= channel.ring.capacity:
-            raise RingFull(f"channel {channel.id} ring is full")
-        slot_vaddr = channel.cmdbuf_base + (channel.userd.put % channel.ring.capacity) \
-            * SizeClass.SMALL.nbytes
-        entry = GpFifoEntry(slot_vaddr, 1, (init_compute(config),), self._next_seq(), None)
-        channel.ring.slots[channel.userd.put % channel.ring.capacity] = entry
-        channel.userd.put += 1
-        self._ring_doorbell(channel.token, None)
+        self._append(channel, ctx, channel.cmdbuf_base, (init_compute(config),), None)
         self._log("bootstrap", channel.id, channel.tsg_id, None,
                   local_memory_bytes=config.local_memory_bytes)
+
+    def _append(self, ch: Channel, ctx: Context, cmdbuf_base: int, buf: tuple,
+                stream_id: int | None) -> tuple[int, Channel, int]:
+        """Four micro-ops: write the command buffer into ``ctx`` memory at
+        ``cmdbuf_base``, append a ring entry, advance PUT, ring the doorbell
+        with the channel's current token. Raises before the first write.
+
+        Returns the sequence number, the channel that owns the token, and
+        the number of micro-ops."""
+        put = ch.userd.put
+        if put - ch.userd.get >= ch.ring.capacity:
+            raise RingFull(f"channel {ch.id} ring is full")
+        slot = put % ch.ring.capacity
+        # 1: command buffer written
+        self.memory.translate(self.memory.spaces[ctx.space_id],
+                              cmdbuf_base + slot * SizeClass.SMALL.nbytes)
+        micro_ops = 1
+        # 2: ring entry appended
+        seq = self._next_seq()
+        ch.ring.slots[slot] = GpFifoEntry(len(buf), buf, seq, stream_id)
+        micro_ops += 1
+        # 3: PUT advanced
+        ch.userd.put = put + 1
+        micro_ops += 1
+        # 4: doorbell rung
+        owner = self.channels[self._token_owner[ch.token]]
+        owner.pending = True
+        self._log("doorbell", owner.id, owner.tsg_id, stream_id, token=ch.token)
+        micro_ops += 1
+        return seq, owner, micro_ops
 
     def set_local_memory(self, ctx: Context, nbytes: int):
         """Grow the context's scratch size; growth is re-pushed to every
@@ -394,7 +383,8 @@ class Engine:
         if pair not in self.grafted_pairs and not self.config.disable_graft:
             src = self.memory.spaces[ctx.space_id]
             dst = self.memory.spaces[graphics_ctx.space_id]
-            self.grafted_pairs[pair] = self.memory.graft(src, dst)
+            self.memory.graft(src, dst)
+            self.grafted_pairs.add(pair)
         fwd = self.channels[graphics_ctx.forward_pool.pop(0)]
         if fwd.compute_config is None and not self.config.skip_bootstrap:
             self.bootstrap(fwd, ctx.compute_state)
@@ -604,9 +594,6 @@ class Engine:
         self.trace.stalled = sorted(p.pid for p in self.processes if not p.done)
         return self.trace
 
-    def run_until_idle(self) -> MetricsTrace:
-        return self.run()
-
     def _run_window(self) -> bool:
         if not self._tsg_order:
             return False
@@ -628,9 +615,10 @@ class Engine:
             if not inflight:
                 break
             flights = inflight.values()
-            stretch = max(sum(f.cmd.compute_frac for f in flights) / self.config.compute_capacity,
-                          sum(f.cmd.graphics_frac for f in flights) / self.config.graphics_capacity,
-                          1.0)
+            compute = sum(f.cmd.compute_frac for f in flights)
+            graphics = sum(f.cmd.graphics_frac for f in flights)
+            stretch = max(compute / self.config.compute_capacity,
+                          graphics / self.config.graphics_capacity, 1.0)
             step = min(f.remaining for f in flights) * stretch
             t_next = self.clock + step
             deadline = self._next_timer()
@@ -639,8 +627,8 @@ class Engine:
                 t_next = deadline
             dt = t_next - self.clock
             if dt > 0:
-                cu = sum(f.cmd.compute_frac for f in flights) / stretch / self.config.compute_capacity
-                gu = sum(f.cmd.graphics_frac for f in flights) / stretch / self.config.graphics_capacity
+                cu = compute / stretch / self.config.compute_capacity
+                gu = graphics / stretch / self.config.graphics_capacity
                 self.trace.segments.append((self.clock, t_next, cu, gu, tsg.id))
                 progress = dt / stretch
                 for f in flights:
@@ -689,20 +677,11 @@ class Engine:
                     return None
                 ch.active_entry = ch.ring.slots[ch.userd.get % ch.ring.capacity]
                 ch.active_index = 0
-            entry = ch.active_entry
-            if ch.active_index >= len(entry.buffer):
-                self._finish_buffer(ch, entry)
-                continue
-            cmd = entry.buffer[ch.active_index]
-            fault = self._start_command(ch, cmd)
-            if fault is not None:
-                self._record_fault(ch, fault)
+            if not self._flush_zero_duration(ch):
                 return None
-            if cmd.base_duration <= 0:
-                self._apply_effects(ch, cmd)
-                ch.active_index += 1
-                continue
-            return cmd
+            if ch.active_entry is not None:
+                cmd = ch.active_entry.buffer[ch.active_index]
+                return cmd if self._start_command(ch, cmd) else None
 
     def _finish_command(self, ch: Channel, cmd: GpuCommand):
         entry = ch.active_entry
@@ -711,50 +690,60 @@ class Engine:
         ch.active_index += 1
         # trailing zero-duration commands (semaphore writes) flush with the
         # completing command even if the slice has already expired
-        while ch.active_index < len(entry.buffer):
-            nxt = entry.buffer[ch.active_index]
-            if nxt.base_duration > 0:
-                break
-            fault = self._start_command(ch, nxt)
-            if fault is not None:
-                self._record_fault(ch, fault)
-                return
-            self._apply_effects(ch, nxt)
-            ch.active_index += 1
-        if ch.active_index >= len(entry.buffer):
-            self._finish_buffer(ch, entry)
+        self._flush_zero_duration(ch)
 
-    def _finish_buffer(self, ch: Channel, entry: GpFifoEntry):
+    def _flush_zero_duration(self, ch: Channel) -> bool:
+        """Execute the zero-duration commands at the channel's cursor, up to
+        the next timed command, and finish the buffer if they end it.
+        Returns False when one of them faulted."""
+        entry = ch.active_entry
+        while ch.active_index < len(entry.buffer):
+            cmd = entry.buffer[ch.active_index]
+            if cmd.base_duration > 0:
+                return True
+            if not self._start_command(ch, cmd):
+                return False
+            self._apply_effects(ch, cmd)
+            ch.active_index += 1
         ch.userd.get += 1
         ch.active_entry = None
         ch.active_index = 0
         ch.pending = ch.userd.get < ch.userd.put
         self._log("buffer_complete", ch.id, ch.tsg_id, entry.stream_id, seq=entry.seq)
+        return True
 
-    def _start_command(self, ch: Channel, cmd: GpuCommand) -> FaultRecord | None:
+    def _start_command(self, ch: Channel, cmd: GpuCommand) -> bool:
+        """Check that the command can run on the channel. If it cannot, record
+        the fault, halt the channel and return False."""
         ctx = self.contexts[ch.context_id]
         if cmd.kind is CommandKind.KERNEL_DISPATCH:
             if ctx.kind is ContextKind.GRAPHICS and ch.compute_config is None:
-                return FaultRecord("execution_fault", ch.id, self.clock,
-                                   detail="kernel dispatch on a channel without compute state")
+                return self._record_fault(ch, "execution_fault",
+                                          "kernel dispatch on a channel without compute state")
         elif cmd.kind is CommandKind.GRAPHICS_DRAW:
             if not ctx.fixed_function_ready:
-                return FaultRecord("execution_fault", ch.id, self.clock,
-                                   detail="draw without fixed-function hardware state")
+                return self._record_fault(ch, "execution_fault",
+                                          "draw without fixed-function hardware state")
         space = self.memory.spaces[ctx.space_id]
-        for va in cmd.touched_vaddrs:
+        vaddrs = cmd.touched_vaddrs
+        if cmd.kind is CommandKind.SEMAPHORE_WRITE:
+            vaddrs += (cmd.sem_vaddr,)
+        for va in vaddrs:
             try:
                 self.memory.translate(space, va)
             except PageFault as pf:
-                return FaultRecord("page_fault", ch.id, self.clock, vaddr=pf.vaddr,
-                                   detail=f"walk stopped at level {pf.level}")
-        if cmd.kind is CommandKind.SEMAPHORE_WRITE:
-            try:
-                self.memory.translate(space, cmd.sem_vaddr)
-            except PageFault as pf:
-                return FaultRecord("page_fault", ch.id, self.clock, vaddr=pf.vaddr,
-                                   detail=f"walk stopped at level {pf.level}")
-        return None
+                return self._record_fault(ch, "page_fault",
+                                          f"walk stopped at level {pf.level}", pf.vaddr)
+        return True
+
+    def _record_fault(self, ch: Channel, kind: str, detail: str,
+                      vaddr: int | None = None) -> bool:
+        """Halt the channel on a fault; returns False for ``_start_command``."""
+        ch.faulted = True
+        self.trace.faults.append(FaultRecord(kind, ch.id, self.clock, vaddr, detail))
+        self._log("fault", ch.id, ch.tsg_id, ch.active_entry.stream_id, kind=kind,
+                  vaddr=vaddr, detail=detail)
+        return False
 
     def _apply_effects(self, ch: Channel, cmd: GpuCommand):
         if cmd.kind is CommandKind.SEMAPHORE_WRITE:
@@ -763,18 +752,10 @@ class Engine:
                                               cmd.sem_vaddr)
             self.phys_mem[(page.id, off)] = cmd.sem_value
             self._dirty.add((page.id, off))
-            stream_id = ch.active_entry.stream_id if ch.active_entry else None
-            self._log("semaphore", ch.id, ch.tsg_id, stream_id, value=cmd.sem_value,
-                      vaddr=cmd.sem_vaddr)
+            self._log("semaphore", ch.id, ch.tsg_id, ch.active_entry.stream_id,
+                      value=cmd.sem_value, vaddr=cmd.sem_vaddr)
         elif cmd.kind is CommandKind.INIT_COMPUTE:
             ch.compute_config = cmd.config
-
-    def _record_fault(self, ch: Channel, fault: FaultRecord):
-        ch.faulted = True
-        self.trace.faults.append(fault)
-        stream_id = ch.active_entry.stream_id if ch.active_entry else None
-        self._log("fault", ch.id, ch.tsg_id, stream_id, kind=fault.kind,
-                  vaddr=fault.vaddr, detail=fault.detail)
 
     def reset_channel(self, ch: Channel):
         """Clear a fault, discard the faulting buffer, resume at the next entry."""
@@ -785,11 +766,3 @@ class Engine:
             ch.active_index = 0
         ch.pending = ch.userd.get < ch.userd.put
 
-
-def run_until_idle(engine: Engine) -> MetricsTrace:
-    return engine.run()
-
-
-def sample_utilization(engine: Engine, sample_dt: float | None = None) -> list[dict]:
-    dt = sample_dt if sample_dt is not None else engine.config.utilization_sample_dt
-    return engine.trace.utilization_samples(dt)

@@ -29,27 +29,19 @@ def _parse_int(text: str) -> int:
     return int(text, 0)  # accepts hex for the VA bases
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok, 0) for tok in text.replace(",", " ").split()]
 
 
-def _parse_str(text: str) -> str:
-    return text
-
-
 _SCHEMA = {
     "device": {
-        "quantum": _parse_float,
-        "context_switch_penalty": _parse_float,
+        "quantum": float,
+        "context_switch_penalty": float,
         "hw_max_queues": _parse_int,
         "ring_capacity": _parse_int,
-        "compute_capacity": _parse_float,
-        "graphics_capacity": _parse_float,
-        "utilization_sample_dt": _parse_float,
+        "compute_capacity": float,
+        "graphics_capacity": float,
+        "utilization_sample_dt": float,
         "page_levels": _parse_int,
         "page_bits_per_level": _parse_int,
         "big_page_level": _parse_int,
@@ -58,19 +50,19 @@ _SCHEMA = {
         "low_base": _parse_int,
     },
     "costs": {
-        "preset": _parse_str,
-        "sim_base": _parse_float,
-        "sim_per_env": _parse_float,
-        "render_base": _parse_float,
-        "render_per_env": _parse_float,
-        "inference_base": _parse_float,
-        "inference_per_env": _parse_float,
-        "sim_compute_frac": _parse_float,
-        "render_compute_frac": _parse_float,
-        "render_graphics_frac": _parse_float,
+        "preset": str,
+        "sim_base": float,
+        "sim_per_env": float,
+        "render_base": float,
+        "render_per_env": float,
+        "inference_base": float,
+        "inference_per_env": float,
+        "sim_compute_frac": float,
+        "render_compute_frac": float,
+        "render_graphics_frac": float,
     },
     "workload": {
-        "env": _parse_str,
+        "env": str,
         "steps": _parse_int,
         "batches": _parse_int_list,
         "groups": _parse_int,
@@ -199,7 +191,7 @@ _WORKLOAD_HEADER = ["env", "mode", "K", "B", "G", "makespan", "throughput",
 
 def _collect(metrics: Metrics, run: str, speedup: float, cfg: ExperimentConfig,
              events: list, utils: list) -> dict:
-    check_all(metrics.trace)
+    check_all(metrics.trace, run)
     for ev in metrics.trace.events:
         tagged = {"run": run}
         tagged.update(ev)
@@ -226,18 +218,36 @@ def _emit(out_dir: Path, command: str, seed: int, json_events: bool,
 # ----------------------------------------------------------------------
 # commands
 
+def _paired_sweep(cfg: ExperimentConfig, batches: list[int], label: str, run,
+                  modes: tuple) -> tuple[list[dict], list, list, tuple[Metrics, Metrics]]:
+    """Run every batch in the sequential and then the overlapped mode of
+    ``modes`` with ``run(batch, mode)``. Returns the summary rows (the
+    overlapped row carries the speedup), the run-tagged events and
+    utilization samples, and the last pair of Metrics. Run labels are
+    ``label.format(batch)`` followed by the mode."""
+    rows, events, utils = [], [], []
+    for batch in batches:
+        seq, over = run(batch, modes[0]), run(batch, modes[1])
+        speedup = seq.makespan / over.makespan if over.makespan > 0 else 1.0
+        for metrics, gain in ((seq, 1.0), (over, speedup)):
+            rows.append(_collect(metrics, label.format(batch) + metrics.mode, gain, cfg,
+                                 events, utils))
+    return rows, events, utils, (seq, over)
+
+
+def _run_datagen(cfg: ExperimentConfig):
+    return lambda batch, mode: run_datagen(EpisodeSpec(cfg.steps, batch, mode),
+                                           cfg.costs, cfg.device, env=cfg.env)
+
+
+_DATAGEN_MODES = (DatagenMode.SEQUENTIAL, DatagenMode.PIPELINED)
+
+
 def cmd_datagen(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
                 json_events: bool = False, dump_tables: bool = False) -> list[dict]:
     """Sequential vs pipelined data generation across the batch sweep."""
-    rows, events, utils = [], [], []
-    for batch in cfg.batches:
-        seq = run_datagen(EpisodeSpec(cfg.steps, batch, DatagenMode.SEQUENTIAL),
-                          cfg.costs, cfg.device, env=cfg.env)
-        pipe = run_datagen(EpisodeSpec(cfg.steps, batch, DatagenMode.PIPELINED),
-                           cfg.costs, cfg.device, env=cfg.env)
-        speedup = seq.makespan / pipe.makespan if pipe.makespan > 0 else 1.0
-        rows.append(_collect(seq, f"B{batch}/sequential", 1.0, cfg, events, utils))
-        rows.append(_collect(pipe, f"B{batch}/pipelined", speedup, cfg, events, utils))
+    rows, events, utils, _ = _paired_sweep(cfg, cfg.batches, "B{}/", _run_datagen(cfg),
+                                           _DATAGEN_MODES)
     _emit(out_dir, "datagen", seed, json_events, _WORKLOAD_HEADER, rows, events, utils)
     return rows
 
@@ -245,17 +255,12 @@ def cmd_datagen(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
 def cmd_rl(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
            json_events: bool = False, dump_tables: bool = False) -> list[dict]:
     """Sequential vs interleaved rollout across the batch sweep."""
-    rows, events, utils = [], [], []
-    for batch in cfg.batches:
-        seq = run_rl_rollout(RolloutSpec(cfg.steps, batch, cfg.groups,
-                                         RolloutMode.SEQUENTIAL),
-                             cfg.costs, cfg.device, env=cfg.env)
-        inter = run_rl_rollout(RolloutSpec(cfg.steps, batch, cfg.groups,
-                                           RolloutMode.INTERLEAVED),
-                               cfg.costs, cfg.device, env=cfg.env)
-        speedup = seq.makespan / inter.makespan if inter.makespan > 0 else 1.0
-        rows.append(_collect(seq, f"B{batch}/sequential", 1.0, cfg, events, utils))
-        rows.append(_collect(inter, f"B{batch}/interleaved", speedup, cfg, events, utils))
+    def run(batch, mode):
+        return run_rl_rollout(RolloutSpec(cfg.steps, batch, cfg.groups, mode),
+                              cfg.costs, cfg.device, env=cfg.env)
+
+    rows, events, utils, _ = _paired_sweep(
+        cfg, cfg.batches, "B{}/", run, (RolloutMode.SEQUENTIAL, RolloutMode.INTERLEAVED))
     _emit(out_dir, "rl", seed, json_events, _WORKLOAD_HEADER, rows, events, utils)
     return rows
 
@@ -307,13 +312,8 @@ def cmd_graftbench(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
                        "channel": None, "tsg": None, "stream": None,
                        "export_import_ops": result["export_import_ops"],
                        "graft_ops": result["graft_ops"]})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "summary.csv",
-               ["n_buffers", "export_import_ops", "graft_ops"], rows)
-    _write_jsonl(out_dir / "utilization.jsonl", [])
-    if json_events:
-        meta = {"meta": {"command": "graftbench", "seed": seed}}
-        _write_jsonl(out_dir / "events.jsonl", [meta] + events)
+    _emit(out_dir, "graftbench", seed, json_events,
+          ["n_buffers", "export_import_ops", "graft_ops"], rows, events, [])
     if tables is not None:
         (out_dir / "tables.json").write_text(json.dumps(tables, indent=2) + "\n")
     return rows
@@ -326,15 +326,8 @@ def cmd_trace(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
     Fails with an invariant violation if overlap does not raise the mean
     compute utilization.
     """
-    batch = cfg.batches[0]
-    rows, events, utils = [], [], []
-    seq = run_datagen(EpisodeSpec(cfg.steps, batch, DatagenMode.SEQUENTIAL),
-                      cfg.costs, cfg.device, env=cfg.env)
-    pipe = run_datagen(EpisodeSpec(cfg.steps, batch, DatagenMode.PIPELINED),
-                       cfg.costs, cfg.device, env=cfg.env)
-    speedup = seq.makespan / pipe.makespan if pipe.makespan > 0 else 1.0
-    rows.append(_collect(seq, "sequential", 1.0, cfg, events, utils))
-    rows.append(_collect(pipe, "pipelined", speedup, cfg, events, utils))
+    rows, events, utils, (seq, pipe) = _paired_sweep(cfg, cfg.batches[:1], "",
+                                                     _run_datagen(cfg), _DATAGEN_MODES)
     if cfg.steps > 0 and pipe.trace.mean_compute_util() <= seq.trace.mean_compute_util():
         raise InvariantViolation(
             "pipelined mean compute utilization not above sequential "

@@ -164,6 +164,7 @@ class AllocPolicy(enum.Enum):
 
 DEFAULT_HIGH_BASE = 0x7000_0000_0000
 DEFAULT_LOW_BASE = 0x1_0000_0000
+_INF = float("inf")
 
 
 class _IntervalSet:
@@ -180,18 +181,16 @@ class _IntervalSet:
 
     def first_overlap_end(self, lo: int, hi: int) -> int | None:
         """End of the first interval overlapping [lo, hi), or None."""
-        i = bisect_right(self._ivals, [lo, float("inf")]) - 1
-        if i >= 0 and self._ivals[i][1] > lo:
-            return self._ivals[i][1]
-        if i + 1 < len(self._ivals) and self._ivals[i + 1][0] < hi:
-            return self._ivals[i + 1][1]
+        ivals = self._ivals
+        i = bisect_right(ivals, [lo, _INF]) - 1
+        if i >= 0 and ivals[i][1] > lo:
+            return ivals[i][1]
+        if i + 1 < len(ivals) and ivals[i + 1][0] < hi:
+            return ivals[i + 1][1]
         return None
 
-    def overlaps(self, lo: int, hi: int) -> bool:
-        return self.first_overlap_end(lo, hi) is not None
-
     def intersects(self, other: "_IntervalSet") -> bool:
-        return any(other.overlaps(lo, hi) for lo, hi in self._ivals)
+        return any(other.first_overlap_end(lo, hi) is not None for lo, hi in self._ivals)
 
     def add(self, lo: int, hi: int):
         insort(self._ivals, [lo, hi])
@@ -218,12 +217,10 @@ class _IntervalSet:
 
 
 class AddressSpace:
-    """One context's table: root node, allocation policy, subscribers, TLB."""
+    """One context's table: root node, allocation window, subscribers, TLB."""
 
-    def __init__(self, space_id: int, policy: AllocPolicy, base: int, limit: int,
-                 root: int):
+    def __init__(self, space_id: int, base: int, limit: int, root: int):
         self.id = space_id
-        self.policy = policy
         self.base = base
         self.limit = limit
         self.root = root
@@ -246,9 +243,6 @@ class CopyEngineLog:
 class GraftReport:
     pdes_copied: int = 0
     max_depth_descended: int = 0
-    # Address-substitution fallbacks never trigger on the merge path (the
-    # defensive overlap check raises instead), so this stays 0 on success.
-    conflicts_resolved: int = 0
     entry_writes: int = 0
     tlb_invalidations: int = 0
 
@@ -297,7 +291,7 @@ class MemorySystem:
         if not 0 <= base < limit <= geo.va_limit:
             raise ValueError("policy window must lie inside the VA width")
         root = self._new_node(0, self._next_space)
-        space = AddressSpace(self._next_space, policy, base, limit, root.id)
+        space = AddressSpace(self._next_space, base, limit, root.id)
         self._next_space += 1
         self.spaces[space.id] = space
         return space
@@ -323,7 +317,7 @@ class MemorySystem:
             raise ValueError("n_pages must be >= 1")
         size = size_class.nbytes
         span = n_pages * size
-        peers = [space.mapped] + [self.spaces[p].mapped for p in sorted(space.graft_peers)]
+        peers = [space.mapped] + [self.spaces[p].mapped for p in space.graft_peers]
 
         def blocked(lo: int) -> int | None:
             worst = None
@@ -368,7 +362,9 @@ class MemorySystem:
         Returns the number of new directory entries created. Every new
         directory entry (and leaf) fires the structural-change hook toward
         subscribers; inserts that land inside an already shared subtree cost
-        subscribers nothing.
+        subscribers nothing. A range that overlaps a mapping of the space, or
+        of a space it has been grafted with, raises AlreadyMapped before any
+        write.
         """
         if not pages:
             raise ValueError("no pages to map")
@@ -381,8 +377,9 @@ class MemorySystem:
         end = vaddr + len(pages) * size
         if not (0 <= vaddr and end <= self.geometry.va_limit):
             raise ValueError("range outside the VA width")
-        if space.mapped.overlaps(vaddr, end):
-            raise AlreadyMapped(f"[{vaddr:#x}, {end:#x}) overlaps an existing mapping")
+        for sid in (space.id, *space.graft_peers):
+            if self.spaces[sid].mapped.first_overlap_end(vaddr, end) is not None:
+                raise AlreadyMapped(f"[{vaddr:#x}, {end:#x}) overlaps an existing mapping")
 
         geo = self.geometry
         leaf_level = geo.leaf_level(size_class)
@@ -423,6 +420,8 @@ class MemorySystem:
         Removals propagate to subscribers, and one TLB invalidation is issued
         for this space (replicated to subscribers unless replication is off).
         """
+        if n_pages < 1:
+            raise ValueError("n_pages must be >= 1")
         geo = self.geometry
         mask = geo.fanout - 1
         targets = []

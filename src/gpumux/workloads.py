@@ -18,7 +18,7 @@ issued), and the emitted trace lets tests verify them independently.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .commands import graphics_draw, kernel_dispatch
 from .config import DeviceConfig
@@ -122,12 +122,9 @@ class RolloutSpec:
 
 @dataclass
 class AsyncHandle:
-    phase: str          # "sim" | "render"
-    step: int
     group: int
     target_value: int
     stream: object
-    waited: bool = field(default=False)
 
 
 @dataclass
@@ -173,10 +170,9 @@ class SimSession:
             fb = mem.allocate(gspace, 1, SizeClass.SMALL)
             mem.map_range(gspace, fb, mem.alloc_phys(SizeClass.SMALL))
             self.frame_vaddrs.append(fb)
-        self._open_step: dict[int, AsyncHandle | None] = {g: None for g in range(groups)}
-        self._open_render: dict[int, AsyncHandle | None] = {g: None for g in range(groups)}
-        self._steps_waited = {g: 0 for g in range(groups)}
-        self._renders_waited = {g: 0 for g in range(groups)}
+        self._open_step: list[AsyncHandle | None] = [None] * groups
+        self._open_render: list[AsyncHandle | None] = [None] * groups
+        self._steps_waited = [0] * groups
 
     # -- stream co-scheduling control plane ----------------------------
 
@@ -198,18 +194,14 @@ class SimSession:
                               self.costs.sim_compute_frac,
                               touched=(self.state_vaddrs[group],))
         self.engine.submit(self.sim_stream, [cmd])
-        handle = AsyncHandle("sim", k, group, self.sim_stream.next_semaphore_value,
-                             self.sim_stream)
+        handle = AsyncHandle(group, self.sim_stream.next_semaphore_value, self.sim_stream)
         self._open_step[group] = handle
         return handle
 
     def wait_step(self, handle: AsyncHandle) -> Condition:
-        if handle.waited:
-            raise RuntimeError("handle already waited")
-        handle.waited = True
-        self._open_step[handle.group] = None
+        cond = self._wait(handle, self._open_step)
         self._steps_waited[handle.group] += 1
-        return self.engine.stream_condition(handle.stream, handle.target_value)
+        return cond
 
     def render_async(self, k: int, group: int = 0) -> AsyncHandle:
         if self._open_render[group] is not None:
@@ -221,30 +213,23 @@ class SimSession:
                             self.costs.render_graphics_frac,
                             touched=(self.frame_vaddrs[group],))
         self.engine.submit(self.render_stream, [cmd])
-        handle = AsyncHandle("render", k, group,
-                             self.render_stream.next_semaphore_value,
+        handle = AsyncHandle(group, self.render_stream.next_semaphore_value,
                              self.render_stream)
         self._open_render[group] = handle
         return handle
 
     def wait_render(self, handle: AsyncHandle) -> Condition:
-        if handle.waited:
-            raise RuntimeError("handle already waited")
-        handle.waited = True
-        self._open_render[handle.group] = None
-        self._renders_waited[handle.group] += 1
+        return self._wait(handle, self._open_render)
+
+    def _wait(self, handle: AsyncHandle, open_handles: list) -> Condition:
+        if open_handles[handle.group] is not handle:
+            raise RuntimeError("handle not open in this phase (already waited, "
+                               "or issued by the other phase)")
+        open_handles[handle.group] = None
         return self.engine.stream_condition(handle.stream, handle.target_value)
 
     def infer(self, batch: int) -> Condition:
         return self.engine.request_inference(self.costs.inference(batch))
-
-
-def custream_bind(session: SimSession):
-    session.custream_bind()
-
-
-def custream_unbind(session: SimSession):
-    session.custream_unbind()
 
 
 # ----------------------------------------------------------------------

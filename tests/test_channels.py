@@ -8,6 +8,7 @@ from gpumux.channels import AlreadyBound, ContextKind, NotBound, PoolExhausted, 
 from gpumux.commands import kernel_dispatch
 from gpumux.config import DeviceConfig
 from gpumux.engine import Engine
+from gpumux.vm import PageFault, SizeClass
 
 
 def build(config=None, pool=1, streams=1):
@@ -111,6 +112,30 @@ def test_ring_full_with_engine_paused():
     e.submit(stream, [kernel_dispatch(1.0, 0.1)])
     with pytest.raises(RingFull):
         e.submit(stream, [kernel_dispatch(1.0, 0.1)])
+
+
+def test_failed_submit_changes_nothing():
+    e, compute, _, (stream,) = build(DeviceConfig(ring_capacity=2))
+    ch = e.channels[stream.channel_id]
+    space = e.memory.spaces[compute.space_id]
+    work = [kernel_dispatch(1.0, 0.1)]
+
+    def state():
+        return (stream.next_semaphore_value, ch.userd.put, list(ch.ring.slots),
+                list(e.trace.events))
+
+    e.memory.unmap_range(space, stream.cmdbuf_base, 1)
+    before = state()
+    with pytest.raises(PageFault):
+        e.submit(stream, work)
+    assert state() == before
+    e.memory.map_range(space, stream.cmdbuf_base, e.memory.alloc_phys(SizeClass.SMALL))
+    assert e.submit(stream, work) == 1
+    e.submit(stream, work)
+    before = state()
+    with pytest.raises(RingFull):
+        e.submit(stream, work)
+    assert state() == before
 
 
 def test_doorbell_wakes_only_the_token_owner():

@@ -147,6 +147,27 @@ def test_unmapped_touch_page_faults_and_halts_channel():
     assert len(trace.faults) == 1
 
 
+@pytest.mark.parametrize("write_first", [False, True],
+                         ids=["write_after_timed_command", "write_at_buffer_head"])
+def test_zero_duration_write_faults_and_halts_channel(write_first):
+    e, ((s,),) = compute_engine()
+    bad = 0x7fff_0000_0000
+    buf = [kernel_dispatch(1.0, 0.1), semaphore_write(bad, 7)]
+    if write_first:
+        buf.reverse()
+    faulting = e.submit(s, buf)
+    following = e.submit(s, [kernel_dispatch(1.0, 0.1)])
+    trace = e.run()
+    assert [(f.kind, f.vaddr) for f in trace.faults] == [("page_fault", bad)]
+    completed = [ev["seq"] for ev in trace.events if ev["event"] == "buffer_complete"]
+    assert faulting not in completed and following not in completed
+    e.reset_channel(e.channels[s.channel_id])
+    trace = e.run()
+    completed = [ev["seq"] for ev in trace.events if ev["event"] == "buffer_complete"]
+    assert completed == [following]
+    assert len(trace.faults) == 1
+
+
 def test_sleep_consumes_time_but_no_resources():
     e, ((s,),) = compute_engine()
     e.submit(s, [sleep(2.0)])

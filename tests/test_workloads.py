@@ -55,6 +55,16 @@ def test_handle_waited_at_most_once():
         s.wait_step(h)
 
 
+def test_wait_rejects_a_handle_of_the_other_phase():
+    s = SimSession(BALANCED, batch=8)
+    s.wait_step(s.step_async(0))
+    r = s.render_async(0)
+    with pytest.raises(RuntimeError):
+        s.wait_step(r)
+    s.wait_render(r)
+    s.step_async(1)  # the step count was left alone
+
+
 def test_steps_must_be_issued_in_order():
     s = SimSession(BALANCED, batch=8)
     with pytest.raises(RuntimeError):
