@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 config error, 3 internal invariant violation.
+Exit codes: 0 success, 2 config error (including a submission ring too small
+for the workload, which is only found while it runs), 3 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .audits import InvariantViolation
+from .channels import RingFull
 from .harness import ConfigError, cmd_datagen, cmd_graftbench, cmd_rl, cmd_trace, parse_config
 
 _COMMANDS = {
@@ -42,6 +45,9 @@ def main(argv: list[str] | None = None) -> int:
                 dump_tables=args.dump_tables)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except RingFull as exc:
+        print(f"config error: {exc}; raise ring_capacity in [device]", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

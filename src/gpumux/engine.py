@@ -314,6 +314,10 @@ class Engine:
         self._log("bootstrap", channel.id, channel.tsg_id, None,
                   local_memory_bytes=config.local_memory_bytes)
 
+    def _check_room(self, ch: Channel):
+        if ch.userd.put - ch.userd.get >= ch.ring.capacity:
+            raise RingFull(f"channel {ch.id} ring is full")
+
     def _append(self, ch: Channel, ctx: Context, cmdbuf_base: int, buf: tuple,
                 stream_id: int | None) -> tuple[int, Channel, int]:
         """Four micro-ops: write the command buffer into ``ctx`` memory at
@@ -322,9 +326,8 @@ class Engine:
 
         Returns the sequence number, the channel that owns the token, and
         the number of micro-ops."""
+        self._check_room(ch)
         put = ch.userd.put
-        if put - ch.userd.get >= ch.ring.capacity:
-            raise RingFull(f"channel {ch.id} ring is full")
         slot = put % ch.ring.capacity
         # 1: command buffer written
         self.memory.translate(self.memory.spaces[ctx.space_id],
@@ -346,16 +349,19 @@ class Engine:
 
     def set_local_memory(self, ctx: Context, nbytes: int):
         """Grow the context's scratch size; growth is re-pushed to every
-        forwarding channel currently serving one of the context's streams."""
+        forwarding channel currently serving one of the context's streams.
+        Raises RingFull before any change if one of those rings is full."""
         if ctx.kind is not ContextKind.COMPUTE:
             raise ValueError("only compute contexts carry a scratch pool")
-        grew = nbytes > ctx.compute_state.local_memory_bytes
+        fwds = []
+        if nbytes > ctx.compute_state.local_memory_bytes:
+            fwds = [self.channels[self.streams[sid].bound_channel_id]
+                    for sid in sorted(ctx.bound_stream_ids)]
+        for fwd in fwds:
+            self._check_room(fwd)
         ctx.compute_state = dataclasses.replace(ctx.compute_state,
                                                 local_memory_bytes=nbytes)
-        if not grew:
-            return
-        for sid in sorted(ctx.bound_stream_ids):
-            fwd = self.channels[self.streams[sid].bound_channel_id]
+        for fwd in fwds:
             self.bootstrap(fwd, ctx.compute_state)
 
     # ------------------------------------------------------------------

@@ -4,28 +4,32 @@ Every simulated GPU context owns a multi-level radix page table. Virtual
 addresses are handed out by per-table allocation policies that keep one
 table's ranges in a high window and the other's in a low window, so two
 tables can be unioned without relocating anything. The union is built by a
-top-down recursive merge ("graft") that copies page-directory entries from a
-source table into a target at the highest level where the target slot is
-free; from then on both tables share the physical subtree below each copied
-entry, so leaf-level changes inside a shared subtree are visible to both
-sides for free.
+top-down merge ("graft") that copies page-directory entries from a source
+table into a target at the highest level where the target slot is free; from
+then on both tables share the physical subtree below each copied entry, so
+leaf-level changes inside a shared subtree are visible to both sides for
+free. The merge is planned before anything is written, so a graft whose
+leaves collide raises and writes nothing.
 
-After a graft the target is registered as a subscriber of the source.
-Structural changes on the source (directory entries inserted or removed) are
-replayed against every subscriber, and source-side TLB invalidations are
-replicated to subscribers, which keeps the merged view coherent without
-re-merging.
+After a graft the target is registered as a subscriber of the source. Two
+range-restricted walks keep subscribers coherent: after ``map_range`` every
+transitive subscriber is merged once over the mapped range from the space it
+subscribes to, and after ``unmap_range`` every transitive subscriber is
+unmerged once over the unmapped range, clearing its copies of the removed
+leaves and pruned directories. Source-side TLB invalidations are replicated
+to subscribers, which keeps the merged view coherent without re-merging.
 
 Cost accounting follows a copy-engine model: one write per entry modified by
-a graft or a propagation, one read per node compared during a merge. The
-counters stand in for DMA traffic when comparing grafting against a
-per-buffer export/import scheme.
+a graft or a propagation, one read per node compared during a merge (a
+graft's, or the one a map runs against each subscriber). The counters stand
+in for DMA traffic when comparing grafting against a per-buffer
+export/import scheme.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 
@@ -176,9 +180,6 @@ class _IntervalSet:
     def __iter__(self):
         return iter((lo, hi) for lo, hi in self._ivals)
 
-    def __bool__(self):
-        return bool(self._ivals)
-
     def first_overlap_end(self, lo: int, hi: int) -> int | None:
         """End of the first interval overlapping [lo, hi), or None."""
         ivals = self._ivals
@@ -189,31 +190,29 @@ class _IntervalSet:
             return ivals[i + 1][1]
         return None
 
-    def intersects(self, other: "_IntervalSet") -> bool:
-        return any(other.first_overlap_end(lo, hi) is not None for lo, hi in self._ivals)
-
     def add(self, lo: int, hi: int):
-        insort(self._ivals, [lo, hi])
-        # merge touching neighbours
-        merged = []
-        for ival in self._ivals:
-            if merged and ival[0] <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], ival[1])
-            else:
-                merged.append(ival)
-        self._ivals = merged
+        ivals = self._ivals
+        # [i, j): the intervals that overlap or touch [lo, hi)
+        i = bisect_left(ivals, [lo])
+        if i and ivals[i - 1][1] >= lo:
+            i -= 1
+        j = bisect_right(ivals, [hi, _INF])
+        if i < j:
+            lo = min(lo, ivals[i][0])
+            hi = max(hi, ivals[j - 1][1])
+        ivals[i:j] = [[lo, hi]]
 
     def remove(self, lo: int, hi: int):
-        out = []
-        for a, b in self._ivals:
-            if b <= lo or a >= hi:
-                out.append([a, b])
-                continue
-            if a < lo:
-                out.append([a, lo])
-            if b > hi:
-                out.append([hi, b])
-        self._ivals = out
+        ivals = self._ivals
+        # [i, j): the intervals that overlap [lo, hi)
+        i = bisect_left(ivals, [lo])
+        if i and ivals[i - 1][1] > lo:
+            i -= 1
+        j = bisect_left(ivals, [hi])
+        if i < j:
+            first, last = ivals[i][0], ivals[j - 1][1]
+            ivals[i:j] = ([[first, lo]] if first < lo else []) + \
+                ([[hi, last]] if last > hi else [])
 
 
 class AddressSpace:
@@ -359,12 +358,13 @@ class MemorySystem:
     def map_range(self, space: AddressSpace, vaddr: int, pages: list[PhysPage]) -> int:
         """Install leaf translations, creating missing directories top-down.
 
-        Returns the number of new directory entries created. Every new
-        directory entry (and leaf) fires the structural-change hook toward
-        subscribers; inserts that land inside an already shared subtree cost
-        subscribers nothing. A range that overlaps a mapping of the space, or
-        of a space it has been grafted with, raises AlreadyMapped before any
-        write.
+        Returns the number of new directory entries created. Once every page
+        is installed, the range is merged into each transitive subscriber
+        from the space it subscribes to; inserts that land inside an already
+        shared subtree cost subscribers nothing, and a slot where a leaf
+        meets a different entry is skipped. A range that overlaps a mapping
+        of the space, or of a space it has been grafted with, raises
+        AlreadyMapped before any write.
         """
         if not pages:
             raise ValueError("no pages to map")
@@ -398,7 +398,6 @@ class MemorySystem:
                     node.entries[idx] = entry
                     node.live += 1
                     new_pdes += 1
-                    self._propagate_insert(space, va, level, entry)
                     node = child
                     continue
                 if isinstance(entry, LeafEntry):
@@ -407,65 +406,47 @@ class MemorySystem:
             idx = (va >> shifts[leaf_level]) & mask
             if node.entries[idx] is not None:
                 raise AlreadyMapped(f"leaf slot for {va:#x} already occupied")
-            leaf = LeafEntry(page)
-            node.entries[idx] = leaf
+            node.entries[idx] = LeafEntry(page)
             node.live += 1
-            self._propagate_insert(space, va, leaf_level, leaf)
         space.mapped.add(vaddr, end)
+        for sub, src in self._subscribers(space):
+            copies, _, _ = self._merge(src, sub, vaddr, end)
+            self._apply(copies)
         return new_pdes
 
     def unmap_range(self, space: AddressSpace, vaddr: int, n_pages: int):
         """Clear n_pages leaves starting at vaddr, pruning emptied directories.
 
-        Removals propagate to subscribers, and one TLB invalidation is issued
-        for this space (replicated to subscribers unless replication is off).
+        The space's own table is unmerged first; then every transitive
+        subscriber is unmerged once, clearing its copies of the removed
+        leaves and pruned directories. One TLB invalidation is issued for
+        this space (replicated to subscribers unless replication is off).
+        Raises NotMapped before any write.
         """
         if n_pages < 1:
             raise ValueError("n_pages must be >= 1")
         geo = self.geometry
         mask = geo.fanout - 1
-        targets = []
+        removed = set()
         va = vaddr
         for _ in range(n_pages):
-            chain = []  # (node, idx) per visited level, leaf last
             node = self.nodes[space.root]
-            leaf_span = None
             for shift in geo.level_shifts:
-                idx = (va >> shift) & mask
-                entry = node.entries[idx]
+                entry = node.entries[(va >> shift) & mask]
                 if entry is None:
                     raise NotMapped(f"{va:#x} not mapped")
-                chain.append((node, idx))
                 if isinstance(entry, LeafEntry):
-                    leaf_span = 1 << shift
                     break
                 node = self.nodes[entry.child]
-            if leaf_span is None:
+            else:
                 raise NotMapped(f"{va:#x} not mapped")
-            targets.append((va, chain))
-            va += leaf_span
-        total_end = va
+            removed.add(entry)
+            va += 1 << shift
 
-        for va, chain in targets:
-            node, idx = chain[-1]
-            removed = node.entries[idx]
-            node.entries[idx] = None
-            node.live -= 1
-            self._propagate_remove(space, va, len(chain) - 1, removed)
-            # prune directories whose subtree emptied, bottom-up
-            for level in range(len(chain) - 2, -1, -1):
-                child_node = chain[level + 1][0]
-                if child_node.live > 0:
-                    break
-                parent, pidx = chain[level]
-                removed = parent.entries[pidx]
-                parent.entries[pidx] = None
-                parent.live -= 1
-                if child_node.owner == space.id and child_node.id in self.nodes:
-                    del self.nodes[child_node.id]
-                self._propagate_remove(space, va, level, removed)
-
-        space.mapped.remove(vaddr, total_end)
+        self._unmerge(space, None, vaddr, va, removed)
+        for sub, src in self._subscribers(space):
+            self.copy_log.writes += self._unmerge(sub, src, vaddr, va, removed)
+        space.mapped.remove(vaddr, va)
         self._invalidate_tlb(space)
 
     # ------------------------------------------------------------------
@@ -494,18 +475,14 @@ class MemorySystem:
             node = self.nodes[entry.child]
         raise AssertionError("walk ran past the leaf level")
 
-    def _invalidate_tlb(self, space: AddressSpace, seen: set | None = None):
-        if seen is None:
-            seen = set()
-        seen.add(space.id)
-        space.tlb.clear()
-        space.tlb_invalidations += 1
-        self.total_tlb_invalidations += 1
-        if not self.propagate_tlb:
-            return
-        for sub_id in space.subscribers:
-            if sub_id not in seen:
-                self._invalidate_tlb(self.spaces[sub_id], seen)
+    def _invalidate_tlb(self, space: AddressSpace):
+        spaces = [space]
+        if self.propagate_tlb:
+            spaces += [sub for sub, _ in self._subscribers(space)]
+        for s in spaces:
+            s.tlb.clear()
+            s.tlb_invalidations += 1
+        self.total_tlb_invalidations += len(spaces)
 
     # ------------------------------------------------------------------
     # grafting
@@ -513,21 +490,21 @@ class MemorySystem:
     def graft(self, source: AddressSpace, target: AddressSpace) -> GraftReport:
         """Merge source directory entries into target and subscribe the target.
 
-        Top-down recursive merge: a valid source entry over an empty target
-        slot is copied (sharing the whole subtree); two valid directories
-        descend one level; an empty source slot is skipped. Repeating a graft
-        copies nothing.
+        Top-down merge over the whole VA: a valid source entry over an empty
+        target slot is copied (sharing the whole subtree); two valid
+        directories descend one level; an empty source slot is skipped.
+        Repeating a graft copies nothing. A leaf that meets a different
+        entry raises OverlapDetected before any write.
         """
         if source is target or source.id == target.id:
             raise ValueError("cannot graft a space into itself")
         if self._reaches(target, source.id):
             raise CycleDetected(
                 f"space {source.id} is already a transitive subscriber of {target.id}")
-        if source.mapped.intersects(target.mapped):
+        copies, depth, collided = self._merge(source, target, 0, self.geometry.va_limit)
+        if collided:
             raise OverlapDetected("leaf ranges of the two spaces overlap")
-
-        report = GraftReport()
-        self._merge(self.nodes[source.root], self.nodes[target.root], 0, report)
+        self._apply(copies)
         if target.id not in source.subscribers:
             source.subscribers.append(target.id)
         source.graft_peers.add(target.id)
@@ -536,146 +513,111 @@ class MemorySystem:
         target.tlb.clear()
         target.tlb_invalidations += 1
         self.total_tlb_invalidations += 1
-        report.tlb_invalidations = 1
-        return report
+        return GraftReport(pdes_copied=len(copies), max_depth_descended=depth,
+                           entry_writes=len(copies), tlb_invalidations=1)
 
     def _reaches(self, space: AddressSpace, wanted: int) -> bool:
-        stack, seen = [space.id], set()
+        return space.id == wanted or any(sub.id == wanted for sub, _ in self._subscribers(space))
+
+    def _subscribers(self, space: AddressSpace):
+        """Yield (subscriber, the space it subscribes to) for every transitive
+        subscriber of `space`, once each, depth first in registration order.
+        Each subscriber comes before its own subscribers, so a change applied
+        to it is there when they are merged from it."""
+        seen = {space.id}
+        stack = [(sid, space) for sid in reversed(space.subscribers)]
         while stack:
-            sid = stack.pop()
-            if sid == wanted:
-                return True
+            sid, src = stack.pop()
             if sid in seen:
                 continue
             seen.add(sid)
-            stack.extend(self.spaces[sid].subscribers)
-        return False
-
-    def _merge(self, src: PageTableNode, dst: PageTableNode, depth: int,
-               report: GraftReport):
-        self.copy_log.reads += 2  # both nodes come in through the copy engine
-        for idx in range(self.geometry.fanout):
-            s = src.entries[idx]
-            if s is None:
-                continue
-            d = dst.entries[idx]
-            if s == d:
-                continue  # already grafted (or identical leaf)
-            if d is None:
-                dst.entries[idx] = s
-                dst.live += 1
-                report.pdes_copied += 1
-                report.entry_writes += 1
-                self.copy_log.writes += 1
-            elif isinstance(s, DirEntry) and isinstance(d, DirEntry):
-                if depth + 1 > report.max_depth_descended:
-                    report.max_depth_descended = depth + 1
-                self._merge(self.nodes[s.child], self.nodes[d.child], depth + 1, report)
-            else:
-                # unreachable when the interval pre-check passed; kept defensive
-                raise OverlapDetected(
-                    f"leaf collision at level {src.level}, slot {idx}")
+            sub = self.spaces[sid]
+            yield sub, src
+            stack.extend((s, sub) for s in reversed(sub.subscribers))
 
     # ------------------------------------------------------------------
-    # structural-change propagation (internal hooks of map/unmap)
+    # merge and unmerge: the two walks behind graft, map and unmap
 
-    def _entry_path(self, space: AddressSpace, vaddr: int, upto_level: int) -> list[DirEntry]:
-        node = self.nodes[space.root]
-        path = []
-        for level in range(upto_level):
-            entry = node.entries[self.geometry.index(vaddr, level)]
-            path.append(entry)
-            node = self.nodes[entry.child]
-        return path
+    def _slots(self, level: int, base: int, lo: int, hi: int) -> range:
+        """Slots of the level-`level` node starting at `base` that overlap [lo, hi)."""
+        shift = self.geometry.level_shifts[level]
+        return range(max(lo - base, 0) >> shift,
+                     ((min(hi - base, self.geometry.fanout << shift) - 1) >> shift) + 1)
 
-    def _propagate_insert(self, src: AddressSpace, vaddr: int, level: int, entry,
-                          seen: set | None = None):
-        if not src.subscribers:
-            return
-        if seen is None:
-            seen = {src.id}
-        geo = self.geometry
-        path = self._entry_path(src, vaddr, level)
-        for sub_id in list(src.subscribers):
-            if sub_id in seen:
-                continue
-            seen.add(sub_id)
-            sub = self.spaces[sub_id]
-            node = self.nodes[sub.root]
-            wrote = None
-            for l in range(level):
-                idx = geo.index(vaddr, l)
+    def _merge(self, source: AddressSpace, target: AddressSpace, lo: int,
+               hi: int) -> tuple[list, int, bool]:
+        """Plan what makes `target` show `source`'s entries inside [lo, hi).
+
+        Writes nothing and visits only the slots that overlap the range. A
+        source entry over an empty target slot becomes a (node, slot, entry)
+        copy, which shares its whole subtree; two different directories
+        descend; a leaf that meets a different entry is a collision and is
+        skipped. Returns the copies, the deepest level descended into, and
+        whether any collision was met.
+        """
+        shifts = self.geometry.level_shifts
+        copies, deepest, collided = [], 0, False
+        pairs = [(self.nodes[source.root], self.nodes[target.root], 0)]
+        while pairs:
+            src, dst, base = pairs.pop()
+            self.copy_log.reads += 2  # both nodes come in through the copy engine
+            for idx in self._slots(src.level, base, lo, hi):
+                s = src.entries[idx]
+                if s is None:
+                    continue
+                d = dst.entries[idx]
+                if s == d:
+                    continue  # already shared (or identical leaf)
+                if d is None:
+                    copies.append((dst, idx, s))
+                elif isinstance(s, DirEntry) and isinstance(d, DirEntry):
+                    deepest = max(deepest, src.level + 1)
+                    pairs.append((self.nodes[s.child], self.nodes[d.child],
+                                  base + (idx << shifts[src.level])))
+                else:
+                    collided = True
+        return copies, deepest, collided
+
+    def _apply(self, copies: list):
+        for node, idx, entry in copies:
+            node.entries[idx] = entry
+            node.live += 1
+        self.copy_log.writes += len(copies)
+
+    def _unmerge(self, space: AddressSpace, source: AddressSpace | None, lo: int,
+                 hi: int, removed: set) -> int:
+        """Clear from `space` the entries of `removed` inside [lo, hi) that it
+        does not share with `source` (None for the space's own table), and
+        prune each directory that emptied: its entry joins `removed`, and its
+        node is deleted if `space` owns it. Returns the entries cleared."""
+        shifts = self.geometry.level_shifts
+
+        def walk(node: PageTableNode, src: PageTableNode | None, base: int) -> int:
+            cleared = 0
+            for idx in self._slots(node.level, base, lo, hi):
                 e = node.entries[idx]
-                if e is None:
-                    # subscriber lacks the path: graft the source's entry here,
-                    # which shares the subtree holding the new insert
-                    node.entries[idx] = path[l]
-                    node.live += 1
-                    self.copy_log.writes += 1
-                    wrote = (l, path[l])
-                    break
-                if isinstance(e, LeafEntry):
-                    wrote = None  # foreign covering leaf; nothing sane to mirror
-                    break
-                if e.child == path[l].child:
-                    wrote = None  # shared subtree: change already visible
-                    break
-                node = self.nodes[e.child]
-            else:
-                idx = geo.index(vaddr, level)
-                if node.entries[idx] is None:
-                    node.entries[idx] = entry
-                    node.live += 1
-                    self.copy_log.writes += 1
-                    wrote = (level, entry)
-            if wrote is not None:
-                self._propagate_insert(sub, vaddr, wrote[0], wrote[1], seen)
+                s = src.entries[idx] if src is not None else None
+                if e is None or e == s:
+                    continue  # empty, or shared: the source's change shows through
+                if e not in removed:
+                    if isinstance(e, LeafEntry):
+                        continue
+                    child = self.nodes[e.child]
+                    below = walk(child, self.nodes[s.child] if isinstance(s, DirEntry) else None,
+                                 base + (idx << shifts[node.level]))
+                    cleared += below
+                    if not below or child.live:
+                        continue
+                    removed.add(e)  # emptied by this call: prune it
+                    if child.owner == space.id:
+                        self.nodes.pop(child.id, None)
+                node.entries[idx] = None
+                node.live -= 1
+                cleared += 1
+            return cleared
 
-    def _propagate_remove(self, src: AddressSpace, vaddr: int, level: int, removed,
-                          seen: set | None = None):
-        if not src.subscribers:
-            return
-        if seen is None:
-            seen = {src.id}
-        geo = self.geometry
-        path = self._entry_path(src, vaddr, level)
-        for sub_id in list(src.subscribers):
-            if sub_id in seen:
-                continue
-            seen.add(sub_id)
-            sub = self.spaces[sub_id]
-            node = self.nodes[sub.root]
-            chain = []  # subscriber-owned (node, idx) above the cleared slot
-            blocked = False
-            for l in range(level):
-                idx = geo.index(vaddr, l)
-                e = node.entries[idx]
-                if e is None or isinstance(e, LeafEntry) or e.child == path[l].child:
-                    blocked = True  # absent, foreign, or shared: nothing to mirror
-                    break
-                chain.append((node, idx))
-                node = self.nodes[e.child]
-            if blocked:
-                continue
-            idx = geo.index(vaddr, level)
-            if node.entries[idx] != removed:
-                continue
-            node.entries[idx] = None
-            node.live -= 1
-            self.copy_log.writes += 1
-            self._propagate_remove(sub, vaddr, level, removed, seen)
-            child = node
-            for parent, pidx in reversed(chain):
-                if child.live > 0:
-                    break
-                pruned = parent.entries[pidx]
-                parent.entries[pidx] = None
-                parent.live -= 1
-                self.copy_log.writes += 1
-                if child.owner == sub.id and child.id in self.nodes:
-                    del self.nodes[child.id]
-                self._propagate_remove(sub, vaddr, parent.level, pruned, seen)
-                child = parent
+        return walk(self.nodes[space.root],
+                    None if source is None else self.nodes[source.root], 0)
 
     # ------------------------------------------------------------------
     # oracles and debugging

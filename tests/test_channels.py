@@ -274,6 +274,22 @@ def test_local_memory_growth_rebootstraps_bound_channels():
     assert after == before + 2
 
 
+def test_local_memory_growth_with_a_full_ring_changes_nothing():
+    e, compute, graphics, streams = build(DeviceConfig(ring_capacity=2), pool=2, streams=2)
+    for s in streams:
+        e.bind(s, graphics)
+    e.submit(streams[1], [kernel_dispatch(1.0, 0.1)])  # its ring is now full
+    fwds = [e.channels[s.bound_channel_id] for s in streams]
+    state = compute.compute_state
+    puts = [ch.userd.put for ch in fwds]
+    n_events = len(e.trace.events)
+    with pytest.raises(RingFull):
+        e.set_local_memory(compute, state.local_memory_bytes * 2)
+    assert compute.compute_state == state
+    assert [ch.userd.put for ch in fwds] == puts
+    assert len(e.trace.events) == n_events
+
+
 def test_local_memory_shrink_does_not_rebootstrap():
     e, compute, graphics, (stream,) = build()
     e.bind(stream, graphics)

@@ -189,6 +189,18 @@ def test_cli_config_error_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("groups, rc", [(8, 2), (3, 0)])
+def test_cli_rl_ring_too_small_for_the_groups_exits_2(tmp_path, capsys, groups, rc):
+    text = GOOD.replace("ring_capacity = 64", "ring_capacity = 4").replace(
+        "batches = 16 32", "batches = 24").replace("groups = 2", f"groups = {groups}")
+    out = tmp_path / "out"
+    assert cli.main(["rl", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == rc
+    assert (out / "summary.csv").exists() == (rc == 0)
+    if rc:
+        assert "ring_capacity" in capsys.readouterr().err
+
+
 def test_cli_invariant_violation_exit_code(tmp_path, monkeypatch):
     def broken(cfg, out, seed=0, json_events=False, dump_tables=False):
         raise InvariantViolation("engineered failure")

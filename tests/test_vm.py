@@ -491,3 +491,95 @@ def test_randomized_default_policies_never_conflict():
     assert low.conflicts_resolved == 0
     walked = {v: l.page for v, l in mem.iter_leaves(low)}
     assert walked == mem.union_oracle(high, low)
+
+
+# ----------------------------------------------------------------------
+# graft chains and failed grafts
+
+GiB = 1 << 30
+H = DEFAULT_HIGH_BASE
+
+
+def graft_chain(map_big_first=False):
+    """a -> b -> c where c's own level-2 node receives a's entries: the
+    change in a lands in a subtree b shares, but c does not."""
+    mem = MemorySystem()
+    a = mem.create_space(AllocPolicy.HIGH_RANGE, base=H + GiB)
+    b = mem.create_space(AllocPolicy.LOW_RANGE)
+    c = mem.create_space(AllocPolicy.HIGH_RANGE, base=H, limit=H + GiB)
+    for space in (a, b, c):
+        mem.map_range(space, space.base, mem.alloc_phys(SMALL))
+    if map_big_first:
+        mem.map_range(a, H + 2 * GiB, mem.alloc_phys(BIG))
+    mem.graft(a, b)
+    mem.graft(b, c)
+    return mem, a, b, c
+
+
+def test_chain_insert_reaches_the_tail():
+    mem, a, b, c = graft_chain()
+    (page,) = mem.alloc_phys(BIG)
+    mem.map_range(a, H + 2 * GiB, [page])
+    assert mem.translate(c, H + 2 * GiB)[0] == page
+    assert {v: l.page for v, l in mem.iter_leaves(c)} == mem.union_oracle(b, c)
+
+
+def test_chain_remove_reaches_the_tail():
+    mem, a, b, c = graft_chain(map_big_first=True)
+    assert mem.translate(c, H + 2 * GiB)
+    mem.unmap_range(a, H + 2 * GiB, 1)
+    with pytest.raises(PageFault):
+        mem.translate(c, H + 2 * GiB)
+    walked = {v: l.page for v, l in mem.iter_leaves(c)}
+    assert walked == mem.union_oracle(b, c)
+    assert sorted(walked) == [b.base, H, H + GiB]
+
+
+def test_failed_graft_changes_nothing():
+    mem = MemorySystem()
+    s1 = mem.create_space(AllocPolicy.HIGH_RANGE, base=H + GiB)
+    s2 = mem.create_space(AllocPolicy.HIGH_RANGE, base=H)
+    t = mem.create_space(AllocPolicy.LOW_RANGE)
+    mem.map_range(s1, H + GiB, mem.alloc_phys(SMALL))
+    mem.map_range(s2, H, mem.alloc_phys(SMALL))
+    mem.map_range(s2, H + GiB, mem.alloc_phys(SMALL))
+    mem.map_range(t, t.base, mem.alloc_phys(SMALL))
+    mem.graft(s1, t)
+    spaces = (s1, s2, t)
+
+    def state():
+        return ([mem.table_shape(s) for s in spaces], [list(s.subscribers) for s in spaces],
+                [set(s.graft_peers) for s in spaces], mem.copy_log.writes)
+
+    before = state()
+    with pytest.raises(OverlapDetected):
+        mem.graft(s2, t)
+    assert state() == before
+
+
+# ----------------------------------------------------------------------
+# leaf-coverage interval set
+
+def test_interval_set_matches_a_brute_force_model():
+    from gpumux.vm import _IntervalSet
+    rng = random.Random(11)
+    for _ in range(300):
+        ivals, covered = _IntervalSet(), set()
+        for _ in range(40):
+            lo = rng.randrange(64)
+            hi = lo + rng.randint(1, 12)
+            if rng.random() < 0.6:
+                ivals.add(lo, hi)
+                covered |= set(range(lo, hi))
+            else:
+                ivals.remove(lo, hi)
+                covered -= set(range(lo, hi))
+            runs = list(ivals)
+            # disjoint, sorted, not touching, and exactly the covered bytes
+            assert all(a < b for a, b in runs)
+            assert all(b1 < a2 for (_, b1), (a2, _) in zip(runs, runs[1:]))
+            assert {x for a, b in runs for x in range(a, b)} == covered
+            qlo = rng.randrange(80)
+            qhi = qlo + rng.randint(1, 12)
+            hits = [b for a, b in runs if a < qhi and b > qlo]
+            assert ivals.first_overlap_end(qlo, qhi) == (hits[0] if hits else None)

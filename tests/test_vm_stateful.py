@@ -1,0 +1,90 @@
+"""Stateful check of graft propagation over chains and fan-outs.
+
+Three spaces (two 4 GiB high windows and the default low window) map, unmap
+and graft at random. After every step each space must show exactly its own
+leaves plus those of every space that reaches it through subscriptions, as
+read by the brute-force walk ``iter_leaves``. A target is grafted only while
+it has no source and no subscribers, so every space has at most one source.
+"""
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from gpumux.vm import DEFAULT_HIGH_BASE, AllocPolicy, MemorySystem, SizeClass
+
+GiB = 1 << 30
+
+
+class GraftPropagation(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.mem = MemorySystem()
+        H = DEFAULT_HIGH_BASE
+        self.spaces = [
+            self.mem.create_space(AllocPolicy.HIGH_RANGE, base=H, limit=H + 4 * GiB),
+            self.mem.create_space(AllocPolicy.HIGH_RANGE, base=H + 4 * GiB, limit=H + 8 * GiB),
+            self.mem.create_space(AllocPolicy.LOW_RANGE),
+        ]
+        self.own = [{} for _ in self.spaces]      # leaf va -> page, per space
+        self.ranges = [[] for _ in self.spaces]   # unmappable (va, n_pages)
+        self.source = {}                          # target index -> source index
+        for i in range(len(self.spaces)):
+            self._map(i, SizeClass.SMALL, 1, None)
+        self.ranges = [[] for _ in self.spaces]   # the first page stays resident
+
+    def _map(self, i, size_class, n, k):
+        space = self.spaces[i]
+        hint = None if k is None else space.base + k * GiB
+        va = self.mem.allocate(space, n, size_class, hint=hint)
+        pages = self.mem.alloc_phys(size_class, n)
+        self.mem.map_range(space, va, pages)
+        for j, page in enumerate(pages):
+            self.own[i][va + j * size_class.nbytes] = page
+        self.ranges[i].append((va, n))
+
+    @rule(i=st.integers(0, 2), big=st.booleans(), n=st.integers(1, 3),
+          k=st.none() | st.integers(0, 3))
+    def map(self, i, big, n, k):
+        """Map n small pages or one big page, optionally at a fresh level-2 slot."""
+        if big:
+            self._map(i, SizeClass.BIG, 1, k)
+        else:
+            self._map(i, SizeClass.SMALL, n, k)
+
+    @precondition(lambda self: any(self.ranges))
+    @rule(data=st.data())
+    def unmap(self, data):
+        i = data.draw(st.sampled_from([i for i, r in enumerate(self.ranges) if r]))
+        va, n = self.ranges[i].pop(data.draw(st.integers(0, len(self.ranges[i]) - 1)))
+        size = self.own[i][va].size_class.nbytes
+        self.mem.unmap_range(self.spaces[i], va, n)
+        for j in range(n):
+            del self.own[i][va + j * size]
+
+    def _graftable(self):
+        return [(s, t) for s in range(3) for t in range(3)
+                if s != t and t not in self.source and t not in self.source.values()]
+
+    @precondition(lambda self: self._graftable())
+    @rule(data=st.data())
+    def graft(self, data):
+        s, t = data.draw(st.sampled_from(self._graftable()))
+        self.mem.graft(self.spaces[s], self.spaces[t])
+        self.source[t] = s
+
+    @invariant()
+    def each_space_shows_what_reaches_it(self):
+        for i, space in enumerate(self.spaces):
+            want = dict(self.own[i])
+            j = i
+            while j in self.source:
+                j = self.source[j]
+                want.update(self.own[j])
+            assert {va: leaf.page for va, leaf in self.mem.iter_leaves(space)} == want
+
+
+GraftPropagation.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, derandomize=True, deadline=None,
+    database=None)
+TestGraftPropagation = GraftPropagation.TestCase
