@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from .engine import MetricsTrace
 
-_EPS = 1e-9
-
 
 class InvariantViolation(Exception):
     pass
@@ -15,7 +13,7 @@ def check_temporal_exclusivity(trace: MetricsTrace):
     """At most one timeslice group active at any instant."""
     windows = sorted(enumerate(trace.windows), key=lambda iw: (iw[1][1], iw[1][2]))
     for (_, (tsg_a, _, end_a)), (i, (tsg_b, start_b, _)) in zip(windows, windows[1:]):
-        if end_a > start_b + _EPS:
+        if end_a > start_b:
             raise InvariantViolation(
                 f"window {i}: groups {tsg_a} and {tsg_b} overlap: {end_a} > {start_b}")
 
@@ -61,5 +59,5 @@ def check_all(trace: MetricsTrace, run: str | None = None):
 def interval_inside_windows(trace: MetricsTrace, start: float, end: float,
                             tsg: int) -> bool:
     """True when [start, end] lies inside one active slice of the given group."""
-    return any(w_tsg == tsg and w0 - _EPS <= start and end <= w1 + _EPS
+    return any(w_tsg == tsg and w0 <= start and end <= w1
                for w_tsg, w0, w1 in trace.windows)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .channels import ComputeConfig
@@ -28,8 +29,8 @@ class GpuCommand:
     config: ComputeConfig | None = None
 
     def __post_init__(self):
-        if self.base_duration < 0:
-            raise ValueError("durations must be >= 0")
+        if not 0 <= self.base_duration < math.inf:
+            raise ValueError("durations must be finite and >= 0")
         if not (0.0 <= self.compute_frac <= 1.0 and 0.0 <= self.graphics_frac <= 1.0):
             raise ValueError("resource fractions must lie in [0, 1]")
         if self.kind is CommandKind.KERNEL_DISPATCH and self.graphics_frac != 0.0:

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .vm import DEFAULT_HIGH_BASE, DEFAULT_LOW_BASE, PageGeometry
+
+TICKS_PER_S = 10**9   # the engine clock counts whole nanoseconds
+
+
+def ticks(seconds: float) -> int:
+    """Seconds to the nearest whole tick."""
+    return round(seconds * TICKS_PER_S)
 
 
 @dataclass(frozen=True)
@@ -27,15 +35,14 @@ class DeviceConfig:
     skip_bootstrap: bool = False
 
     def __post_init__(self):
-        if self.quantum <= 0:
-            raise ValueError("quantum must be positive")
-        if self.context_switch_penalty < 0:
-            raise ValueError("context_switch_penalty must be >= 0")
+        for name in ("quantum", "utilization_sample_dt"):
+            if not 1 <= getattr(self, name) * TICKS_PER_S < math.inf:
+                raise ValueError(f"{name} must be finite and at least 1 ns")
+        if not 0 <= self.context_switch_penalty < math.inf:
+            raise ValueError("context_switch_penalty must be finite and >= 0")
         if self.hw_max_queues < 2:
             raise ValueError("need at least one app queue and one spare")
         if self.ring_capacity < 2:
             raise ValueError("ring_capacity must be >= 2")
         if self.compute_capacity <= 0 or self.graphics_capacity <= 0:
             raise ValueError("resource capacities must be positive")
-        if self.utilization_sample_dt <= 0:
-            raise ValueError("utilization_sample_dt must be positive")

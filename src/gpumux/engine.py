@@ -12,13 +12,20 @@ expires, in-flight commands finish, trailing zero-duration commands of the
 same buffer (semaphore writes) flush with them, and only then does the next
 group take over. Suspended buffers resume in the group's next slice.
 
+Time is whole nanoseconds (``Engine.now``); inputs and outputs stay in float
+seconds, each rounded to the nearest tick once, where it enters the engine.
+Under a stretch factor ``s >= 1`` a step lasts ``round(min_remaining * s)``
+ticks and each running command's remaining work drops by ``round(step / s)``,
+so the command that set the step reaches exactly zero.
+
 Workload drivers are generator processes. They submit work, then yield wait
 conditions (a stream semaphore threshold, or an absolute deadline) and are
 resumed when the condition holds. Waiting drivers are not polled: a semaphore
 waiter sits in a min-heap keyed by the semaphore's physical location and is
 looked at only after a write to that location, and a deadline sits in a timer
-heap that is looked at only after the clock moves. Drivers resume in rounds,
-each in ascending pid order (see ``Engine._run_ready_processes``).
+heap keyed by its tick, whose top alone is compared with the clock. Drivers
+resume in rounds, each in ascending pid order (see
+``Engine._run_ready_processes``).
 Resumption order, completion ties, and channel launch order are all broken on
 ids, so identical inputs produce byte-identical traces.
 """
@@ -36,10 +43,8 @@ from .channels import (AlreadyBound, Channel, ComputeConfig, Context,
                        RingFull, StreamHandle, restore_snapshot,
                        swap_submission_state, take_snapshot)
 from .commands import CommandKind, GpuCommand, init_compute, semaphore_write
-from .config import DeviceConfig
+from .config import TICKS_PER_S, DeviceConfig, ticks
 from .vm import AllocPolicy, MemorySystem, PageFault, SizeClass
-
-_EPS = 1e-9
 
 
 class EngineError(Exception):
@@ -75,7 +80,7 @@ class TimeReached(Condition):
     time: float
 
     def satisfied(self, engine):
-        return engine.clock >= self.time - _EPS
+        return engine.now >= ticks(self.time)
 
 
 class _Process:
@@ -91,7 +96,6 @@ class _Process:
 @dataclass
 class TimesliceGroup:
     id: int
-    quantum: float
     channel_ids: list[int] = dataclasses.field(default_factory=list)
 
 
@@ -100,38 +104,37 @@ class MetricsTrace:
 
     def __init__(self):
         self.events: list[dict] = []
-        self.segments: list[tuple] = []   # (t0, t1, compute_util, graphics_util, tsg)
+        self.segments: list[tuple] = []   # (t0, t1 in ticks, compute_util, graphics_util, tsg)
         self.windows: list[tuple] = []    # (tsg, t0, t1)
         self.faults: list[FaultRecord] = []
         self.makespan = 0.0
         self.stalled: list[int] = []
 
     def compute_busy(self) -> float:
-        return sum((t1 - t0) * cu for t0, t1, cu, _, _ in self.segments)
+        return sum((t1 - t0) * cu for t0, t1, cu, _, _ in self.segments) / TICKS_PER_S
 
     def mean_compute_util(self) -> float:
         return self.compute_busy() / self.makespan if self.makespan > 0 else 0.0
 
     def utilization_samples(self, sample_dt: float) -> list[dict]:
         """Fixed-interval averages of the exact utilization segments."""
-        if self.makespan <= 0:
-            return []
-        n_bins = int(self.makespan / sample_dt - _EPS) + 1
+        width = ticks(sample_dt)
+        n_bins = -(-ticks(self.makespan) // width)
         acc_c = [0.0] * n_bins
         acc_g = [0.0] * n_bins
         tsg_of = [None] * n_bins
         for t0, t1, cu, gu, tsg in self.segments:
-            i = int(t0 / sample_dt + _EPS)
-            while i < n_bins and t0 < t1 - _EPS:
-                hi = min(t1, (i + 1) * sample_dt)
-                frac = (hi - t0) / sample_dt
+            i = t0 // width
+            while t0 < t1:
+                hi = min(t1, (i + 1) * width)
+                frac = (hi - t0) / width
                 acc_c[i] += cu * frac
                 acc_g[i] += gu * frac
                 if tsg is not None and tsg_of[i] is None:
                     tsg_of[i] = tsg
                 t0 = hi
                 i += 1
-        return [{"time": i * sample_dt, "compute_util": acc_c[i],
+        return [{"time": i * width / TICKS_PER_S, "compute_util": acc_c[i],
                  "graphics_util": acc_g[i], "tsg": tsg_of[i]}
                 for i in range(n_bins)]
 
@@ -171,7 +174,7 @@ class Engine:
         self.config = config or DeviceConfig()
         self.memory = MemorySystem(self.config.geometry,
                                    propagate_tlb=not self.config.disable_tlb_propagation)
-        self.clock = 0.0
+        self.now = 0   # ticks
         self.contexts: dict[int, Context] = {}
         self.channels: dict[int, Channel] = {}
         self.streams: dict[int, StreamHandle] = {}
@@ -184,18 +187,22 @@ class Engine:
         self._yielded: list[int] = []    # pids whose new condition is unchecked
         self._sem_waiters: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._dirty: set[tuple[int, int]] = set()   # written since last checked
-        self._timers: list[tuple[float, int]] = []
-        self._timers_checked_at = self.clock
+        self._timers: list[tuple[int, int]] = []   # (deadline tick, pid)
         self._waiters_resolved_at = self.memory.total_tlb_invalidations
         self.grafted_pairs: set[tuple[int, int]] = set()
         self._token_owner: dict[int, int] = {}
         self._tsg_order: list[int] = []
         self._rr_index = -1
         self._last_tsg: int | None = None
-        self._infer_busy_until = 0.0
+        self._infer_busy_until = 0
         self._running = False
         self._seq = 0
         self._next_id = {"context": 0, "channel": 0, "stream": 0, "tsg": 0}
+
+    @property
+    def clock(self) -> float:
+        """Simulated seconds."""
+        return self.now / TICKS_PER_S
 
     # ------------------------------------------------------------------
     # identity helpers
@@ -227,7 +234,7 @@ class Engine:
         else:
             space = mem.create_space(AllocPolicy.LOW_RANGE, base=self.config.low_base,
                                      limit=self.config.high_base)
-        tsg = TimesliceGroup(self._take_id("tsg"), self.config.quantum)
+        tsg = TimesliceGroup(self._take_id("tsg"))
         self.tsgs[tsg.id] = tsg
         self._tsg_order.append(tsg.id)
         ctx = Context(self._take_id("context"), kind, space.id, tsg.id)
@@ -441,11 +448,12 @@ class Engine:
 
     def request_inference(self, latency: float) -> TimeReached:
         """One shared off-device inference queue: requests serialize FIFO."""
-        start = max(self.clock, self._infer_busy_until)
-        finish = start + latency
+        start = max(self.now, self._infer_busy_until)
+        finish = start + ticks(latency)
         self._infer_busy_until = finish
-        self._log("inference", None, None, None, start=start, finish=finish)
-        return TimeReached(finish)
+        self._log("inference", None, None, None, start=start / TICKS_PER_S,
+                  finish=finish / TICKS_PER_S)
+        return TimeReached(finish / TICKS_PER_S)
 
     def spawn(self, gen) -> _Process:
         proc = _Process(len(self.processes), gen)
@@ -505,19 +513,17 @@ class Engine:
                 self._ready.append(heappop(heap)[1])
         self._dirty.clear()
         timers = self._timers
-        if timers and self.clock != self._timers_checked_at:
-            while timers and procs[timers[0][1]].condition.satisfied(self):
-                self._ready.append(heappop(timers)[1])
-        self._timers_checked_at = self.clock
-        # heap entries pushed below do not hold now, which keeps the
-        # dirty-only and clock-moved-only checks above exact
+        while timers and timers[0][0] <= self.now:
+            self._ready.append(heappop(timers)[1])
+        # entries pushed below do not hold now: the dirty-only check above
+        # stays exact, and every deadline left in the heap is in the future
         while self._yielded:
             pid = self._yielded[-1]  # popped once placed: a PageFault loses no driver
             cond = procs[pid].condition
             if cond is None or cond.satisfied(self):
                 self._ready.append(pid)
             elif isinstance(cond, TimeReached):
-                heappush(timers, (cond.time, pid))
+                heappush(timers, (ticks(cond.time), pid))
             else:
                 self._wait_semaphore(self._sem_waiters, pid)
             self._yielded.pop()
@@ -537,17 +543,6 @@ class Engine:
         self._sem_waiters = index
         self._dirty.update(index)
         self._waiters_resolved_at = self.memory.total_tlb_invalidations
-
-    def _next_timer(self) -> float | None:
-        """Earliest deadline not yet due. Due deadlines were woken by the last
-        ``_run_ready_processes``, so the heap top is the answer unless rounding
-        left one within _EPS of the clock that does not hold yet."""
-        limit = self.clock + _EPS
-        timers = self._timers
-        if timers and timers[0][0] > limit:
-            return timers[0][0]
-        later = [t for t, _ in timers if t > limit]
-        return min(later) if later else None
 
     # ------------------------------------------------------------------
     # scheduling
@@ -586,11 +581,9 @@ class Engine:
                     break
                 if self._any_runnable():
                     continue
-                deadline = self._next_timer()
-                if deadline is not None:
-                    if deadline > self.clock:
-                        self.trace.segments.append((self.clock, deadline, 0.0, 0.0, None))
-                        self.clock = deadline
+                if self._timers:
+                    self.trace.segments.append((self.now, self._timers[0][0], 0.0, 0.0, None))
+                    self.now = self._timers[0][0]
                     self._run_ready_processes()
                     continue
                 break
@@ -606,17 +599,17 @@ class Engine:
         tsg = self._next_runnable_tsg()
         if tsg is None:
             return False
-        penalty = self.config.context_switch_penalty
+        penalty = ticks(self.config.context_switch_penalty)
         if penalty and self._last_tsg is not None and self._last_tsg != tsg.id:
-            t = self.clock + penalty
-            self.trace.segments.append((self.clock, t, 0.0, 0.0, None))
-            self.clock = t
+            t = self.now + penalty
+            self.trace.segments.append((self.now, t, 0.0, 0.0, None))
+            self.now = t
         self._last_tsg = tsg.id
         start = self.clock
-        expiry = start + tsg.quantum
+        expiry = self.now + ticks(self.config.quantum)
         inflight: dict[int, _Inflight] = {}
         while True:
-            if self.clock < expiry - _EPS:
+            if self.now < expiry:
                 self._launch_ready(tsg, inflight)
             if not inflight:
                 break
@@ -625,24 +618,22 @@ class Engine:
             graphics = sum(f.cmd.graphics_frac for f in flights)
             stretch = max(compute / self.config.compute_capacity,
                           graphics / self.config.graphics_capacity, 1.0)
-            step = min(f.remaining for f in flights) * stretch
-            t_next = self.clock + step
-            deadline = self._next_timer()
-            timer_cut = deadline is not None and deadline < t_next - _EPS
+            t_next = self.now + round(min(f.remaining for f in flights) * stretch)
+            timer_cut = self._timers and self._timers[0][0] < t_next
             if timer_cut:
-                t_next = deadline
-            dt = t_next - self.clock
-            if dt > 0:
+                t_next = self._timers[0][0]
+            dt = t_next - self.now
+            if dt > 0:  # 0 after a timer cut that rounded a flight down to 0
                 cu = compute / stretch / self.config.compute_capacity
                 gu = graphics / stretch / self.config.graphics_capacity
-                self.trace.segments.append((self.clock, t_next, cu, gu, tsg.id))
-                progress = dt / stretch
+                self.trace.segments.append((self.now, t_next, cu, gu, tsg.id))
+                progress = round(dt / stretch)
                 for f in flights:
                     f.remaining -= progress
-            self.clock = t_next
+            self.now = t_next
             if not timer_cut:
                 done_ids = sorted(cid for cid, f in inflight.items()
-                                  if f.remaining <= _EPS)
+                                  if f.remaining <= 0)
                 for cid in done_ids:
                     flight = inflight.pop(cid)
                     self._finish_command(self.channels[cid], flight.cmd)
@@ -663,7 +654,7 @@ class Engine:
                 cmd = self._next_timed_command(ch)
                 if cmd is None:
                     continue
-                inflight[cid] = _Inflight(cmd.base_duration, cmd)
+                inflight[cid] = _Inflight(ticks(cmd.base_duration), cmd)
                 self._log("exec_start", ch.id, tsg.id, ch.active_entry.stream_id,
                           kind=cmd.kind.value, seq=ch.active_entry.seq)
                 progressed = True

@@ -225,7 +225,7 @@ class AddressSpace:
         self.root = root
         self.alloc_cursor = base
         self.subscribers: list[int] = []   # registration order
-        self.graft_peers: set[int] = set()
+        self.graft_peers: set[int] = set()   # the rest of its graft group, transitively
         self.tlb: dict[int, tuple[PhysPage, int]] = {}  # vpn -> (page, leaf base)
         self.tlb_invalidations = 0
         self.conflicts_resolved = 0  # allocation-path address substitutions
@@ -363,8 +363,8 @@ class MemorySystem:
         from the space it subscribes to; inserts that land inside an already
         shared subtree cost subscribers nothing, and a slot where a leaf
         meets a different entry is skipped. A range that overlaps a mapping
-        of the space, or of a space it has been grafted with, raises
-        AlreadyMapped before any write.
+        of the space, or of any space in its graft group (directly or through
+        a chain), raises AlreadyMapped before any write.
         """
         if not pages:
             raise ValueError("no pages to map")
@@ -507,8 +507,9 @@ class MemorySystem:
         self._apply(copies)
         if target.id not in source.subscribers:
             source.subscribers.append(target.id)
-        source.graft_peers.add(target.id)
-        target.graft_peers.add(source.id)
+        group = source.graft_peers | target.graft_peers | {source.id, target.id}
+        for sid in group:
+            self.spaces[sid].graft_peers = group - {sid}
         # one invalidation against the target's root; not replicated further
         target.tlb.clear()
         target.tlb_invalidations += 1

@@ -18,6 +18,7 @@ issued), and the emitted trace lets tests verify them independently.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .commands import graphics_draw, kernel_dispatch
@@ -49,8 +50,8 @@ class PhaseCost:
     def __post_init__(self):
         for name in ("sim_base", "sim_per_env", "render_base", "render_per_env",
                      "inference_base", "inference_per_env"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("sim_compute_frac", "render_compute_frac", "render_graphics_frac"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")

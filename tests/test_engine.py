@@ -1,6 +1,7 @@
 """Scheduling, processor sharing, faults, semaphores, and trace determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -95,6 +96,42 @@ def test_stretch_recomputed_at_event_boundaries():
     e.submit(s2, [kernel_dispatch(1.0, 0.8)])
     trace = e.run()
     assert trace.makespan == pytest.approx(1.3, abs=1e-9)
+
+
+def test_stretched_step_ends_the_shorter_kernel_exactly():
+    # 0.7+0.7 of compute stretches by 1.4: the 0.3 s kernel ends at 0.42 and
+    # the 0.5 s one runs its last 0.2 s alone
+    e, ((s1, s2),) = compute_engine(streams_per=2)
+    e.submit(s1, [kernel_dispatch(0.3, 0.7)])
+    e.submit(s2, [kernel_dispatch(0.5, 0.7)])
+    trace = e.run()
+    ends = sorted(end for _, end, _, _ in trace.exec_intervals(kind="kernel_dispatch"))
+    assert ends == [0.42, 0.62]
+    assert trace.makespan == 0.62
+
+
+def test_thousand_kernels_end_exactly():
+    # float seconds summed to 199.9999999999972 here
+    e, ((s,),) = compute_engine()
+    for _ in range(1000):
+        e.submit(s, [kernel_dispatch(0.2, 0.5)])
+    trace = e.run()
+    assert trace.makespan == 200.0
+    assert e.clock == 200.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DeviceConfig(quantum=1e-10),
+    lambda: DeviceConfig(utilization_sample_dt=1e-10),
+    lambda: DeviceConfig(context_switch_penalty=math.inf),
+    lambda: PhaseCost(sim_base=math.inf),
+    lambda: kernel_dispatch(math.inf, 0.5),
+])
+def test_times_the_clock_cannot_hold_rejected(make):
+    # a quantum of 0 ns would launch nothing and loop forever, and an
+    # infinite time has no tick count
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_intra_group_spatial_concurrency_exists():
@@ -339,8 +376,8 @@ def test_zero_latency_inference_queues_behind_busy_inference():
 
 
 def test_tied_deadlines_wake_in_pid_order():
-    # 0.1 + 0.2 lies 5.6e-17 above 0.3: the clock jumps to 0.3 and both hold,
-    # so pid 0 wakes first although its deadline sorts second
+    # 0.1 + 0.2 lies 5.6e-17 s above 0.3 but rounds to the same tick: both
+    # deadlines hold when the clock reaches 0.3, and they wake in pid order
     e = Engine()
     log = []
     e.spawn(logging_driver(e, log, 0, [TimeReached(0.1 + 0.2)]))

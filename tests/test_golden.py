@@ -1,16 +1,21 @@
 """Golden outputs: SHA-256 digests of every file the four CLI commands write.
 
-The digests were taken from the polling engine that predates the event-driven
-wake-up core, so any change to wake order, timing or output formatting shows
-up here. The byte-identical rerun tests elsewhere compare two runs of the
-same code and cannot catch that.
+The digests were taken when simulated time became whole nanoseconds, after a
+differential against the float clock showed the same events with times within
+1e-7 s (graftbench runs no engine and kept its earlier digests). Any change to
+wake order, timing or output formatting shows up here; the byte-identical
+rerun tests elsewhere compare two runs of the same code and cannot catch that.
 
 To inspect a mismatch, run the case by hand, e.g.
 ``gpumux rl --config cfg.ini --out out --json-events`` with the config text
-below, and diff against a checkout of the earlier engine.
+below, and diff against a checkout of the earlier engine. To print every
+case's digests in the layout of ``GOLDEN``, run
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -91,11 +96,11 @@ buffer_counts = 1 4 16 64 300
 GOLDEN = {
     "datagen": {
         "events.jsonl":
-            "007038bf0fed7ad6000012ee53f1827f3fe56c893a379397f50eb4a3c9300a87",
+            "7e8c2a4d0e767308ca18188a2033dadc2d186b36b182508b3f47d22eb9623397",
         "summary.csv":
-            "cb07c9246ff543e45371538e15fd4327ee86c4602186031115ba7b9c27a824f7",
+            "d30ebd2cac5b1528ab9399207b8402927c1be1acb83024876470b6ae6af83137",
         "utilization.jsonl":
-            "65e7e1173e728eb9b0af2fab3e5ab6a86cbd5f02caa7e2002eaf12ec56fbab90",
+            "f9b5f1c1442762b61459e7dbad74828187af5193c0feb492cebf0d89acfa656c",
     },
     "graftbench": {
         "events.jsonl":
@@ -109,35 +114,35 @@ GOLDEN = {
     },
     "rl_g16": {
         "events.jsonl":
-            "ec64e44e556471a2f242483d5a71559beda468bf11cf420568359044920b16cd",
+            "662c2f58eac30b8b56f6204569310b851f5d78ef89a26d86ce57b9e18f4737fc",
         "summary.csv":
-            "afd0c843893cc04faaab25a84f1fdc977ba33fde5b0cccbffc5d12803817ee29",
+            "2e3071a2ee175a4eba1c9b24ab1a6b641b216b0bd58c1b00a2e8ffd4976e8598",
         "utilization.jsonl":
-            "b1ef923f94babc4cd2a45d6e85bb0d5c202db582e4c85ecf29278f2be69be854",
+            "fd2024f14e49caa7d00aa5799f31192d1deabecba39a8ad702fd08060aa85fb8",
     },
     "rl_g16_zero_infer": {
         "events.jsonl":
-            "8277f2a3b72cc42c44f6e4a2210c0668a823cc8188babf88a6c809cfd6ed905b",
+            "6eeb8461f34e8eaa008351a9c614e86d72caba4c4b03fa8e0aba6198ce56a421",
         "summary.csv":
-            "1567517a597f727e6eb987d02fddd123434616757516cf31f5226e670c2115d9",
+            "cb88abb63259fef35f86f8cee765d3c05f18f6f2fb90f48bd9a671717622170e",
         "utilization.jsonl":
-            "c7c6153f369ddf125c475bda784cb1b13473f535ffcda7cb2ccf96d65d8071d2",
+            "30eb38da1b78ea9cd9537f89c062f5ca9d4e9c311f0dc7daf740849b46003479",
     },
     "rl_g2": {
         "events.jsonl":
-            "1d6486049f10a74308363073a85031fe8832b6d61ba23e4cc0b5e752b1e1360d",
+            "3756794f340927fc0283d19710d484edbadb3dc2daa653f41d8ec348ba1c2804",
         "summary.csv":
-            "7d6d3f1b1bf8cdb251317bd841c4f4851300f3a0bc1ecdb45b27bad1ad2abbb7",
+            "350f46882c6b8efb3c602c759cf208d45fe12219f9119838d9680a9502ef9cb7",
         "utilization.jsonl":
-            "c37302db6221af045a04e49eb6c58e0c920798e1c20ad8461efc563fa27fa53f",
+            "8571ca950bed29140b91e2066a7544b9b788d0ab96c0ca42d6e14d5785028c55",
     },
     "trace": {
         "events.jsonl":
-            "cc363647d4ba0a0913abdf2a2bde524e6ed3a9dbf6ed62241289197fd24d128a",
+            "5180321abb06e6d32746c1e152d667c0e64eb7fc00b4f596969f6e0bc30c94d6",
         "summary.csv":
-            "27e45e1a9dd85ee8ac6dfe2dc81111d014344be014d4cdd9cd6db8f7cefeade3",
+            "926176e68f0d28032a2774f46f23dd882b5be064a3fedd2199209908ac65b801",
         "utilization.jsonl":
-            "d5563e0cdb7fa679849c14ff128a81d94a46d42969dea02cd93e3b74b8c4d523",
+            "64d3e68916560dd30a6f65f3ea5ce20b7a81f9bdca42cec5a84957fcfa4266ef",
     },
 }
 
@@ -159,3 +164,12 @@ def run_case(name: str, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden_digests(name, tmp_path):
     assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            print(f'    "{case}": {{')
+            for file, digest in run_case(case, Path(tmp)).items():
+                print(f'        "{file}":\n            "{digest}",')
+            print("    },")

@@ -189,6 +189,13 @@ def test_cli_config_error_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_cli_quantum_below_one_tick_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, GOOD.replace("quantum = 0.1", "quantum = 1e-10"))
+    assert cli.main(["datagen", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert "quantum" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("groups, rc", [(8, 2), (3, 0)])
 def test_cli_rl_ring_too_small_for_the_groups_exits_2(tmp_path, capsys, groups, rc):
     text = GOOD.replace("ring_capacity = 64", "ring_capacity = 4").replace(

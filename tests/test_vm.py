@@ -535,6 +535,22 @@ def test_chain_remove_reaches_the_tail():
     assert sorted(walked) == [b.base, H, H + GiB]
 
 
+def test_chain_map_into_the_heads_range_changes_nothing():
+    # c sees a's page at H + GiB only through b; the second page collides
+    mem, a, b, c = graft_chain()
+    start = H + GiB - SMALL.nbytes
+
+    def state():
+        return [mem.table_shape(s) for s in (a, b, c)], list(c.mapped), mem.copy_log.writes
+
+    before = state()
+    with pytest.raises(AlreadyMapped):
+        mem.map_range(c, start, mem.alloc_phys(SMALL, 2))
+    assert state() == before
+    with pytest.raises(PageFault):
+        mem.translate(c, start)
+
+
 def test_failed_graft_changes_nothing():
     mem = MemorySystem()
     s1 = mem.create_space(AllocPolicy.HIGH_RANGE, base=H + GiB)

@@ -99,6 +99,12 @@ def test_pipelined_two_steps_makespan_three():
     assert m.makespan == pytest.approx(3.0)  # sim0; sim1 over render0; render1
 
 
+def test_thousand_step_sequential_episode_ends_exactly():
+    costs = PhaseCost(sim_base=0.2, sim_per_env=0.0, render_base=0.1, render_per_env=0.0)
+    m = run_datagen(EpisodeSpec(1000, 1, DatagenMode.SEQUENTIAL), costs)
+    assert m.makespan == 300.0  # float seconds gave 299.99999999999426
+
+
 def test_sequential_trace_has_no_phase_overlap():
     m = run_datagen(EpisodeSpec(3, 1, DatagenMode.SEQUENTIAL), BALANCED)
     sims = sorted(m.trace.exec_intervals(kind="kernel_dispatch"))
