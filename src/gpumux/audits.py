@@ -6,7 +6,16 @@ from .engine import MetricsTrace
 
 
 class InvariantViolation(Exception):
-    pass
+    """A failed audit. ``kind`` names the audit; ``index`` is the offending
+    position in ``trace.windows`` (``temporal_exclusivity``) or in
+    ``trace.records`` (the others); ``run`` is the run label, if known."""
+
+    def __init__(self, message: str, run: str | None = None, index: int | None = None,
+                 kind: str | None = None):
+        super().__init__(message)
+        self.run = run
+        self.index = index
+        self.kind = kind
 
 
 def check_temporal_exclusivity(trace: MetricsTrace):
@@ -15,33 +24,36 @@ def check_temporal_exclusivity(trace: MetricsTrace):
     for (_, (tsg_a, _, end_a)), (i, (tsg_b, start_b, _)) in zip(windows, windows[1:]):
         if end_a > start_b:
             raise InvariantViolation(
-                f"window {i}: groups {tsg_a} and {tsg_b} overlap: {end_a} > {start_b}")
+                f"window {i}: groups {tsg_a} and {tsg_b} overlap: {end_a} > {start_b}",
+                index=i, kind="temporal_exclusivity")
 
 
 def check_fifo_completion(trace: MetricsTrace):
     """Buffers complete in submission order within each channel."""
     last_seq: dict[int, int] = {}
-    for i, ev in enumerate(trace.events):
-        if ev["event"] != "buffer_complete":
+    for i, (_, kind, ch, _, _, extras) in enumerate(trace.records):
+        if kind != "buffer_complete":
             continue
-        ch = ev["channel"]
-        if ch in last_seq and ev["seq"] <= last_seq[ch]:
+        seq = extras[0]
+        if ch in last_seq and seq <= last_seq[ch]:
             raise InvariantViolation(
-                f"event {i}: channel {ch} completed seq {ev['seq']} after {last_seq[ch]}")
-        last_seq[ch] = ev["seq"]
+                f"event {i}: channel {ch} completed seq {seq} after {last_seq[ch]}",
+                index=i, kind="fifo_completion")
+        last_seq[ch] = seq
 
 
 def check_semaphores_monotonic(trace: MetricsTrace):
     """Per stream, observed semaphore values strictly increase."""
     last: dict[int, int] = {}
-    for i, ev in enumerate(trace.events):
-        if ev["event"] != "semaphore" or ev["stream"] is None:
+    for i, (_, kind, _, _, sid, extras) in enumerate(trace.records):
+        if kind != "semaphore" or sid is None:
             continue
-        sid = ev["stream"]
-        if sid in last and ev["value"] <= last[sid]:
+        value = extras[0]
+        if sid in last and value <= last[sid]:
             raise InvariantViolation(
-                f"event {i}: stream {sid} semaphore went {last[sid]} -> {ev['value']}")
-        last[sid] = ev["value"]
+                f"event {i}: stream {sid} semaphore went {last[sid]} -> {value}",
+                index=i, kind="semaphores_monotonic")
+        last[sid] = value
 
 
 def check_all(trace: MetricsTrace, run: str | None = None):
@@ -53,7 +65,7 @@ def check_all(trace: MetricsTrace, run: str | None = None):
     except InvariantViolation as exc:
         if run is None:
             raise
-        raise InvariantViolation(f"run {run}: {exc}") from None
+        raise InvariantViolation(f"run {run}: {exc}", run, exc.index, exc.kind) from None
 
 
 def interval_inside_windows(trace: MetricsTrace, start: float, end: float,

@@ -28,12 +28,18 @@ resume in rounds, each in ascending pid order (see
 ``Engine._run_ready_processes``).
 Resumption order, completion ties, and channel launch order are all broken on
 ids, so identical inputs produce byte-identical traces.
+
+Each trace event is a record, a plain tuple ``(time, event, channel, tsg,
+stream, extras)``: the time in float seconds, the event kind, the ids involved
+(or None), and ``extras``, the values of the kind's ``EVENT_FIELDS`` in that
+order. ``MetricsTrace.events`` rebuilds them as dicts with the keys in the same
+order; ``harness.encode_events`` writes them as lines byte-identical to
+``json.dumps(row, separators=(",", ":"))``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -99,11 +105,27 @@ class TimesliceGroup:
     channel_ids: list[int] = dataclasses.field(default_factory=list)
 
 
+# The extra fields of each event kind, in the order they are logged and written.
+EVENT_FIELDS: dict[str, tuple[str, ...]] = {
+    "submit": ("seq", "micro_ops"),
+    "bootstrap": ("local_memory_bytes",),
+    "doorbell": ("token",),
+    "bind": ("forwarding",),
+    "unbind": ("forwarding",),
+    "inference": ("start", "finish"),
+    "exec_start": ("kind", "seq"),
+    "exec_end": ("kind", "seq"),
+    "buffer_complete": ("seq",),
+    "fault": ("kind", "vaddr", "detail"),
+    "semaphore": ("value", "vaddr"),
+}
+
+
 class MetricsTrace:
     """Everything one run produced: events, utilization, windows, faults."""
 
     def __init__(self):
-        self.events: list[dict] = []
+        self.records: list[tuple] = []    # (time, event, channel, tsg, stream, extras)
         self.segments: list[tuple] = []   # (t0, t1 in ticks, compute_util, graphics_util, tsg)
         self.windows: list[tuple] = []    # (tsg, t0, t1)
         self.faults: list[FaultRecord] = []
@@ -138,8 +160,18 @@ class MetricsTrace:
                  "graphics_util": acc_g[i], "tsg": tsg_of[i]}
                 for i in range(n_bins)]
 
+    @property
+    def events(self) -> list[dict]:
+        """The records as dicts: ``time``, ``event``, ``channel``, ``tsg``,
+        ``stream``, then the kind's ``EVENT_FIELDS``. Built on each access."""
+        return [{"time": t, "event": kind, "channel": ch, "tsg": tsg, "stream": stream,
+                 **dict(zip(EVENT_FIELDS[kind], extras))}
+                for t, kind, ch, tsg, stream, extras in self.records]
+
     def event_lines(self) -> list[str]:
-        return [json.dumps(e, separators=(",", ":")) for e in self.events]
+        """One compact JSON object per record, without a run label."""
+        from .harness import encode_events  # harness imports this module
+        return encode_events(self.records)
 
     def exec_intervals(self, stream_id: int | None = None,
                        kind: str | None = None) -> list[tuple]:
@@ -217,11 +249,10 @@ class Engine:
         return self._seq
 
     def _log(self, event: str, channel: int | None, tsg: int | None,
-             stream: int | None, **extra):
-        row = {"time": self.clock, "event": event, "channel": channel,
-               "tsg": tsg, "stream": stream}
-        row.update(extra)
-        self.trace.events.append(row)
+             stream: int | None, *extras):
+        """Record one event; ``extras`` follow ``EVENT_FIELDS[event]``."""
+        self.trace.records.append((self.now / TICKS_PER_S, event, channel, tsg, stream,
+                                   extras))
 
     # ------------------------------------------------------------------
     # construction
@@ -308,8 +339,7 @@ class Engine:
             self.channels[stream.channel_id], self.contexts[stream.context_id],
             stream.cmdbuf_base, buf, stream.id)
         stream.next_semaphore_value = value
-        self._log("submit", owner.id, owner.tsg_id, stream.id, seq=seq,
-                  micro_ops=micro_ops)
+        self._log("submit", owner.id, owner.tsg_id, stream.id, seq, micro_ops)
         return seq
 
     def bootstrap(self, channel: Channel, config: ComputeConfig):
@@ -319,7 +349,7 @@ class Engine:
             raise ValueError("bootstrap targets channels in the graphics group")
         self._append(channel, ctx, channel.cmdbuf_base, (init_compute(config),), None)
         self._log("bootstrap", channel.id, channel.tsg_id, None,
-                  local_memory_bytes=config.local_memory_bytes)
+                  config.local_memory_bytes)
 
     def _check_room(self, ch: Channel):
         if ch.userd.put - ch.userd.get >= ch.ring.capacity:
@@ -350,7 +380,7 @@ class Engine:
         # 4: doorbell rung
         owner = self.channels[self._token_owner[ch.token]]
         owner.pending = True
-        self._log("doorbell", owner.id, owner.tsg_id, stream_id, token=ch.token)
+        self._log("doorbell", owner.id, owner.tsg_id, stream_id, ch.token)
         micro_ops += 1
         return seq, owner, micro_ops
 
@@ -406,7 +436,7 @@ class Engine:
         swap_submission_state(ch, fwd)
         stream.bound_channel_id = fwd.id
         ctx.bound_stream_ids.add(stream.id)
-        self._log("bind", ch.id, graphics_ctx.tsg_id, stream.id, forwarding=fwd.id)
+        self._log("bind", ch.id, graphics_ctx.tsg_id, stream.id, fwd.id)
 
     def unbind(self, stream: StreamHandle):
         """Drain, restore the saved snapshot, and return the forwarding channel."""
@@ -424,7 +454,7 @@ class Engine:
         stream.saved_snapshot = None
         stream.bound_channel_id = None
         ctx.bound_stream_ids.discard(stream.id)
-        self._log("unbind", ch.id, ctx.tsg_id, stream.id, forwarding=fwd_id)
+        self._log("unbind", ch.id, ctx.tsg_id, stream.id, fwd_id)
 
     def _drain_stream(self, stream: StreamHandle):
         target = stream.next_semaphore_value
@@ -451,8 +481,8 @@ class Engine:
         start = max(self.now, self._infer_busy_until)
         finish = start + ticks(latency)
         self._infer_busy_until = finish
-        self._log("inference", None, None, None, start=start / TICKS_PER_S,
-                  finish=finish / TICKS_PER_S)
+        self._log("inference", None, None, None, start / TICKS_PER_S,
+                  finish / TICKS_PER_S)
         return TimeReached(finish / TICKS_PER_S)
 
     def spawn(self, gen) -> _Process:
@@ -656,7 +686,7 @@ class Engine:
                     continue
                 inflight[cid] = _Inflight(ticks(cmd.base_duration), cmd)
                 self._log("exec_start", ch.id, tsg.id, ch.active_entry.stream_id,
-                          kind=cmd.kind.value, seq=ch.active_entry.seq)
+                          cmd.kind.value, ch.active_entry.seq)
                 progressed = True
             if self._run_ready_processes():
                 progressed = True
@@ -682,8 +712,8 @@ class Engine:
 
     def _finish_command(self, ch: Channel, cmd: GpuCommand):
         entry = ch.active_entry
-        self._log("exec_end", ch.id, ch.tsg_id, entry.stream_id, kind=cmd.kind.value,
-                  seq=entry.seq)
+        self._log("exec_end", ch.id, ch.tsg_id, entry.stream_id, cmd.kind.value,
+                  entry.seq)
         ch.active_index += 1
         # trailing zero-duration commands (semaphore writes) flush with the
         # completing command even if the slice has already expired
@@ -706,7 +736,7 @@ class Engine:
         ch.active_entry = None
         ch.active_index = 0
         ch.pending = ch.userd.get < ch.userd.put
-        self._log("buffer_complete", ch.id, ch.tsg_id, entry.stream_id, seq=entry.seq)
+        self._log("buffer_complete", ch.id, ch.tsg_id, entry.stream_id, entry.seq)
         return True
 
     def _start_command(self, ch: Channel, cmd: GpuCommand) -> bool:
@@ -738,8 +768,8 @@ class Engine:
         """Halt the channel on a fault; returns False for ``_start_command``."""
         ch.faulted = True
         self.trace.faults.append(FaultRecord(kind, ch.id, self.clock, vaddr, detail))
-        self._log("fault", ch.id, ch.tsg_id, ch.active_entry.stream_id, kind=kind,
-                  vaddr=vaddr, detail=detail)
+        self._log("fault", ch.id, ch.tsg_id, ch.active_entry.stream_id, kind, vaddr,
+                  detail)
         return False
 
     def _apply_effects(self, ch: Channel, cmd: GpuCommand):
@@ -750,7 +780,7 @@ class Engine:
             self.phys_mem[(page.id, off)] = cmd.sem_value
             self._dirty.add((page.id, off))
             self._log("semaphore", ch.id, ch.tsg_id, ch.active_entry.stream_id,
-                      value=cmd.sem_value, vaddr=cmd.sem_vaddr)
+                      cmd.sem_value, cmd.sem_vaddr)
         elif cmd.kind is CommandKind.INIT_COMPUTE:
             ch.compute_config = cmd.config
 

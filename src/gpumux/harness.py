@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .audits import InvariantViolation, check_all
 from .config import DeviceConfig
+from .engine import EVENT_FIELDS
 from .vm import AllocPolicy, MemorySystem, PageGeometry, SizeClass
 from .workloads import (ENV_PRESETS, DatagenMode, EpisodeSpec, Metrics, PhaseCost,
                         RolloutMode, RolloutSpec, run_datagen, run_rl_rollout)
@@ -180,9 +182,56 @@ def _write_csv(path: Path, header: list[str], rows: list[dict]):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_jsonl(path: Path, records: list[dict]):
-    path.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n"
-                            for r in records))
+# Fixed-schema JSONL writer. Each line is exactly what
+# ``json.dumps({"run": run, **row}, separators=(",", ":"))`` gives for a row
+# with finite floats: one ``%`` template per event kind, built once, with the
+# keys and the event name baked in. ``time`` and the utilization values are
+# floats (``%r``), channel, TSG and stream are ints or None, and only the
+# extras go through ``_json``: None, str (quoted by the C function that
+# ``json.dumps`` itself uses for a str), int or float.
+
+def _json(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return repr(value)
+
+
+_GRAFTBENCH_FIELDS = ("export_import_ops", "graft_ops")
+_EVENT_BODIES = {
+    kind: ('"time":%r,"event":' + json.dumps(kind) + ',"channel":%s,"tsg":%s,"stream":%s'
+           + "".join(f",{json.dumps(f)}:%s" for f in fields) + "}")
+    for kind, fields in {**EVENT_FIELDS, "graftbench": _GRAFTBENCH_FIELDS}.items()}
+_UTIL_BODY = '"time":%r,"compute_util":%r,"graphics_util":%r,"tsg":%s}'
+
+
+def _prefix(run: str | None) -> str:
+    """Start of every line of one run: ``{`` and the JSON-quoted label."""
+    if run is None:
+        return "{"
+    return '{"run":' + json.dumps(run).replace("%", "%%") + ","
+
+
+def encode_events(records: list[tuple], run: str | None = None) -> list[str]:
+    """One JSON line (without newline) per ``MetricsTrace.records`` entry."""
+    prefix = _prefix(run)
+    templates = {kind: prefix + body for kind, body in _EVENT_BODIES.items()}
+    return [templates[kind] % (t, "null" if ch is None else ch,
+                               "null" if tsg is None else tsg,
+                               "null" if stream is None else stream, *map(_json, extras))
+            for t, kind, ch, tsg, stream, extras in records]
+
+
+def encode_utilization(samples: list[dict], run: str | None = None) -> list[str]:
+    """One JSON line (without newline) per ``utilization_samples`` row."""
+    template = _prefix(run) + _UTIL_BODY
+    return [template % (s["time"], s["compute_util"], s["graphics_util"],
+                        "null" if s["tsg"] is None else s["tsg"]) for s in samples]
+
+
+def _write_lines(path: Path, lines: list[str]):
+    path.write_text("\n".join(lines) + "\n" if lines else "")
 
 
 _WORKLOAD_HEADER = ["env", "mode", "K", "B", "G", "makespan", "throughput",
@@ -192,14 +241,9 @@ _WORKLOAD_HEADER = ["env", "mode", "K", "B", "G", "makespan", "throughput",
 def _collect(metrics: Metrics, run: str, speedup: float, cfg: ExperimentConfig,
              events: list, utils: list) -> dict:
     check_all(metrics.trace, run)
-    for ev in metrics.trace.events:
-        tagged = {"run": run}
-        tagged.update(ev)
-        events.append(tagged)
-    for sample in metrics.trace.utilization_samples(cfg.device.utilization_sample_dt):
-        tagged = {"run": run}
-        tagged.update(sample)
-        utils.append(tagged)
+    events += encode_events(metrics.trace.records, run)
+    utils += encode_utilization(
+        metrics.trace.utilization_samples(cfg.device.utilization_sample_dt), run)
     return {"env": metrics.env, "mode": metrics.mode, "K": metrics.steps,
             "B": metrics.batch, "G": metrics.groups, "makespan": metrics.makespan,
             "throughput": metrics.throughput, "speedup_vs_sequential": speedup}
@@ -209,10 +253,11 @@ def _emit(out_dir: Path, command: str, seed: int, json_events: bool,
           header: list[str], rows: list[dict], events: list, utils: list):
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "summary.csv", header, rows)
-    _write_jsonl(out_dir / "utilization.jsonl", utils)
+    _write_lines(out_dir / "utilization.jsonl", utils)
     if json_events:
-        meta = {"meta": {"command": command, "seed": seed}}
-        _write_jsonl(out_dir / "events.jsonl", [meta] + events)
+        meta = json.dumps({"meta": {"command": command, "seed": seed}},
+                          separators=(",", ":"))
+        _write_lines(out_dir / "events.jsonl", [meta] + events)
 
 
 # ----------------------------------------------------------------------
@@ -308,10 +353,8 @@ def cmd_graftbench(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
         result = run_graft_microbenchmark(cfg, n, dump_tables and i == last)
         tables = result.pop("tables", None)  # only the last run's are kept
         rows.append(result)
-        events.append({"run": f"N{n}", "time": 0.0, "event": "graftbench",
-                       "channel": None, "tsg": None, "stream": None,
-                       "export_import_ops": result["export_import_ops"],
-                       "graft_ops": result["graft_ops"]})
+        events += encode_events([(0.0, "graftbench", None, None, None,
+                                  tuple(result[f] for f in _GRAFTBENCH_FIELDS))], f"N{n}")
     _emit(out_dir, "graftbench", seed, json_events,
           ["n_buffers", "export_import_ops", "graft_ops"], rows, events, [])
     if tables is not None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 
 
 class VmError(Exception):
@@ -159,6 +160,13 @@ class PageTableNode:
         self.owner = owner  # space id that allocated the node
         self.entries: list = [None] * fanout
         self.live = 0  # occupied slots
+
+
+def _occupied(node: PageTableNode):
+    """(index, entry) of each occupied slot, found by a scan in C. The oracle
+    walkers use it instead of ``live``, which the code under test maintains."""
+    entries = node.entries
+    return zip(compress(range(len(entries)), entries), filter(None, entries))
 
 
 class AllocPolicy(enum.Enum):
@@ -629,9 +637,7 @@ class MemorySystem:
 
         def rec(node: PageTableNode, prefix: int):
             shift = geo.level_shifts[node.level]
-            for idx, entry in enumerate(node.entries):
-                if entry is None:
-                    continue
+            for idx, entry in _occupied(node):
                 va = prefix | (idx << shift)
                 if isinstance(entry, LeafEntry):
                     yield va, entry
@@ -665,9 +671,7 @@ class MemorySystem:
 
         def rec(node: PageTableNode):
             out = []
-            for idx, entry in enumerate(node.entries):
-                if entry is None:
-                    continue
+            for idx, entry in _occupied(node):
                 if isinstance(entry, LeafEntry):
                     out.append((idx, "leaf", entry.page.id, entry.page.size_class.name))
                 else:
@@ -686,16 +690,14 @@ class MemorySystem:
                 return
             seen.add(node.id)
             entries = {}
-            for idx, entry in enumerate(node.entries):
-                if entry is None:
-                    continue
+            for idx, entry in _occupied(node):
                 if isinstance(entry, LeafEntry):
                     entries[str(idx)] = {"leaf": entry.page.id,
                                          "size": entry.page.size_class.name}
                 else:
                     entries[str(idx)] = {"dir": entry.child}
             nodes.append({"id": node.id, "level": node.level, "entries": entries})
-            for entry in node.entries:
+            for entry in filter(None, node.entries):
                 if isinstance(entry, DirEntry):
                     rec(self.nodes[entry.child])
 

@@ -3,11 +3,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gpumux.cli as cli
 from gpumux.audits import InvariantViolation
+from gpumux.channels import ContextKind
+from gpumux.commands import graphics_draw, kernel_dispatch
+from gpumux.engine import EVENT_FIELDS, Engine
 from gpumux.harness import (ConfigError, cmd_datagen, cmd_graftbench, cmd_rl,
-                            cmd_trace, parse_config)
+                            cmd_trace, encode_events, encode_utilization, parse_config)
 
 GOOD = """
 # small but complete experiment
@@ -226,3 +231,84 @@ def test_cli_seed_changes_only_metadata(tmp_path):
               "--seed", "1", "--json-events"])
     assert (tmp_path / "s0" / "summary.csv").read_bytes() == \
         (tmp_path / "s1" / "summary.csv").read_bytes()
+
+
+# ----------------------------------------------------------------------
+# fixed-schema JSONL writer
+
+def _dumps_line(row):
+    return json.dumps(row, separators=(",", ":")) + "\n"
+
+
+_TEXT = st.text(max_size=12) | st.sampled_from(
+    ['"', "\\", 'say "hi"\\n', "\x00\x1f\x7f", "\t\r\n", "caf\u00e9 \u2028 \U0001f600",
+     "%s %r %%", "walk stopped at level 2"])
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e-07, 1e+16, 5e-324, 0.1 + 0.2, -0.0, 1.7976931348623157e308])
+_INT = st.integers() | st.sampled_from([2**53 + 1, -(2**63), 2**64 - 1])
+_NULLABLE_ID = st.none() | _INT
+_EXTRA = st.none() | _INT | _FLOAT | _TEXT
+_RUN = _TEXT | st.sampled_from(['B32/"quoted"', "N16", "%d"])
+
+
+@st.composite
+def _records(draw):
+    kind = draw(st.sampled_from(sorted(EVENT_FIELDS)))
+    extras = tuple(draw(_EXTRA) for _ in EVENT_FIELDS[kind])
+    return (draw(_FLOAT), kind, draw(_NULLABLE_ID), draw(_NULLABLE_ID),
+            draw(_NULLABLE_ID), extras)
+
+
+_WRITER_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None,
+                            database=None)
+
+
+@_WRITER_SETTINGS
+@given(records=st.lists(_records(), max_size=6), run=_RUN)
+def test_event_writer_matches_json_dumps(records, run):
+    lines = encode_events(records, run)
+    assert len(lines) == len(records)
+    for line, (t, kind, ch, tsg, stream, extras) in zip(lines, records):
+        row = {"run": run, "time": t, "event": kind, "channel": ch, "tsg": tsg,
+               "stream": stream, **dict(zip(EVENT_FIELDS[kind], extras))}
+        assert line + "\n" == _dumps_line(row)
+
+
+@_WRITER_SETTINGS
+@given(rows=st.lists(st.tuples(_FLOAT, _FLOAT, _FLOAT, _NULLABLE_ID), max_size=6),
+       run=_RUN)
+def test_utilization_writer_matches_json_dumps(rows, run):
+    # the key order of utilization_samples rows
+    samples = [dict(zip(("time", "compute_util", "graphics_util", "tsg"), r)) for r in rows]
+    lines = encode_utilization(samples, run)
+    assert [line + "\n" for line in lines] == [_dumps_line({"run": run, **s})
+                                               for s in samples]
+
+
+def test_fault_events_write_as_json_dumps_and_round_trip():
+    # no golden run faults: a page fault (vaddr set) and an execution fault
+    # (vaddr None), each with a free-text detail
+    e = Engine()
+    ctx = e.create_context(ContextKind.COMPUTE)
+    stream = e.create_stream(ctx)
+    bad = 0x7fff_0000_0000
+    e.submit(stream, [kernel_dispatch(1.0, 0.1, touched=(bad,))])
+    e.submit(stream, [graphics_draw(1.0, 0.2, 0.5)])
+    trace = e.run()
+    e.reset_channel(e.channels[stream.channel_id])
+    trace = e.run()
+    faults = [ev for ev in trace.events if ev["event"] == "fault"]
+    assert [(ev["kind"], ev["vaddr"]) for ev in faults] == [("page_fault", bad),
+                                                             ("execution_fault", None)]
+    assert all(ev["detail"] for ev in faults)
+
+    run = 'B1/"faults"'
+    assert [line + "\n" for line in encode_events(trace.records, run)] == \
+        [_dumps_line({"run": run, **ev}) for ev in trace.events]
+    assert trace.event_lines() == [json.dumps(ev, separators=(",", ":"))
+                                   for ev in trace.events]
+
+    base = ["time", "event", "channel", "tsg", "stream"]
+    for ev, rec in zip(trace.events, trace.records, strict=True):
+        assert list(ev) == base + list(EVENT_FIELDS[rec[1]])
+        assert tuple(ev.values()) == rec[:5] + rec[5]
