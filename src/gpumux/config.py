@@ -28,10 +28,10 @@ class DeviceConfig:
     high_base: int = DEFAULT_HIGH_BASE
     low_base: int = DEFAULT_LOW_BASE
 
-    # Diagnostic knobs. Each one removes a coherence step so tests can show
-    # the failure it normally prevents; all default off.
+    # Diagnostic knobs. Each one skips a coherence step (the graft at bind,
+    # the bootstrap of a forwarding channel) so tests can show the failure it
+    # normally prevents; both default off.
     disable_graft: bool = False
-    disable_tlb_propagation: bool = False
     skip_bootstrap: bool = False
 
     def __post_init__(self):

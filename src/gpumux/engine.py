@@ -138,8 +138,9 @@ class MetricsTrace:
     def mean_compute_util(self) -> float:
         return self.compute_busy() / self.makespan if self.makespan > 0 else 0.0
 
-    def utilization_samples(self, sample_dt: float) -> list[dict]:
-        """Fixed-interval averages of the exact utilization segments."""
+    def utilization_samples(self, sample_dt: float) -> list[tuple]:
+        """Fixed-interval averages of the exact utilization segments, one
+        ``(time, compute_util, graphics_util, tsg)`` row per interval."""
         width = ticks(sample_dt)
         n_bins = -(-ticks(self.makespan) // width)
         acc_c = [0.0] * n_bins
@@ -156,8 +157,7 @@ class MetricsTrace:
                     tsg_of[i] = tsg
                 t0 = hi
                 i += 1
-        return [{"time": i * width / TICKS_PER_S, "compute_util": acc_c[i],
-                 "graphics_util": acc_g[i], "tsg": tsg_of[i]}
+        return [(i * width / TICKS_PER_S, acc_c[i], acc_g[i], tsg_of[i])
                 for i in range(n_bins)]
 
     @property
@@ -204,8 +204,7 @@ class Engine:
 
     def __init__(self, config: DeviceConfig | None = None):
         self.config = config or DeviceConfig()
-        self.memory = MemorySystem(self.config.geometry,
-                                   propagate_tlb=not self.config.disable_tlb_propagation)
+        self.memory = MemorySystem(self.config.geometry)
         self.now = 0   # ticks
         self.contexts: dict[int, Context] = {}
         self.channels: dict[int, Channel] = {}
@@ -223,7 +222,6 @@ class Engine:
         self._waiters_resolved_at = self.memory.total_tlb_invalidations
         self.grafted_pairs: set[tuple[int, int]] = set()
         self._token_owner: dict[int, int] = {}
-        self._tsg_order: list[int] = []
         self._rr_index = -1
         self._last_tsg: int | None = None
         self._infer_busy_until = 0
@@ -267,7 +265,6 @@ class Engine:
                                      limit=self.config.high_base)
         tsg = TimesliceGroup(self._take_id("tsg"))
         self.tsgs[tsg.id] = tsg
-        self._tsg_order.append(tsg.id)
         ctx = Context(self._take_id("context"), kind, space.id, tsg.id)
         self.contexts[ctx.id] = ctx
         # small always-present footprint standing in for runtime-internal state
@@ -582,15 +579,14 @@ class Engine:
                    for cid in self.tsgs[tsg_id].channel_ids)
 
     def _any_runnable(self) -> bool:
-        return any(self._tsg_runnable(t) for t in self._tsg_order)
+        return any(self._tsg_runnable(t) for t in self.tsgs)
 
     def _next_runnable_tsg(self) -> TimesliceGroup | None:
-        n = len(self._tsg_order)
+        n = len(self.tsgs)   # TSG ids are 0..n-1 in creation order
         for step in range(1, n + 1):
-            pos = (self._rr_index + step) % n
-            tsg_id = self._tsg_order[pos]
+            tsg_id = (self._rr_index + step) % n
             if self._tsg_runnable(tsg_id):
-                self._rr_index = pos
+                self._rr_index = tsg_id
                 return self.tsgs[tsg_id]
         return None
 
@@ -624,8 +620,6 @@ class Engine:
         return self.trace
 
     def _run_window(self) -> bool:
-        if not self._tsg_order:
-            return False
         tsg = self._next_runnable_tsg()
         if tsg is None:
             return False

@@ -223,11 +223,11 @@ def encode_events(records: list[tuple], run: str | None = None) -> list[str]:
             for t, kind, ch, tsg, stream, extras in records]
 
 
-def encode_utilization(samples: list[dict], run: str | None = None) -> list[str]:
+def encode_utilization(samples: list[tuple], run: str | None = None) -> list[str]:
     """One JSON line (without newline) per ``utilization_samples`` row."""
     template = _prefix(run) + _UTIL_BODY
-    return [template % (s["time"], s["compute_util"], s["graphics_util"],
-                        "null" if s["tsg"] is None else s["tsg"]) for s in samples]
+    return [template % (t, cu, gu, "null" if tsg is None else tsg)
+            for t, cu, gu, tsg in samples]
 
 
 def _write_lines(path: Path, lines: list[str]):

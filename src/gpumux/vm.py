@@ -11,6 +11,11 @@ leaf-level changes inside a shared subtree are visible to both sides for
 free. The merge is planned before anything is written, so a graft whose
 leaves collide raises and writes nothing.
 
+A page-table slot holds ``None``, the child ``PageTableNode`` itself (a
+directory entry) or the ``PhysPage`` itself (a leaf). Nodes compare by
+identity and pages by ``(id, size_class)``, so two tables share a subtree
+exactly when a slot of each holds the same node.
+
 After a graft the target is registered as a subscriber of the source. Two
 range-restricted walks keep subscribers coherent: after ``map_range`` every
 transitive subscriber is merged once over the mapped range from the space it
@@ -140,33 +145,14 @@ class PhysPage:
     size_class: SizeClass
 
 
-@dataclass(frozen=True)
-class DirEntry:
-    child: int  # node id
-
-
-@dataclass(frozen=True)
-class LeafEntry:
-    page: PhysPage
-    perms: str = "rw"
-
-
 class PageTableNode:
-    __slots__ = ("id", "level", "owner", "entries", "live")
+    __slots__ = ("id", "level", "owner", "entries")
 
     def __init__(self, node_id: int, level: int, owner: int, fanout: int):
         self.id = node_id
         self.level = level
         self.owner = owner  # space id that allocated the node
-        self.entries: list = [None] * fanout
-        self.live = 0  # occupied slots
-
-
-def _occupied(node: PageTableNode):
-    """(index, entry) of each occupied slot, found by a scan in C. The oracle
-    walkers use it instead of ``live``, which the code under test maintains."""
-    entries = node.entries
-    return zip(compress(range(len(entries)), entries), filter(None, entries))
+        self.entries: list = [None] * fanout  # None, a child PageTableNode or a PhysPage
 
 
 class AllocPolicy(enum.Enum):
@@ -226,7 +212,7 @@ class _IntervalSet:
 class AddressSpace:
     """One context's table: root node, allocation window, subscribers, TLB."""
 
-    def __init__(self, space_id: int, base: int, limit: int, root: int):
+    def __init__(self, space_id: int, base: int, limit: int, root: PageTableNode):
         self.id = space_id
         self.base = base
         self.limit = limit
@@ -298,7 +284,7 @@ class MemorySystem:
         if not 0 <= base < limit <= geo.va_limit:
             raise ValueError("policy window must lie inside the VA width")
         root = self._new_node(0, self._next_space)
-        space = AddressSpace(self._next_space, base, limit, root.id)
+        space = AddressSpace(self._next_space, base, limit, root)
         self._next_space += 1
         self.spaces[space.id] = space
         return space
@@ -394,28 +380,26 @@ class MemorySystem:
         shifts = geo.level_shifts
         mask = geo.fanout - 1
         new_pdes = 0
-        for i, page in enumerate(pages):
+        # one walk per leaf node; it takes the run of pages that fall in it
+        i = 0
+        while i < len(pages):
             va = vaddr + i * size
-            node = self.nodes[space.root]
+            node = space.root
             for level in range(leaf_level):
                 idx = (va >> shifts[level]) & mask
                 entry = node.entries[idx]
                 if entry is None:
-                    child = self._new_node(level + 1, space.id)
-                    entry = DirEntry(child.id)
-                    node.entries[idx] = entry
-                    node.live += 1
+                    entry = node.entries[idx] = self._new_node(level + 1, space.id)
                     new_pdes += 1
-                    node = child
-                    continue
-                if isinstance(entry, LeafEntry):
+                elif type(entry) is PhysPage:
                     raise AlreadyMapped(f"{va:#x} covered by a leaf at level {level}")
-                node = self.nodes[entry.child]
+                node = entry
             idx = (va >> shifts[leaf_level]) & mask
-            if node.entries[idx] is not None:
-                raise AlreadyMapped(f"leaf slot for {va:#x} already occupied")
-            node.entries[idx] = LeafEntry(page)
-            node.live += 1
+            run = pages[i:i + geo.fanout - idx]
+            if any(node.entries[idx:idx + len(run)]):
+                raise AlreadyMapped(f"leaf slots from {va:#x} already occupied")
+            node.entries[idx:idx + len(run)] = run
+            i += len(run)
         space.mapped.add(vaddr, end)
         for sub, src in self._subscribers(space):
             copies, _, _ = self._merge(src, sub, vaddr, end)
@@ -438,14 +422,14 @@ class MemorySystem:
         removed = set()
         va = vaddr
         for _ in range(n_pages):
-            node = self.nodes[space.root]
+            node = space.root
             for shift in geo.level_shifts:
                 entry = node.entries[(va >> shift) & mask]
                 if entry is None:
                     raise NotMapped(f"{va:#x} not mapped")
-                if isinstance(entry, LeafEntry):
+                if type(entry) is PhysPage:
                     break
-                node = self.nodes[entry.child]
+                node = entry
             else:
                 raise NotMapped(f"{va:#x} not mapped")
             removed.add(entry)
@@ -470,17 +454,17 @@ class MemorySystem:
         if hit is not None:
             page, base = hit
             return page, vaddr - base
-        node = self.nodes[space.root]
+        node = space.root
         mask = geo.fanout - 1
         for level, shift in enumerate(geo.level_shifts):
             entry = node.entries[(vaddr >> shift) & mask]
             if entry is None:
                 raise PageFault(vaddr, level)
-            if isinstance(entry, LeafEntry):
+            if type(entry) is PhysPage:
                 base = vaddr & ~((1 << shift) - 1)
-                space.tlb[vpn] = (entry.page, base)
-                return entry.page, vaddr - base
-            node = self.nodes[entry.child]
+                space.tlb[vpn] = (entry, base)
+                return entry, vaddr - base
+            node = entry
         raise AssertionError("walk ran past the leaf level")
 
     def _invalidate_tlb(self, space: AddressSpace):
@@ -566,7 +550,7 @@ class MemorySystem:
         """
         shifts = self.geometry.level_shifts
         copies, deepest, collided = [], 0, False
-        pairs = [(self.nodes[source.root], self.nodes[target.root], 0)]
+        pairs = [(source.root, target.root, 0)]
         while pairs:
             src, dst, base = pairs.pop()
             self.copy_log.reads += 2  # both nodes come in through the copy engine
@@ -579,10 +563,9 @@ class MemorySystem:
                     continue  # already shared (or identical leaf)
                 if d is None:
                     copies.append((dst, idx, s))
-                elif isinstance(s, DirEntry) and isinstance(d, DirEntry):
+                elif type(s) is type(d) is PageTableNode:
                     deepest = max(deepest, src.level + 1)
-                    pairs.append((self.nodes[s.child], self.nodes[d.child],
-                                  base + (idx << shifts[src.level])))
+                    pairs.append((s, d, base + (idx << shifts[src.level])))
                 else:
                     collided = True
         return copies, deepest, collided
@@ -590,7 +573,6 @@ class MemorySystem:
     def _apply(self, copies: list):
         for node, idx, entry in copies:
             node.entries[idx] = entry
-            node.live += 1
         self.copy_log.writes += len(copies)
 
     def _unmerge(self, space: AddressSpace, source: AddressSpace | None, lo: int,
@@ -609,42 +591,42 @@ class MemorySystem:
                 if e is None or e == s:
                     continue  # empty, or shared: the source's change shows through
                 if e not in removed:
-                    if isinstance(e, LeafEntry):
+                    if type(e) is PhysPage:
                         continue
-                    child = self.nodes[e.child]
-                    below = walk(child, self.nodes[s.child] if isinstance(s, DirEntry) else None,
+                    below = walk(e, s if type(s) is PageTableNode else None,
                                  base + (idx << shifts[node.level]))
                     cleared += below
-                    if not below or child.live:
+                    if not below or any(e.entries):
                         continue
                     removed.add(e)  # emptied by this call: prune it
-                    if child.owner == space.id:
-                        self.nodes.pop(child.id, None)
+                    if e.owner == space.id:
+                        self.nodes.pop(e.id, None)
                 node.entries[idx] = None
-                node.live -= 1
                 cleared += 1
             return cleared
 
-        return walk(self.nodes[space.root],
-                    None if source is None else self.nodes[source.root], 0)
+        return walk(space.root, None if source is None else source.root, 0)
 
     # ------------------------------------------------------------------
     # oracles and debugging
 
+    def _walk(self, node: PageTableNode, prefix: int = 0):
+        """Brute-force walk, depth first in slot order: (node, slot, vaddr,
+        entry) for every occupied slot below `node`. The oracles are views of
+        it; it shares no code with the merge and unmerge walks they check."""
+        entries = node.entries
+        shift = self.geometry.level_shifts[node.level]
+        for idx, entry in zip(compress(range(len(entries)), entries), filter(None, entries)):
+            va = prefix | (idx << shift)
+            yield node, idx, va, entry
+            if type(entry) is PageTableNode:
+                yield from self._walk(entry, va)
+
     def iter_leaves(self, space: AddressSpace):
-        """Brute-force walk yielding (vaddr, LeafEntry) for every installed leaf."""
-        geo = self.geometry
-
-        def rec(node: PageTableNode, prefix: int):
-            shift = geo.level_shifts[node.level]
-            for idx, entry in _occupied(node):
-                va = prefix | (idx << shift)
-                if isinstance(entry, LeafEntry):
-                    yield va, entry
-                else:
-                    yield from rec(self.nodes[entry.child], va)
-
-        yield from rec(self.nodes[space.root], 0)
+        """Brute-force walk yielding (vaddr, PhysPage) for every installed leaf."""
+        for _, _, va, entry in self._walk(space.root):
+            if type(entry) is PhysPage:
+                yield va, entry
 
     def union_oracle(self, source: AddressSpace, target: AddressSpace) -> dict[int, PhysPage]:
         """Flat vaddr -> physical page map over both tables, by brute-force walk.
@@ -654,52 +636,35 @@ class MemorySystem:
         """
         result: dict[int, PhysPage] = {}
         for space in (source, target):
-            for vaddr, leaf in self.iter_leaves(space):
+            for vaddr, page in self.iter_leaves(space):
                 prev = result.get(vaddr)
-                if prev is not None and prev != leaf.page:
+                if prev is not None and prev != page:
                     raise InconsistentUnion(
-                        f"{vaddr:#x} maps to page {prev.id} and page {leaf.page.id}")
-                result[vaddr] = leaf.page
+                        f"{vaddr:#x} maps to page {prev.id} and page {page.id}")
+                result[vaddr] = page
         bases = sorted(result)
         for a, b in zip(bases, bases[1:]):
             if a + result[a].size_class.nbytes > b:
                 raise InconsistentUnion(f"leaves at {a:#x} and {b:#x} overlap")
         return result
 
-    def table_shape(self, space: AddressSpace):
-        """Canonical structure of a table, independent of node ids."""
-
-        def rec(node: PageTableNode):
-            out = []
-            for idx, entry in _occupied(node):
-                if isinstance(entry, LeafEntry):
-                    out.append((idx, "leaf", entry.page.id, entry.page.size_class.name))
-                else:
-                    out.append((idx, "dir", rec(self.nodes[entry.child])))
-            return tuple(out)
-
-        return rec(self.nodes[space.root])
+    def table_shape(self, space: AddressSpace) -> tuple:
+        """Canonical structure of a table, independent of node ids: per
+        occupied slot, depth first, its level and vaddr and either "dir" or
+        the page's id and size class."""
+        return tuple((node.level, va, "dir") if type(e) is PageTableNode
+                     else (node.level, va, e.id, e.size_class.name)
+                     for node, _, va, e in self._walk(space.root))
 
     def dump_tables(self, space: AddressSpace) -> dict:
         """JSON-friendly dump: every reachable node with its occupied entries."""
-        nodes = []
-        seen = set()
-
-        def rec(node: PageTableNode):
-            if node.id in seen:
-                return
-            seen.add(node.id)
-            entries = {}
-            for idx, entry in _occupied(node):
-                if isinstance(entry, LeafEntry):
-                    entries[str(idx)] = {"leaf": entry.page.id,
-                                         "size": entry.page.size_class.name}
-                else:
-                    entries[str(idx)] = {"dir": entry.child}
-            nodes.append({"id": node.id, "level": node.level, "entries": entries})
-            for entry in filter(None, node.entries):
-                if isinstance(entry, DirEntry):
-                    rec(self.nodes[entry.child])
-
-        rec(self.nodes[space.root])
-        return {"root": space.root, "nodes": nodes}
+        root = space.root
+        nodes = {root.id: {"id": root.id, "level": root.level, "entries": {}}}
+        for node, idx, _, e in self._walk(root):
+            if type(e) is PageTableNode:
+                nodes[e.id] = {"id": e.id, "level": e.level, "entries": {}}
+                entry = {"dir": e.id}
+            else:
+                entry = {"leaf": e.id, "size": e.size_class.name}
+            nodes[node.id]["entries"][str(idx)] = entry
+        return {"root": root.id, "nodes": list(nodes.values())}

@@ -447,7 +447,7 @@ def test_idle_run_has_zero_utilization_samples():
     trace = e.run()
     samples = trace.utilization_samples(0.5)
     assert len(samples) == 4
-    assert all(s["compute_util"] == 0.0 and s["graphics_util"] == 0.0 for s in samples)
+    assert all(cu == 0.0 and gu == 0.0 for _, cu, gu, _ in samples)
 
 
 def test_utilization_reflects_resource_fractions():

@@ -278,11 +278,11 @@ def test_event_writer_matches_json_dumps(records, run):
 @given(rows=st.lists(st.tuples(_FLOAT, _FLOAT, _FLOAT, _NULLABLE_ID), max_size=6),
        run=_RUN)
 def test_utilization_writer_matches_json_dumps(rows, run):
-    # the key order of utilization_samples rows
-    samples = [dict(zip(("time", "compute_util", "graphics_util", "tsg"), r)) for r in rows]
-    lines = encode_utilization(samples, run)
-    assert [line + "\n" for line in lines] == [_dumps_line({"run": run, **s})
-                                               for s in samples]
+    lines = encode_utilization(rows, run)
+    # the keys of the fields of a utilization_samples row, in order
+    keys = ("time", "compute_util", "graphics_util", "tsg")
+    assert [line + "\n" for line in lines] == [_dumps_line({"run": run, **dict(zip(keys, r))})
+                                               for r in rows]
 
 
 def test_fault_events_write_as_json_dumps_and_round_trip():

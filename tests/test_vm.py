@@ -201,6 +201,49 @@ def test_partial_walk_fault_level():
     assert exc.value.level > 0
 
 
+def test_range_map_matches_one_page_per_call():
+    # runs that straddle leaf-node boundaries: a 2 MiB (small-page leaf node),
+    # a 512 GiB (level-1 entry) and a 1 GiB (big-page leaf node) boundary
+    runs = [(DEFAULT_HIGH_BASE + BIG.nbytes - 3 * SMALL.nbytes, SMALL, 1100),
+            (DEFAULT_HIGH_BASE + (1 << 39) - 2 * SMALL.nbytes, SMALL, 5),
+            (DEFAULT_HIGH_BASE + (1 << 30) - 2 * BIG.nbytes, BIG, 5)]
+    ranged, single = fresh_pair(), fresh_pair()
+    for mem, high, low in (ranged, single):
+        map_new(mem, high)
+        mem.graft(high, low)
+    new_pdes = [0, 0]
+    for va, size_class, n in runs:
+        pages = ranged[0].alloc_phys(size_class, n)
+        new_pdes[0] += ranged[0].map_range(ranged[1], va, pages)
+        for i, page in enumerate(pages):
+            new_pdes[1] += single[0].map_range(single[1], va + i * size_class.nbytes, [page])
+
+    def state(mem, high, low):
+        return ([mem.table_shape(s) for s in (high, low)],
+                [dict(mem.iter_leaves(s)) for s in (high, low)],
+                [mem.dump_tables(s) for s in (high, low)], len(mem.nodes),
+                mem.copy_log.writes)
+
+    assert new_pdes[0] == new_pdes[1]
+    assert state(*ranged) == state(*single)
+    assert len(dict(ranged[0].iter_leaves(ranged[1]))) == 1 + 1100 + 5 + 5
+
+    def translations(mem, high, low, va):
+        out = []
+        for space in (high, low):
+            try:
+                out.append(mem.translate(space, va))
+            except PageFault as exc:
+                out.append(exc.level)
+        return out
+
+    for va, size_class, n in runs:
+        # every page of the run, and the small page on either side of it
+        size = size_class.nbytes
+        for v in (va - SMALL.nbytes, *range(va, va + n * size, size), va + n * size):
+            assert translations(*ranged, v + 8) == translations(*single, v + 8)
+
+
 # ----------------------------------------------------------------------
 # grafting
 
@@ -223,7 +266,7 @@ def test_graft_default_layout_copies_one_pde():
     assert report.max_depth_descended == 1
     assert report.entry_writes == 1
     assert mem.translate(low, va_h) == mem.translate(high, va_h)
-    assert dict(mem.iter_leaves(low))[va_l].page == mem.translate(low, va_l)[0]
+    assert dict(mem.iter_leaves(low))[va_l] == mem.translate(low, va_l)[0]
 
 
 def test_graft_distinct_top_level_indices_resolves_at_root():
@@ -240,8 +283,7 @@ def test_graft_distinct_top_level_indices_resolves_at_root():
     report = mem.graft(high, low)
     assert report.pdes_copied == 1
     assert report.max_depth_descended == 0
-    walked = dict(mem.iter_leaves(low))
-    assert {va: l.page for va, l in walked.items()} == mem.union_oracle(high, low)
+    assert dict(mem.iter_leaves(low)) == mem.union_oracle(high, low)
 
 
 def test_graft_forced_deep_collision():
@@ -251,7 +293,7 @@ def test_graft_forced_deep_collision():
     mem.map_range(low, DEFAULT_HIGH_BASE + BIG.nbytes, mem.alloc_phys(BIG))
     report = mem.graft(high, low)
     assert report.max_depth_descended >= 1
-    walked = {va: l.page for va, l in mem.iter_leaves(low)}
+    walked = dict(mem.iter_leaves(low))
     assert walked == mem.union_oracle(high, low)
     assert len(walked) == 2
 
@@ -365,7 +407,7 @@ def test_unmap_propagates_removal():
     with pytest.raises(PageFault):
         mem.translate(low, va)
     assert mem.translate(low, anchor)  # the rest of the graft survives
-    walked = {v: l.page for v, l in mem.iter_leaves(low)}
+    walked = dict(mem.iter_leaves(low))
     assert walked == mem.union_oracle(high, low)
 
 
@@ -378,7 +420,7 @@ def test_source_full_unmap_prunes_subscriber_frontier():
     with pytest.raises(PageFault):
         mem.translate(low, va)
     assert mem.translate(low, keep)
-    assert {v: l.page for v, l in mem.iter_leaves(low)} == \
+    assert dict(mem.iter_leaves(low)) == \
         mem.union_oracle(high, low)
 
 
@@ -489,7 +531,7 @@ def test_randomized_default_policies_never_conflict():
             owned[space.id].append((va, n))
     assert high.conflicts_resolved == 0
     assert low.conflicts_resolved == 0
-    walked = {v: l.page for v, l in mem.iter_leaves(low)}
+    walked = dict(mem.iter_leaves(low))
     assert walked == mem.union_oracle(high, low)
 
 
@@ -521,7 +563,7 @@ def test_chain_insert_reaches_the_tail():
     (page,) = mem.alloc_phys(BIG)
     mem.map_range(a, H + 2 * GiB, [page])
     assert mem.translate(c, H + 2 * GiB)[0] == page
-    assert {v: l.page for v, l in mem.iter_leaves(c)} == mem.union_oracle(b, c)
+    assert dict(mem.iter_leaves(c)) == mem.union_oracle(b, c)
 
 
 def test_chain_remove_reaches_the_tail():
@@ -530,7 +572,7 @@ def test_chain_remove_reaches_the_tail():
     mem.unmap_range(a, H + 2 * GiB, 1)
     with pytest.raises(PageFault):
         mem.translate(c, H + 2 * GiB)
-    walked = {v: l.page for v, l in mem.iter_leaves(c)}
+    walked = dict(mem.iter_leaves(c))
     assert walked == mem.union_oracle(b, c)
     assert sorted(walked) == [b.base, H, H + GiB]
 

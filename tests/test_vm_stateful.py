@@ -3,15 +3,18 @@
 Three spaces (two 4 GiB high windows and the default low window) map, unmap
 and graft at random. After every step each space must show exactly its own
 leaves plus those of every space that reaches it through subscriptions, as
-read by the brute-force walk ``iter_leaves``. A target is grafted only while
-it has no source and no subscribers, so every space has at most one source.
+read by the brute-force walk ``iter_leaves``. A map over a page of the space
+or of a graft peer must raise AlreadyMapped and change no table, no
+``mapped`` set and no copy-engine counter. A target is grafted only while it
+has no source and no subscribers, so every space has at most one source.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from gpumux.vm import DEFAULT_HIGH_BASE, AllocPolicy, MemorySystem, SizeClass
+from gpumux.vm import DEFAULT_HIGH_BASE, AllocPolicy, AlreadyMapped, MemorySystem, SizeClass
 
 GiB = 1 << 30
 
@@ -52,6 +55,34 @@ class GraftPropagation(RuleBasedStateMachine):
         else:
             self._map(i, SizeClass.SMALL, n, k)
 
+    @rule(data=st.data())
+    def map_over_occupied(self, data):
+        """Map a run that ends on a page of the space or of a graft peer."""
+        i = data.draw(st.integers(0, 2))
+        group = [j for j in range(3) if self._head(j) == self._head(i)]
+        owner = data.draw(st.sampled_from(group))
+        va = data.draw(st.sampled_from(sorted(self.own[owner])))
+        size_class = data.draw(st.sampled_from([SizeClass.SMALL,
+                                                self.own[owner][va].size_class]))
+        n = data.draw(st.integers(1, 3))
+        start = va - (n - 1) * size_class.nbytes
+        mem = self.mem
+
+        def state():
+            return ([mem.table_shape(s) for s in self.spaces],
+                    [list(s.mapped) for s in self.spaces],
+                    (mem.copy_log.reads, mem.copy_log.writes))
+
+        before = state()
+        with pytest.raises(AlreadyMapped):
+            mem.map_range(self.spaces[i], start, mem.alloc_phys(size_class, n))
+        assert state() == before
+
+    def _head(self, i):
+        while i in self.source:
+            i = self.source[i]
+        return i
+
     @precondition(lambda self: any(self.ranges))
     @rule(data=st.data())
     def unmap(self, data):
@@ -81,7 +112,7 @@ class GraftPropagation(RuleBasedStateMachine):
             while j in self.source:
                 j = self.source[j]
                 want.update(self.own[j])
-            assert {va: leaf.page for va, leaf in self.mem.iter_leaves(space)} == want
+            assert dict(self.mem.iter_leaves(space)) == want
 
 
 GraftPropagation.TestCase.settings = settings(
