@@ -13,8 +13,10 @@ leaves collide raises and writes nothing.
 
 A page-table slot holds ``None``, the child ``PageTableNode`` itself (a
 directory entry) or the ``PhysPage`` itself (a leaf). Nodes compare by
-identity and pages by ``(id, size_class)``, so two tables share a subtree
-exactly when a slot of each holds the same node.
+identity. A ``PhysPage`` is a slotted value: it equals another ``PhysPage``
+with the same ``(id, size_class)`` and hashes like that pair, but never
+equals a tuple. So two tables share a subtree exactly when a slot of each
+holds the same node.
 
 After a graft the target is registered as a subscriber of the source. Two
 range-restricted walks keep subscribers coherent: after ``map_range`` every
@@ -23,6 +25,15 @@ subscribes to, and after ``unmap_range`` every transitive subscriber is
 unmerged once over the unmapped range, clearing its copies of the removed
 leaves and pruned directories. Source-side TLB invalidations are replicated
 to subscribers, which keeps the merged view coherent without re-merging.
+A space unmaps only pages it mapped itself, not those it sees through a
+graft.
+
+The graft topology is graft-time state: each space's transitive fan-out
+(the ordered (subscriber, source) pairs the two walks visit) and its
+``group_mapped`` tuple (its own ``mapped`` set, then its graft peers') are
+rebuilt only by ``graft``, when it adds a subscriber, since that is the only
+place subscriptions change. Maps, unmaps and allocations read them as they
+are.
 
 Cost accounting follows a copy-engine model: one write per entry modified by
 a graft or a propagation, one read per node compared during a merge (a
@@ -80,9 +91,8 @@ class SizeClass(enum.Enum):
     SMALL = 4 * 1024
     BIG = 2 * 1024 * 1024
 
-    @property
-    def nbytes(self) -> int:
-        return self.value
+    def __init__(self, nbytes: int):
+        self.nbytes = nbytes  # a plain attribute: read on every map and unmap
 
 
 @dataclass(frozen=True)
@@ -102,11 +112,13 @@ class PageGeometry:
     va_width: int = 48
     # right shift that brings a level's index bits down to bit 0
     level_shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    fanout: int = field(init=False, repr=False, compare=False)  # slots per node
 
     def __post_init__(self):
         object.__setattr__(self, "level_shifts", tuple(
             self.page_shift + self.bits_per_level * (self.levels - 1 - level)
             for level in range(self.levels)))
+        object.__setattr__(self, "fanout", 1 << self.bits_per_level)
         if self.levels < 2:
             raise ValueError("need at least a root and a leaf level")
         if SizeClass.SMALL.nbytes != 1 << self.page_shift:
@@ -117,10 +129,6 @@ class PageGeometry:
             raise ValueError("big pages must land on a level whose entries span 2 MiB")
         if self.va_width < self.page_shift + self.bits_per_level:
             raise ValueError("va_width too small for this layout")
-
-    @property
-    def fanout(self) -> int:
-        return 1 << self.bits_per_level
 
     @property
     def va_limit(self) -> int:
@@ -139,10 +147,26 @@ class PageGeometry:
         return self.big_page_level
 
 
-@dataclass(frozen=True)
 class PhysPage:
-    id: int
-    size_class: SizeClass
+    """One physical page. Two pages are equal when their id and size class
+    are; a page never equals a tuple or any other type."""
+
+    __slots__ = ("id", "size_class")
+
+    def __init__(self, id: int, size_class: SizeClass):
+        self.id = id
+        self.size_class = size_class
+
+    def __eq__(self, other):
+        if type(other) is not PhysPage:
+            return NotImplemented
+        return self.id == other.id and self.size_class is other.size_class
+
+    def __hash__(self):
+        return hash((self.id, self.size_class))
+
+    def __repr__(self):
+        return f"PhysPage(id={self.id!r}, size_class={self.size_class!r})"
 
 
 class PageTableNode:
@@ -184,6 +208,12 @@ class _IntervalSet:
             return ivals[i + 1][1]
         return None
 
+    def covers(self, lo: int, hi: int) -> bool:
+        """Whether [lo, hi) lies inside one interval."""
+        ivals = self._ivals
+        i = bisect_right(ivals, [lo, _INF]) - 1
+        return i >= 0 and ivals[i][1] >= hi
+
     def add(self, lo: int, hi: int):
         ivals = self._ivals
         # [i, j): the intervals that overlap or touch [lo, hi)
@@ -224,6 +254,9 @@ class AddressSpace:
         self.tlb_invalidations = 0
         self.conflicts_resolved = 0  # allocation-path address substitutions
         self.mapped = _IntervalSet()
+        # `mapped`, then the peers' sets by space id. It holds no AddressSpace,
+        # so that spaces form no reference cycle and are freed without the GC.
+        self.group_mapped: tuple[_IntervalSet, ...] = (self.mapped,)
 
 
 @dataclass
@@ -259,6 +292,8 @@ class MemorySystem:
         self.copy_log = CopyEngineLog()
         self.propagate_tlb = propagate_tlb
         self.total_tlb_invalidations = 0
+        # space id -> what _collect_subscribers yields for it; rebuilt by graft
+        self._fanout: dict[int, tuple[tuple[AddressSpace, AddressSpace], ...]] = {}
         self._next_node = 0
         self._next_space = 0
         self._next_phys = 0
@@ -287,12 +322,13 @@ class MemorySystem:
         space = AddressSpace(self._next_space, base, limit, root)
         self._next_space += 1
         self.spaces[space.id] = space
+        self._fanout[space.id] = ()
         return space
 
     def alloc_phys(self, size_class: SizeClass, count: int = 1) -> list[PhysPage]:
-        pages = [PhysPage(self._next_phys + i, size_class) for i in range(count)]
-        self._next_phys += count
-        return pages
+        start = self._next_phys
+        self._next_phys = start + count
+        return [PhysPage(i, size_class) for i in range(start, start + count)]
 
     # ------------------------------------------------------------------
     # allocation
@@ -310,11 +346,11 @@ class MemorySystem:
             raise ValueError("n_pages must be >= 1")
         size = size_class.nbytes
         span = n_pages * size
-        peers = [space.mapped] + [self.spaces[p].mapped for p in space.graft_peers]
+        group = space.group_mapped
 
         def blocked(lo: int) -> int | None:
             worst = None
-            for mapped in peers:
+            for mapped in group:
                 hi = mapped.first_overlap_end(lo, lo + span)
                 if hi is not None and (worst is None or hi > worst):
                     worst = hi
@@ -371,8 +407,8 @@ class MemorySystem:
         end = vaddr + len(pages) * size
         if not (0 <= vaddr and end <= self.geometry.va_limit):
             raise ValueError("range outside the VA width")
-        for sid in (space.id, *space.graft_peers):
-            if self.spaces[sid].mapped.first_overlap_end(vaddr, end) is not None:
+        for mapped in space.group_mapped:
+            if mapped.first_overlap_end(vaddr, end) is not None:
                 raise AlreadyMapped(f"[{vaddr:#x}, {end:#x}) overlaps an existing mapping")
 
         geo = self.geometry
@@ -413,7 +449,8 @@ class MemorySystem:
         subscriber is unmerged once, clearing its copies of the removed
         leaves and pruned directories. One TLB invalidation is issued for
         this space (replicated to subscribers unless replication is off).
-        Raises NotMapped before any write.
+        Raises NotMapped before any write, also when a page in the range is
+        one the space only sees through a graft: only its owner unmaps it.
         """
         if n_pages < 1:
             raise ValueError("n_pages must be >= 1")
@@ -434,10 +471,13 @@ class MemorySystem:
                 raise NotMapped(f"{va:#x} not mapped")
             removed.add(entry)
             va += 1 << shift
+        if not space.mapped.covers(vaddr, va):
+            raise NotMapped(f"[{vaddr:#x}, {va:#x}) not mapped by space {space.id}")
 
-        self._unmerge(space, None, vaddr, va, removed)
+        self._unmerge(space.id, space.root, None, 0, vaddr, va, removed)
         for sub, src in self._subscribers(space):
-            self.copy_log.writes += self._unmerge(sub, src, vaddr, va, removed)
+            self.copy_log.writes += self._unmerge(sub.id, sub.root, src.root, 0, vaddr, va,
+                                                  removed)
         space.mapped.remove(vaddr, va)
         self._invalidate_tlb(space)
 
@@ -499,9 +539,14 @@ class MemorySystem:
         self._apply(copies)
         if target.id not in source.subscribers:
             source.subscribers.append(target.id)
-        group = source.graft_peers | target.graft_peers | {source.id, target.id}
-        for sid in group:
-            self.spaces[sid].graft_peers = group - {sid}
+            for space in self.spaces.values():
+                self._fanout[space.id] = tuple(self._collect_subscribers(space))
+            group = source.graft_peers | target.graft_peers | {source.id, target.id}
+            for sid in group:
+                space = self.spaces[sid]
+                space.graft_peers = group - {sid}
+                space.group_mapped = (space.mapped, *(
+                    self.spaces[p].mapped for p in sorted(space.graft_peers)))
         # one invalidation against the target's root; not replicated further
         target.tlb.clear()
         target.tlb_invalidations += 1
@@ -512,7 +557,12 @@ class MemorySystem:
     def _reaches(self, space: AddressSpace, wanted: int) -> bool:
         return space.id == wanted or any(sub.id == wanted for sub, _ in self._subscribers(space))
 
-    def _subscribers(self, space: AddressSpace):
+    def _subscribers(self, space: AddressSpace) -> tuple:
+        """(subscriber, the space it subscribes to) for every transitive
+        subscriber of `space`, as computed at the last graft."""
+        return self._fanout[space.id]
+
+    def _collect_subscribers(self, space: AddressSpace):
         """Yield (subscriber, the space it subscribes to) for every transitive
         subscriber of `space`, once each, depth first in registration order.
         Each subscriber comes before its own subscribers, so a change applied
@@ -575,37 +625,38 @@ class MemorySystem:
             node.entries[idx] = entry
         self.copy_log.writes += len(copies)
 
-    def _unmerge(self, space: AddressSpace, source: AddressSpace | None, lo: int,
-                 hi: int, removed: set) -> int:
-        """Clear from `space` the entries of `removed` inside [lo, hi) that it
-        does not share with `source` (None for the space's own table), and
-        prune each directory that emptied: its entry joins `removed`, and its
-        node is deleted if `space` owns it. Returns the entries cleared."""
-        shifts = self.geometry.level_shifts
+    def _unmerge(self, owner: int, node: PageTableNode, src: PageTableNode | None,
+                 base: int, lo: int, hi: int, removed: set) -> int:
+        """Clear from the table below `node` the entries of `removed` inside
+        [lo, hi) that it does not share with `src`, the source's node at the
+        same place (None for the space's own table), and prune each directory
+        that emptied: its entry joins `removed`, and its node is deleted if
+        space `owner` owns it. Returns the entries cleared.
 
-        def walk(node: PageTableNode, src: PageTableNode | None, base: int) -> int:
-            cleared = 0
-            for idx in self._slots(node.level, base, lo, hi):
-                e = node.entries[idx]
-                s = src.entries[idx] if src is not None else None
-                if e is None or e == s:
-                    continue  # empty, or shared: the source's change shows through
-                if e not in removed:
-                    if type(e) is PhysPage:
-                        continue
-                    below = walk(e, s if type(s) is PageTableNode else None,
-                                 base + (idx << shifts[node.level]))
-                    cleared += below
-                    if not below or any(e.entries):
-                        continue
-                    removed.add(e)  # emptied by this call: prune it
-                    if e.owner == space.id:
-                        self.nodes.pop(e.id, None)
-                node.entries[idx] = None
-                cleared += 1
-            return cleared
-
-        return walk(space.root, None if source is None else source.root, 0)
+        It recurses as a method: a nested function that calls itself is a
+        reference cycle, which would keep the MemorySystem alive until the
+        cyclic garbage collector runs."""
+        shift = self.geometry.level_shifts[node.level]
+        cleared = 0
+        for idx in self._slots(node.level, base, lo, hi):
+            e = node.entries[idx]
+            s = src.entries[idx] if src is not None else None
+            if e is None or e == s:
+                continue  # empty, or shared: the source's change shows through
+            if e not in removed:
+                if type(e) is PhysPage:
+                    continue
+                below = self._unmerge(owner, e, s if type(s) is PageTableNode else None,
+                                      base + (idx << shift), lo, hi, removed)
+                cleared += below
+                if not below or any(e.entries):
+                    continue
+                removed.add(e)  # emptied by this call: prune it
+                if e.owner == owner:
+                    self.nodes.pop(e.id, None)
+            node.entries[idx] = None
+            cleared += 1
+        return cleared
 
     # ------------------------------------------------------------------
     # oracles and debugging

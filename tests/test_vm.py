@@ -5,14 +5,16 @@ Structural expectations are verified by independent brute-force walks
 under test.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from gpumux.vm import (AddressSpaceExhausted, AllocPolicy, AlreadyMapped,
                        CycleDetected, DEFAULT_HIGH_BASE, DEFAULT_LOW_BASE,
                        InconsistentUnion, MemorySystem, NotMapped, OverlapDetected,
-                       PageFault, PageGeometry, SizeClass)
+                       PageFault, PageGeometry, PhysPage, SizeClass)
 
 SMALL = SizeClass.SMALL
 BIG = SizeClass.BIG
@@ -424,6 +426,28 @@ def test_source_full_unmap_prunes_subscriber_frontier():
         mem.union_oracle(high, low)
 
 
+def test_unmap_through_a_graft_raises_and_changes_nothing():
+    # low sees high's page only through the graft; only high may unmap it
+    mem, high, low = fresh_pair()
+    mem.graft(high, low)
+    va = map_new(mem, high)
+    page = mem.translate(high, va)
+
+    def state():
+        return ([mem.table_shape(s) for s in (high, low)],
+                [list(s.mapped) for s in (high, low)],
+                (mem.copy_log.reads, mem.copy_log.writes))
+
+    before = state()
+    with pytest.raises(NotMapped):
+        mem.unmap_range(low, va, 1)
+    assert state() == before
+    assert mem.translate(high, va) == page
+    mem.unmap_range(high, va, 1)
+    with pytest.raises(PageFault):
+        mem.translate(low, va)
+
+
 # ----------------------------------------------------------------------
 # TLB behavior
 
@@ -615,6 +639,35 @@ def test_failed_graft_changes_nothing():
     assert state() == before
 
 
+def test_memory_system_is_freed_by_reference_counting():
+    # graft-time state must not make a reference cycle among the spaces
+    gc.disable()
+    try:
+        mem, a, b, c = graft_chain()
+        va = map_new(mem, a)
+        assert mem.translate(c, va)
+        mem.unmap_range(a, va, 1)
+        refs = weakref.ref(mem), weakref.ref(b)
+        del mem, a, b, c
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+# ----------------------------------------------------------------------
+# value types
+
+def test_page_and_size_class_values():
+    assert PhysPage(3, SMALL) == PhysPage(3, SMALL)
+    assert hash(PhysPage(3, SMALL)) == hash(PhysPage(3, SMALL))
+    assert PhysPage(3, SMALL) != PhysPage(3, BIG)
+    assert PhysPage(3, SMALL) != PhysPage(4, SMALL)
+    assert PhysPage(3, SMALL) != (3, SMALL)
+    assert repr(PhysPage(3, SMALL)) == "PhysPage(id=3, size_class=<SizeClass.SMALL: 4096>)"
+    for size_class in SizeClass:
+        assert size_class.nbytes == size_class.value
+
+
 # ----------------------------------------------------------------------
 # leaf-coverage interval set
 
@@ -641,3 +694,4 @@ def test_interval_set_matches_a_brute_force_model():
             qhi = qlo + rng.randint(1, 12)
             hits = [b for a, b in runs if a < qhi and b > qlo]
             assert ivals.first_overlap_end(qlo, qhi) == (hits[0] if hits else None)
+            assert ivals.covers(qlo, qhi) == (set(range(qlo, qhi)) <= covered)

@@ -4,9 +4,13 @@ Three spaces (two 4 GiB high windows and the default low window) map, unmap
 and graft at random. After every step each space must show exactly its own
 leaves plus those of every space that reaches it through subscriptions, as
 read by the brute-force walk ``iter_leaves``. A map over a page of the space
-or of a graft peer must raise AlreadyMapped and change no table, no
-``mapped`` set and no copy-engine counter. A target is grafted only while it
-has no source and no subscribers, so every space has at most one source.
+or of a graft peer must raise AlreadyMapped, and an unmap of a page a space
+only sees through a graft must raise NotMapped; either must change no table,
+no ``mapped`` set and no copy-engine counter. The fan-out and
+``group_mapped`` that ``graft`` stores must match a fresh depth-first walk
+of the ``subscribers`` lists and the graft peers. A target is grafted only
+while it has no source and no subscribers, so every space has at most one
+source.
 """
 
 import pytest
@@ -14,7 +18,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from gpumux.vm import DEFAULT_HIGH_BASE, AllocPolicy, AlreadyMapped, MemorySystem, SizeClass
+from gpumux.vm import (DEFAULT_HIGH_BASE, AllocPolicy, AlreadyMapped, MemorySystem, NotMapped,
+                       SizeClass)
 
 GiB = 1 << 30
 
@@ -59,7 +64,7 @@ class GraftPropagation(RuleBasedStateMachine):
     def map_over_occupied(self, data):
         """Map a run that ends on a page of the space or of a graft peer."""
         i = data.draw(st.integers(0, 2))
-        group = [j for j in range(3) if self._head(j) == self._head(i)]
+        group = [j for j in range(3) if self._chain(j)[-1] == self._chain(i)[-1]]
         owner = data.draw(st.sampled_from(group))
         va = data.draw(st.sampled_from(sorted(self.own[owner])))
         size_class = data.draw(st.sampled_from([SizeClass.SMALL,
@@ -67,21 +72,36 @@ class GraftPropagation(RuleBasedStateMachine):
         n = data.draw(st.integers(1, 3))
         start = va - (n - 1) * size_class.nbytes
         mem = self.mem
-
-        def state():
-            return ([mem.table_shape(s) for s in self.spaces],
-                    [list(s.mapped) for s in self.spaces],
-                    (mem.copy_log.reads, mem.copy_log.writes))
-
-        before = state()
+        before = self._state()
         with pytest.raises(AlreadyMapped):
             mem.map_range(self.spaces[i], start, mem.alloc_phys(size_class, n))
-        assert state() == before
+        assert self._state() == before
 
-    def _head(self, i):
+    @precondition(lambda self: self.source)
+    @rule(data=st.data())
+    def unmap_seen_through_graft(self, data):
+        """Unmap, from a subscriber, a page that one of its sources mapped."""
+        i = data.draw(st.sampled_from(sorted(self.source)))
+        j = data.draw(st.sampled_from(self._chain(i)[1:]))
+        va = data.draw(st.sampled_from(sorted(self.own[j])))
+        before = self._state()
+        with pytest.raises(NotMapped):
+            self.mem.unmap_range(self.spaces[i], va, 1)
+        assert self._state() == before
+
+    def _state(self):
+        mem = self.mem
+        return ([mem.table_shape(s) for s in self.spaces],
+                [list(s.mapped) for s in self.spaces],
+                (mem.copy_log.reads, mem.copy_log.writes))
+
+    def _chain(self, i):
+        """i, then its source, then that space's source, and so on."""
+        chain = [i]
         while i in self.source:
             i = self.source[i]
-        return i
+            chain.append(i)
+        return chain
 
     @precondition(lambda self: any(self.ranges))
     @rule(data=st.data())
@@ -105,12 +125,29 @@ class GraftPropagation(RuleBasedStateMachine):
         self.source[t] = s
 
     @invariant()
+    def stored_topology_matches_a_fresh_walk(self):
+        mem = self.mem
+        for space in self.spaces:
+            want, seen = [], {space.id}
+
+            def visit(src):
+                for sid in src.subscribers:
+                    if sid not in seen:
+                        seen.add(sid)
+                        want.append((mem.spaces[sid], src))
+                        visit(mem.spaces[sid])
+
+            visit(space)
+            assert tuple(mem._subscribers(space)) == tuple(want)
+            peers = [mem.spaces[p].mapped for p in space.graft_peers]
+            assert space.group_mapped[0] is space.mapped
+            assert sorted(map(id, space.group_mapped[1:])) == sorted(map(id, peers))
+
+    @invariant()
     def each_space_shows_what_reaches_it(self):
         for i, space in enumerate(self.spaces):
-            want = dict(self.own[i])
-            j = i
-            while j in self.source:
-                j = self.source[j]
+            want = {}
+            for j in self._chain(i):
                 want.update(self.own[j])
             assert dict(self.mem.iter_leaves(space)) == want
 
