@@ -26,7 +26,9 @@ unmerged once over the unmapped range, clearing its copies of the removed
 leaves and pruned directories. Source-side TLB invalidations are replicated
 to subscribers, which keeps the merged view coherent without re-merging.
 A space unmaps only pages it mapped itself, not those it sees through a
-graft.
+graft. Each walk visits only the slots of a node that overlap its range;
+it computes their bounds inline from the level's shift and the fan-out,
+since a map or unmap pays that cost once per node it visits.
 
 The graft topology is graft-time state: each space's transitive fan-out
 (the ordered (subscriber, source) pairs the two walks visit) and its
@@ -113,12 +115,14 @@ class PageGeometry:
     # right shift that brings a level's index bits down to bit 0
     level_shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
     fanout: int = field(init=False, repr=False, compare=False)  # slots per node
+    va_limit: int = field(init=False, repr=False, compare=False)  # 1 << va_width
 
     def __post_init__(self):
         object.__setattr__(self, "level_shifts", tuple(
             self.page_shift + self.bits_per_level * (self.levels - 1 - level)
             for level in range(self.levels)))
         object.__setattr__(self, "fanout", 1 << self.bits_per_level)
+        object.__setattr__(self, "va_limit", 1 << self.va_width)
         if self.levels < 2:
             raise ValueError("need at least a root and a leaf level")
         if SizeClass.SMALL.nbytes != 1 << self.page_shift:
@@ -129,10 +133,6 @@ class PageGeometry:
             raise ValueError("big pages must land on a level whose entries span 2 MiB")
         if self.va_width < self.page_shift + self.bits_per_level:
             raise ValueError("va_width too small for this layout")
-
-    @property
-    def va_limit(self) -> int:
-        return 1 << self.va_width
 
     def entry_span(self, level: int) -> int:
         """Bytes covered by one entry of a node at `level`."""
@@ -186,57 +186,66 @@ class AllocPolicy(enum.Enum):
 
 DEFAULT_HIGH_BASE = 0x7000_0000_0000
 DEFAULT_LOW_BASE = 0x1_0000_0000
-_INF = float("inf")
 
 
 class _IntervalSet:
-    """Sorted disjoint half-open byte ranges mirroring a table's leaf coverage."""
+    """Sorted disjoint half-open byte ranges mirroring a table's leaf coverage.
+
+    Two parallel int lists hold them: ``_lo[k]`` and ``_hi[k]`` are where the
+    k-th range starts and ends. Both lists ascend, since the ranges are
+    disjoint, so every lookup is one ``bisect`` over plain ints. Ranges that
+    touch are joined, so no two stored ranges touch.
+    """
+
+    __slots__ = ("_lo", "_hi")
 
     def __init__(self):
-        self._ivals: list[list[int]] = []  # [lo, hi), sorted by lo
+        self._lo: list[int] = []
+        self._hi: list[int] = []
 
     def __iter__(self):
-        return iter((lo, hi) for lo, hi in self._ivals)
+        return zip(self._lo, self._hi)
 
     def first_overlap_end(self, lo: int, hi: int) -> int | None:
         """End of the first interval overlapping [lo, hi), or None."""
-        ivals = self._ivals
-        i = bisect_right(ivals, [lo, _INF]) - 1
-        if i >= 0 and ivals[i][1] > lo:
-            return ivals[i][1]
-        if i + 1 < len(ivals) and ivals[i + 1][0] < hi:
-            return ivals[i + 1][1]
+        i = bisect_right(self._hi, lo)  # the first interval ending after lo
+        if i < len(self._lo) and self._lo[i] < hi:
+            return self._hi[i]
         return None
 
     def covers(self, lo: int, hi: int) -> bool:
         """Whether [lo, hi) lies inside one interval."""
-        ivals = self._ivals
-        i = bisect_right(ivals, [lo, _INF]) - 1
-        return i >= 0 and ivals[i][1] >= hi
+        i = bisect_right(self._lo, lo) - 1
+        return i >= 0 and self._hi[i] >= hi
 
     def add(self, lo: int, hi: int):
-        ivals = self._ivals
+        los, his = self._lo, self._hi
+        if not his or lo > his[-1]:
+            los.append(lo)  # the allocator's pattern: past the last range
+            his.append(hi)
+            return
+        if lo == his[-1]:
+            his[-1] = hi
+            return
         # [i, j): the intervals that overlap or touch [lo, hi)
-        i = bisect_left(ivals, [lo])
-        if i and ivals[i - 1][1] >= lo:
-            i -= 1
-        j = bisect_right(ivals, [hi, _INF])
+        i = bisect_left(his, lo)
+        j = bisect_right(los, hi)
         if i < j:
-            lo = min(lo, ivals[i][0])
-            hi = max(hi, ivals[j - 1][1])
-        ivals[i:j] = [[lo, hi]]
+            lo = min(lo, los[i])
+            hi = max(hi, his[j - 1])
+        los[i:j] = (lo,)
+        his[i:j] = (hi,)
 
     def remove(self, lo: int, hi: int):
-        ivals = self._ivals
+        los, his = self._lo, self._hi
         # [i, j): the intervals that overlap [lo, hi)
-        i = bisect_left(ivals, [lo])
-        if i and ivals[i - 1][1] > lo:
-            i -= 1
-        j = bisect_left(ivals, [hi])
+        i = bisect_right(his, lo)
+        j = bisect_left(los, hi)
         if i < j:
-            first, last = ivals[i][0], ivals[j - 1][1]
-            ivals[i:j] = ([[first, lo]] if first < lo else []) + \
-                ([[hi, last]] if last > hi else [])
+            # what is left of the first and the last of them
+            kept = [(a, b) for a, b in ((los[i], lo), (hi, his[j - 1])) if a < b]
+            los[i:j] = [a for a, _ in kept]
+            his[i:j] = [b for _, b in kept]
 
 
 class AddressSpace:
@@ -361,12 +370,13 @@ class MemorySystem:
                 raise ValueError("hint must be aligned to the page size")
             if not space.base <= hint or hint + span > space.limit:
                 raise ValueError("hint outside the policy window")
-            if blocked(hint) is None:
+            b = blocked(hint)
+            if b is None:
                 if hint + span > space.alloc_cursor:
                     space.alloc_cursor = hint + span
                 return hint
             space.conflicts_resolved += 1
-            start = _align_up(blocked(hint), size)
+            start = _align_up(b, size)
         else:
             start = _align_up(space.alloc_cursor, size)
 
@@ -399,26 +409,28 @@ class MemorySystem:
         if not pages:
             raise ValueError("no pages to map")
         size_class = pages[0].size_class
-        if any(p.size_class is not size_class for p in pages):
+        n = len(pages)
+        if n > 1 and any(p.size_class is not size_class for p in pages):
             raise ValueError("mixed page sizes in one map call")
         size = size_class.nbytes
         if vaddr % size:
             raise ValueError("vaddr must be aligned to the page size")
-        end = vaddr + len(pages) * size
-        if not (0 <= vaddr and end <= self.geometry.va_limit):
+        end = vaddr + n * size
+        geo = self.geometry
+        if not (0 <= vaddr and end <= geo.va_limit):
             raise ValueError("range outside the VA width")
         for mapped in space.group_mapped:
             if mapped.first_overlap_end(vaddr, end) is not None:
                 raise AlreadyMapped(f"[{vaddr:#x}, {end:#x}) overlaps an existing mapping")
 
-        geo = self.geometry
         leaf_level = geo.leaf_level(size_class)
         shifts = geo.level_shifts
-        mask = geo.fanout - 1
+        fanout = geo.fanout
+        mask = fanout - 1
         new_pdes = 0
         # one walk per leaf node; it takes the run of pages that fall in it
         i = 0
-        while i < len(pages):
+        while i < n:
             va = vaddr + i * size
             node = space.root
             for level in range(leaf_level):
@@ -431,13 +443,14 @@ class MemorySystem:
                     raise AlreadyMapped(f"{va:#x} covered by a leaf at level {level}")
                 node = entry
             idx = (va >> shifts[leaf_level]) & mask
-            run = pages[i:i + geo.fanout - idx]
-            if any(node.entries[idx:idx + len(run)]):
+            run = pages[i:i + fanout - idx]
+            k = len(run)
+            if any(node.entries[idx:idx + k]):
                 raise AlreadyMapped(f"leaf slots from {va:#x} already occupied")
-            node.entries[idx:idx + len(run)] = run
-            i += len(run)
+            node.entries[idx:idx + k] = run
+            i += k
         space.mapped.add(vaddr, end)
-        for sub, src in self._subscribers(space):
+        for sub, src in self._fanout[space.id]:
             copies, _, _ = self._merge(src, sub, vaddr, end)
             self._apply(copies)
         return new_pdes
@@ -451,6 +464,8 @@ class MemorySystem:
         this space (replicated to subscribers unless replication is off).
         Raises NotMapped before any write, also when a page in the range is
         one the space only sees through a graft: only its owner unmaps it.
+        Raises ValueError before any write when `vaddr` is not the base of
+        the page it falls in.
         """
         if n_pages < 1:
             raise ValueError("n_pages must be >= 1")
@@ -465,6 +480,8 @@ class MemorySystem:
                 if entry is None:
                     raise NotMapped(f"{va:#x} not mapped")
                 if type(entry) is PhysPage:
+                    if va & ((1 << shift) - 1):
+                        raise ValueError(f"{va:#x} is not the base of its page")
                     break
                 node = entry
             else:
@@ -475,7 +492,7 @@ class MemorySystem:
             raise NotMapped(f"[{vaddr:#x}, {va:#x}) not mapped by space {space.id}")
 
         self._unmerge(space.id, space.root, None, 0, vaddr, va, removed)
-        for sub, src in self._subscribers(space):
+        for sub, src in self._fanout[space.id]:
             self.copy_log.writes += self._unmerge(sub.id, sub.root, src.root, 0, vaddr, va,
                                                   removed)
         space.mapped.remove(vaddr, va)
@@ -581,12 +598,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # merge and unmerge: the two walks behind graft, map and unmap
 
-    def _slots(self, level: int, base: int, lo: int, hi: int) -> range:
-        """Slots of the level-`level` node starting at `base` that overlap [lo, hi)."""
-        shift = self.geometry.level_shifts[level]
-        return range(max(lo - base, 0) >> shift,
-                     ((min(hi - base, self.geometry.fanout << shift) - 1) >> shift) + 1)
-
     def _merge(self, source: AddressSpace, target: AddressSpace, lo: int,
                hi: int) -> tuple[list, int, bool]:
         """Plan what makes `target` show `source`'s entries inside [lo, hi).
@@ -598,26 +609,32 @@ class MemorySystem:
         skipped. Returns the copies, the deepest level descended into, and
         whether any collision was met.
         """
-        shifts = self.geometry.level_shifts
+        geo = self.geometry
+        shifts, fanout = geo.level_shifts, geo.fanout
         copies, deepest, collided = [], 0, False
         pairs = [(source.root, target.root, 0)]
-        while pairs:
-            src, dst, base = pairs.pop()
-            self.copy_log.reads += 2  # both nodes come in through the copy engine
-            for idx in self._slots(src.level, base, lo, hi):
-                s = src.entries[idx]
+        for src, dst, base in pairs:  # grows as directories descend
+            shift = shifts[src.level]
+            # the slots of this node that overlap [lo, hi)
+            first = (lo - base) >> shift if lo > base else 0
+            stop = ((hi - base - 1) >> shift) + 1 if hi - base < fanout << shift else fanout
+            src_entries, dst_entries = src.entries, dst.entries
+            for idx in range(first, stop):
+                s = src_entries[idx]
                 if s is None:
                     continue
-                d = dst.entries[idx]
-                if s == d:
-                    continue  # already shared (or identical leaf)
+                d = dst_entries[idx]
                 if d is None:
                     copies.append((dst, idx, s))
+                elif s is d:
+                    continue  # already shared
                 elif type(s) is type(d) is PageTableNode:
                     deepest = max(deepest, src.level + 1)
-                    pairs.append((s, d, base + (idx << shifts[src.level])))
-                else:
+                    pairs.append((s, d, base + (idx << shift)))
+                elif s != d:  # an identical leaf is not a collision
                     collided = True
+        # both nodes of every pair came in through the copy engine
+        self.copy_log.reads += 2 * len(pairs)
         return copies, deepest, collided
 
     def _apply(self, copies: list):
@@ -636,13 +653,21 @@ class MemorySystem:
         It recurses as a method: a nested function that calls itself is a
         reference cycle, which would keep the MemorySystem alive until the
         cyclic garbage collector runs."""
-        shift = self.geometry.level_shifts[node.level]
+        geo = self.geometry
+        shift = geo.level_shifts[node.level]
+        # the slots of this node that overlap [lo, hi)
+        first = (lo - base) >> shift if lo > base else 0
+        stop = ((hi - base - 1) >> shift) + 1 if hi - base < geo.fanout << shift else geo.fanout
+        entries = node.entries
+        src_entries = src.entries if src is not None else None
         cleared = 0
-        for idx in self._slots(node.level, base, lo, hi):
-            e = node.entries[idx]
-            s = src.entries[idx] if src is not None else None
-            if e is None or e == s:
-                continue  # empty, or shared: the source's change shows through
+        for idx in range(first, stop):
+            e = entries[idx]
+            if e is None:
+                continue
+            s = src_entries[idx] if src_entries is not None else None
+            if e is s or (s is not None and e == s):
+                continue  # shared: the source's change shows through
             if e not in removed:
                 if type(e) is PhysPage:
                     continue
@@ -654,7 +679,7 @@ class MemorySystem:
                 removed.add(e)  # emptied by this call: prune it
                 if e.owner == owner:
                     self.nodes.pop(e.id, None)
-            node.entries[idx] = None
+            entries[idx] = None
             cleared += 1
         return cleared
 

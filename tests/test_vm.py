@@ -177,6 +177,28 @@ def test_unmap_of_zero_pages_rejected():
     assert mem.total_tlb_invalidations == before
 
 
+@pytest.mark.parametrize("size_class, offset", [(BIG, SMALL.nbytes), (SMALL, 8)])
+def test_unmap_inside_a_page_raises_and_changes_nothing(size_class, offset):
+    # an address past the base of its page would clear the whole page but
+    # drop [vaddr, vaddr + size) from `mapped`, which spans into the next one
+    mem, high, low = fresh_pair()
+    mem.graft(high, low)
+    va = map_new(mem, high, n_pages=2, size_class=size_class)
+
+    def state():
+        return ([mem.table_shape(s) for s in (high, low)],
+                [list(s.mapped) for s in (high, low)],
+                (mem.copy_log.reads, mem.copy_log.writes))
+
+    before = state()
+    with pytest.raises(ValueError):
+        mem.unmap_range(high, va + offset, 1)
+    assert state() == before
+    mem.unmap_range(high, va + size_class.nbytes, 1)
+    mem.unmap_range(high, va, 1)
+    assert list(high.mapped) == [] and list(mem.iter_leaves(low)) == []
+
+
 def test_translate_empty_space_faults_at_root():
     mem, high, _ = fresh_pair()
     with pytest.raises(PageFault) as exc:
@@ -617,6 +639,52 @@ def test_chain_map_into_the_heads_range_changes_nothing():
         mem.translate(c, start)
 
 
+def test_copy_engine_counts_are_pinned():
+    """Exact copy-engine reads and writes for two fixed sequences, with the
+    values measured at the commit before the merge and unmerge walks
+    computed their slot bounds inline. The golden digests see only writes,
+    so this is the test that catches a miscounted read."""
+    # the graftbench loop at n = 4096: 4 reads for the graft (its root pair
+    # and level-1 pair), then 4 a map, which stops at the shared level-2 node
+    mem, high, low = fresh_pair()
+    for space in (high, low):
+        map_new(mem, space, n_pages=2)
+    mem.graft(high, low)
+    for _ in range(4096):
+        map_new(mem, high, size_class=BIG)
+    assert (mem.copy_log.reads, mem.copy_log.writes) == (16388, 1)
+
+    # a seeded map/unmap/translate mix on the chain a -> b -> c, with hints
+    # spread over 1 GiB and 512 GiB regions, so that maps cross the shared
+    # frontier and unmaps prune directories that subscribers copied
+    rng = random.Random(2026)
+    mem, a, b, c = graft_chain()
+    regions = {a.id: [H + GiB * k for k in (1, 2, 512, 513, 1024)],
+               b.id: [b.base + GiB * k for k in (0, 1, 512)], c.id: [H]}
+    owned = {space.id: [] for space in (a, b, c)}
+    for _ in range(400):
+        space = rng.choice((a, b, c))
+        mine = owned[space.id]
+        roll = rng.random()
+        if roll < 0.45 or not mine:
+            size_class = BIG if rng.random() < 0.2 else SMALL
+            n = 1 if size_class is BIG else rng.randint(1, 3)
+            pages = mem.alloc_phys(size_class, n)
+            hint = rng.choice(regions[space.id]) + rng.randrange(4) * BIG.nbytes
+            va = mem.allocate(space, n, size_class, hint=hint)
+            mem.map_range(space, va, pages)
+            mine.append((va, pages))
+        elif roll < 0.8:
+            va, pages = mine.pop(rng.randrange(len(mine)))
+            mem.unmap_range(space, va, len(pages))
+        else:
+            va, pages = rng.choice(mine)
+            k = rng.randrange(len(pages))
+            assert mem.translate(c, va + k * pages[0].size_class.nbytes) == (pages[k], 0)
+    assert dict(mem.iter_leaves(c)) == mem.union_oracle(b, c)
+    assert (mem.copy_log.reads, mem.copy_log.writes) == (928, 41)
+
+
 def test_failed_graft_changes_nothing():
     mem = MemorySystem()
     s1 = mem.create_space(AllocPolicy.HIGH_RANGE, base=H + GiB)
@@ -671,6 +739,18 @@ def test_page_and_size_class_values():
 # ----------------------------------------------------------------------
 # leaf-coverage interval set
 
+def check_interval_set(ivals, covered, qlo, qhi):
+    """`ivals` against the byte-set model `covered`, and one query."""
+    runs = list(ivals)
+    # disjoint, sorted, not touching, and exactly the covered bytes
+    assert all(a < b for a, b in runs)
+    assert all(b1 < a2 for (_, b1), (a2, _) in zip(runs, runs[1:]))
+    assert {x for a, b in runs for x in range(a, b)} == covered
+    hits = [b for a, b in runs if a < qhi and b > qlo]
+    assert ivals.first_overlap_end(qlo, qhi) == (hits[0] if hits else None)
+    assert ivals.covers(qlo, qhi) == (set(range(qlo, qhi)) <= covered)
+
+
 def test_interval_set_matches_a_brute_force_model():
     from gpumux.vm import _IntervalSet
     rng = random.Random(11)
@@ -685,13 +765,28 @@ def test_interval_set_matches_a_brute_force_model():
             else:
                 ivals.remove(lo, hi)
                 covered -= set(range(lo, hi))
-            runs = list(ivals)
-            # disjoint, sorted, not touching, and exactly the covered bytes
-            assert all(a < b for a, b in runs)
-            assert all(b1 < a2 for (_, b1), (a2, _) in zip(runs, runs[1:]))
-            assert {x for a, b in runs for x in range(a, b)} == covered
             qlo = rng.randrange(80)
-            qhi = qlo + rng.randint(1, 12)
-            hits = [b for a, b in runs if a < qhi and b > qlo]
-            assert ivals.first_overlap_end(qlo, qhi) == (hits[0] if hits else None)
-            assert ivals.covers(qlo, qhi) == (set(range(qlo, qhi)) <= covered)
+            check_interval_set(ivals, covered, qlo, qlo + rng.randint(1, 12))
+
+
+def test_interval_set_under_the_allocator_pattern():
+    # the allocator's adds ascend: each starts at the last end (touching) or
+    # past it (gapped), so they take the tail path of `add`; the removes in
+    # between split interior intervals and trim the last one
+    from gpumux.vm import _IntervalSet
+    rng = random.Random(12)
+    for _ in range(200):
+        ivals, covered, cursor = _IntervalSet(), set(), 0
+        for _ in range(40):
+            if rng.random() < 0.7:
+                lo = cursor + rng.choice((0, 0, rng.randint(1, 4)))
+                cursor = hi = lo + rng.randint(1, 6)
+                ivals.add(lo, hi)
+                covered |= set(range(lo, hi))
+            else:
+                lo = rng.randrange(cursor + 1)
+                hi = lo + rng.randint(1, 3)
+                ivals.remove(lo, hi)
+                covered -= set(range(lo, hi))
+            qlo = rng.randrange(cursor + 8)
+            check_interval_set(ivals, covered, qlo, qlo + rng.randint(1, 12))
