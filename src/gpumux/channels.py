@@ -51,6 +51,30 @@ class ComputeConfig:
             raise ValueError("local_memory_bytes must be >= 0")
 
 
+class _SlotValue:
+    """Base of the small values built on every submission: equality, hash and
+    a dataclass-style repr over the fields named in the class's own
+    ``__slots__``. Two values are equal when they are of the same class and
+    their fields are equal."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class UserD:
     """Free-running producer/consumer cursors shared with the device."""
 
@@ -61,12 +85,18 @@ class UserD:
         self.put = 0
 
 
-@dataclass(frozen=True)
-class GpFifoEntry:
-    length: int
-    buffer: tuple
-    seq: int
-    stream_id: int | None
+class GpFifoEntry(_SlotValue):
+    """One ring entry: a submitted buffer of commands, its sequence number and
+    the submitting stream (None for a bootstrap). Nothing writes an entry after
+    it is built."""
+
+    __slots__ = ("length", "buffer", "seq", "stream_id")
+
+    def __init__(self, length: int, buffer: tuple, seq: int, stream_id: int | None):
+        self.length = length
+        self.buffer = buffer
+        self.seq = seq
+        self.stream_id = stream_id
 
 
 class Ring:

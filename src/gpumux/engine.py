@@ -46,7 +46,7 @@ from heapq import heappop, heappush
 
 from .channels import (AlreadyBound, Channel, ComputeConfig, Context,
                        ContextKind, GpFifoEntry, NotBound, PoolExhausted, Ring,
-                       RingFull, StreamHandle, restore_snapshot,
+                       RingFull, StreamHandle, _SlotValue, restore_snapshot,
                        swap_submission_state, take_snapshot)
 from .commands import CommandKind, GpuCommand, init_compute, semaphore_write
 from .config import TICKS_PER_S, DeviceConfig, ticks
@@ -66,24 +66,37 @@ class FaultRecord:
     detail: str = ""
 
 
-class Condition:
+class Condition(_SlotValue):
+    """What a waiting driver waits for. A condition is an immutable value:
+    nothing writes one after it is built."""
+
+    __slots__ = ()
+
     def satisfied(self, engine: "Engine") -> bool:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class SemaphoreAtLeast(Condition):
-    space_id: int
-    vaddr: int
-    value: int
+    """The semaphore at ``vaddr`` in space ``space_id`` holds at least ``value``."""
+
+    __slots__ = ("space_id", "vaddr", "value")
+
+    def __init__(self, space_id: int, vaddr: int, value: int):
+        self.space_id = space_id
+        self.vaddr = vaddr
+        self.value = value
 
     def satisfied(self, engine):
         return engine._read_semaphore(self.space_id, self.vaddr) >= self.value
 
 
-@dataclass(frozen=True)
 class TimeReached(Condition):
-    time: float
+    """The clock has reached ``time`` (float seconds)."""
+
+    __slots__ = ("time",)
+
+    def __init__(self, time: float):
+        self.time = time
 
     def satisfied(self, engine):
         return engine.now >= ticks(self.time)
@@ -204,6 +217,9 @@ class Engine:
 
     def __init__(self, config: DeviceConfig | None = None):
         self.config = config or DeviceConfig()
+        # DeviceConfig is frozen, so its times convert to ticks once
+        self._quantum = ticks(self.config.quantum)
+        self._switch_penalty = ticks(self.config.context_switch_penalty)
         self.memory = MemorySystem(self.config.geometry)
         self.now = 0   # ticks
         self.contexts: dict[int, Context] = {}
@@ -623,14 +639,14 @@ class Engine:
         tsg = self._next_runnable_tsg()
         if tsg is None:
             return False
-        penalty = ticks(self.config.context_switch_penalty)
+        penalty = self._switch_penalty
         if penalty and self._last_tsg is not None and self._last_tsg != tsg.id:
             t = self.now + penalty
             self.trace.segments.append((self.now, t, 0.0, 0.0, None))
             self.now = t
         self._last_tsg = tsg.id
         start = self.clock
-        expiry = self.now + ticks(self.config.quantum)
+        expiry = self.now + self._quantum
         inflight: dict[int, _Inflight] = {}
         while True:
             if self.now < expiry:

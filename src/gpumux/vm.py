@@ -550,8 +550,10 @@ class MemorySystem:
         if self._reaches(target, source.id):
             raise CycleDetected(
                 f"space {source.id} is already a transitive subscriber of {target.id}")
+        reads = self.copy_log.reads
         copies, depth, collided = self._merge(source, target, 0, self.geometry.va_limit)
         if collided:
+            self.copy_log.reads = reads   # a failed graft changes nothing, reads included
             raise OverlapDetected("leaf ranges of the two spaces overlap")
         self._apply(copies)
         if target.id not in source.subscribers:

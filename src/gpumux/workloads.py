@@ -10,9 +10,11 @@ simulation and rendering interleave). Inference is a fixed-latency phase on a
 serialized off-device queue; it consumes no simulated GPU resources.
 
 The async calls submit immediately and return handles; the wait calls return
-conditions that driver generators yield to the engine. Drivers enforce the
-loop dependencies (a step must be waited before the matching render is
-issued), and the emitted trace lets tests verify them independently.
+conditions that driver generators yield to the engine. Commands are immutable
+values, so a session builds each group's step and render command once and
+submits the same objects on every step. Drivers enforce the loop dependencies
+(a step must be waited before the matching render is issued), and the emitted
+trace lets tests verify them independently.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from .commands import graphics_draw, kernel_dispatch
 from .config import DeviceConfig
-from .channels import ContextKind
+from .channels import ContextKind, _SlotValue
 from .engine import Condition, Engine, MetricsTrace
 from .vm import SizeClass
 
@@ -121,11 +123,17 @@ class RolloutSpec:
             raise ValueError("groups must divide the batch")
 
 
-@dataclass
-class AsyncHandle:
-    group: int
-    target_value: int
-    stream: object
+class AsyncHandle(_SlotValue):
+    """An issued step or render: its group, and the value the stream's
+    semaphore reaches when it completes. Nothing writes a handle after it is
+    built."""
+
+    __slots__ = ("group", "target_value", "stream")
+
+    def __init__(self, group: int, target_value: int, stream: object):
+        self.group = group
+        self.target_value = target_value
+        self.stream = stream
 
 
 @dataclass
@@ -171,6 +179,16 @@ class SimSession:
             fb = mem.allocate(gspace, 1, SizeClass.SMALL)
             mem.map_range(gspace, fb, mem.alloc_phys(SizeClass.SMALL))
             self.frame_vaddrs.append(fb)
+        # a group's step and render depend only on the costs, the group's
+        # batch and its buffer, so each is built once and submitted every step
+        self._step_commands = [
+            (kernel_dispatch(costs.sim(self.group_batch), costs.sim_compute_frac,
+                             touched=(va,)),)
+            for va in self.state_vaddrs]
+        self._render_commands = [
+            (graphics_draw(costs.render(self.group_batch), costs.render_compute_frac,
+                           costs.render_graphics_frac, touched=(fb,)),)
+            for fb in self.frame_vaddrs]
         self._open_step: list[AsyncHandle | None] = [None] * groups
         self._open_render: list[AsyncHandle | None] = [None] * groups
         self._steps_waited = [0] * groups
@@ -191,10 +209,7 @@ class SimSession:
         if k != self._steps_waited[group]:
             raise RuntimeError(f"steps must be issued in order; expected "
                                f"{self._steps_waited[group]}, got {k}")
-        cmd = kernel_dispatch(self.costs.sim(self.group_batch),
-                              self.costs.sim_compute_frac,
-                              touched=(self.state_vaddrs[group],))
-        self.engine.submit(self.sim_stream, [cmd])
+        self.engine.submit(self.sim_stream, self._step_commands[group])
         handle = AsyncHandle(group, self.sim_stream.next_semaphore_value, self.sim_stream)
         self._open_step[group] = handle
         return handle
@@ -209,11 +224,7 @@ class SimSession:
             raise RuntimeError("previous render not waited")
         if self._steps_waited[group] <= k:
             raise RuntimeError(f"render {k} issued before its simulation step completed")
-        cmd = graphics_draw(self.costs.render(self.group_batch),
-                            self.costs.render_compute_frac,
-                            self.costs.render_graphics_frac,
-                            touched=(self.frame_vaddrs[group],))
-        self.engine.submit(self.render_stream, [cmd])
+        self.engine.submit(self.render_stream, self._render_commands[group])
         handle = AsyncHandle(group, self.render_stream.next_semaphore_value,
                              self.render_stream)
         self._open_render[group] = handle

@@ -6,8 +6,9 @@ import math
 import pytest
 
 from gpumux.audits import check_all, check_temporal_exclusivity
-from gpumux.channels import ContextKind
-from gpumux.commands import graphics_draw, kernel_dispatch, semaphore_write, sleep
+from gpumux.channels import ComputeConfig, ContextKind, GpFifoEntry
+from gpumux.commands import (CommandKind, GpuCommand, graphics_draw, kernel_dispatch,
+                             semaphore_write, sleep)
 from gpumux.config import DeviceConfig
 from gpumux.engine import Condition, Engine, SemaphoreAtLeast, TimeReached
 from gpumux.vm import SizeClass
@@ -469,3 +470,51 @@ def _trace_bytes():
 
 def test_identical_runs_are_byte_identical():
     assert _trace_bytes() == _trace_bytes()
+
+
+# ----------------------------------------------------------------------
+# commands, ring entries and conditions are slotted values
+
+@pytest.mark.parametrize("make", [
+    lambda: kernel_dispatch(-0.1, 0.5),   # infinite: test_times_the_clock_cannot_hold_rejected
+    lambda: kernel_dispatch(1.0, 1.5),
+    lambda: graphics_draw(1.0, 0.5, -0.5),
+    lambda: GpuCommand(CommandKind.KERNEL_DISPATCH, 1.0, 0.5, 0.25),
+    lambda: GpuCommand(CommandKind.SEMAPHORE_WRITE, 1.0, sem_vaddr=0, sem_value=1),
+    lambda: GpuCommand(CommandKind.INIT_COMPUTE, 0.5, config=ComputeConfig()),
+])
+def test_invalid_commands_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_command_entry_and_condition_values():
+    cmd = kernel_dispatch(1.0, 0.1, touched=(4096,))
+    assert cmd == kernel_dispatch(1.0, 0.1, touched=(4096,))
+    assert hash(cmd) == hash(kernel_dispatch(1.0, 0.1, touched=(4096,)))
+    assert cmd != kernel_dispatch(1.0, 0.1, touched=(8192,))
+    assert cmd != graphics_draw(1.0, 0.1, 0.0, touched=(4096,))
+    assert repr(cmd) == (
+        "GpuCommand(kind=<CommandKind.KERNEL_DISPATCH: 'kernel_dispatch'>, "
+        "base_duration=1.0, compute_frac=0.1, graphics_frac=0.0, "
+        "touched_vaddrs=(4096,), sem_vaddr=None, sem_value=None, config=None)")
+    buf = (cmd, semaphore_write(8192, 3))
+    entry = GpFifoEntry(2, buf, 5, 1)
+    assert entry == GpFifoEntry(2, (kernel_dispatch(1.0, 0.1, touched=(4096,)),
+                                    semaphore_write(8192, 3)), 5, 1)
+    assert hash(entry) == hash(GpFifoEntry(2, buf, 5, 1))
+    assert entry != GpFifoEntry(2, buf, 6, 1)
+    assert repr(GpFifoEntry(0, (), 1, None)) == \
+        "GpFifoEntry(length=0, buffer=(), seq=1, stream_id=None)"
+    assert TimeReached(0.5) == TimeReached(0.5)
+    assert hash(TimeReached(0.5)) == hash(TimeReached(0.5))
+    assert TimeReached(0.5) != TimeReached(0.25)
+    assert TimeReached(0.5) != (0.5,)
+    assert repr(TimeReached(0.5)) == "TimeReached(time=0.5)"
+    sem = SemaphoreAtLeast(1, 4096, 3)
+    assert sem == SemaphoreAtLeast(1, 4096, 3)
+    assert hash(sem) == hash(SemaphoreAtLeast(1, 4096, 3))
+    assert sem != SemaphoreAtLeast(1, 4096, 4)
+    assert repr(sem) == "SemaphoreAtLeast(space_id=1, vaddr=4096, value=3)"
+    for value in (sem, TimeReached(0.5), cmd, entry):
+        assert not hasattr(value, "__dict__")

@@ -699,7 +699,8 @@ def test_failed_graft_changes_nothing():
 
     def state():
         return ([mem.table_shape(s) for s in spaces], [list(s.subscribers) for s in spaces],
-                [set(s.graft_peers) for s in spaces], mem.copy_log.writes)
+                [set(s.graft_peers) for s in spaces],
+                (mem.copy_log.reads, mem.copy_log.writes))
 
     before = state()
     with pytest.raises(OverlapDetected):

@@ -86,6 +86,27 @@ def test_render_duration_scales_affinely_with_batch():
     assert base == pytest.approx(0.2)
 
 
+def test_each_group_submits_the_same_command_objects_on_every_step():
+    s = SimSession(BALANCED, batch=4, groups=2)
+
+    def driver(group):
+        for k in range(3):
+            yield s.wait_step(s.step_async(k, group))
+            yield s.wait_render(s.render_async(k, group))
+
+    for group in range(2):
+        s.engine.spawn(driver(group))
+    assert s.engine.run().stalled == []
+    for stream, vaddrs in ((s.sim_stream, s.state_vaddrs),
+                           (s.render_stream, s.frame_vaddrs)):
+        ring = s.engine.channels[stream.channel_id].ring
+        cmds = [entry.buffer[0] for entry in ring.slots if entry is not None]
+        assert len(cmds) == 6
+        for va in vaddrs:
+            mine = [cmd for cmd in cmds if cmd.touched_vaddrs == (va,)]
+            assert len(mine) == 3 and all(cmd is mine[0] for cmd in mine)
+
+
 # ----------------------------------------------------------------------
 # data generation
 
