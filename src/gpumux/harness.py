@@ -310,16 +310,20 @@ def cmd_rl(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
     return rows
 
 
-def run_graft_microbenchmark(cfg: ExperimentConfig, n_buffers: int,
-                             dump_tables: bool = False) -> dict:
-    """Op-count cost of sharing n 2 MiB buffers: graft-and-propagate vs a
-    2-ops-per-buffer export/import model.
+def graft_sweep(cfg: ExperimentConfig, counts: list[int],
+                dump_tables: bool = False) -> list[dict]:
+    """Op-count cost of sharing n 2 MiB buffers, for each n in ``counts``:
+    graft-and-propagate vs a 2-ops-per-buffer export/import model.
 
-    Fresh tables each time: both sides get a small resident footprint, the
-    graft runs once, then the buffers are mapped on the source. Graft cost is
-    the initial merge's entry writes, plus subscriber writes caused by the
-    new mappings, plus the merge's TLB invalidation. With ``dump_tables`` the
-    result also carries both final tables under ``"tables"``.
+    One run serves every row: both sides get a small resident footprint, the
+    graft runs once, then ``max(counts)`` buffers are mapped on the source.
+    The map sequence is deterministic, so the row for n is the state after
+    the first n maps, the same as a fresh run to n. Graft cost is the initial
+    merge's entry writes, plus subscriber writes caused by the new mappings,
+    plus the merge's TLB invalidation. Rows come back in ``counts`` order.
+    With ``dump_tables`` the last row also carries both tables under
+    ``"tables"``, dumped when the count reaches ``counts[-1]``, which need not
+    be the largest count.
     """
     mem = MemorySystem(cfg.device.geometry)
     source = mem.create_space(AllocPolicy.HIGH_RANGE, base=cfg.device.high_base)
@@ -330,31 +334,39 @@ def run_graft_microbenchmark(cfg: ExperimentConfig, n_buffers: int,
         mem.map_range(space, va, mem.alloc_phys(SizeClass.SMALL, 2))
     report = mem.graft(source, target)
     writes_before = mem.copy_log.writes
-    for _ in range(n_buffers):
-        va = mem.allocate(source, 1, SizeClass.BIG)
-        mem.map_range(source, va, mem.alloc_phys(SizeClass.BIG))
-    subscriber_writes = mem.copy_log.writes - writes_before
-    graft_ops = report.entry_writes + subscriber_writes + report.tlb_invalidations
-    result = {"n_buffers": n_buffers, "export_import_ops": 2 * n_buffers,
-              "graft_ops": graft_ops}
+    graft_ops, tables, mapped = {}, None, 0
+    for n in sorted(set(counts)):
+        for _ in range(n - mapped):
+            va = mem.allocate(source, 1, SizeClass.BIG)
+            mem.map_range(source, va, mem.alloc_phys(SizeClass.BIG))
+        mapped = n
+        subscriber_writes = mem.copy_log.writes - writes_before
+        graft_ops[n] = report.entry_writes + subscriber_writes + report.tlb_invalidations
+        if dump_tables and n == counts[-1]:
+            tables = {"source": mem.dump_tables(source), "target": mem.dump_tables(target)}
+    rows = [{"n_buffers": n, "export_import_ops": 2 * n, "graft_ops": graft_ops[n]}
+            for n in counts]
     if dump_tables:
-        result["tables"] = {"source": mem.dump_tables(source),
-                            "target": mem.dump_tables(target)}
-    return result
+        rows[-1]["tables"] = tables
+    return rows
+
+
+def run_graft_microbenchmark(cfg: ExperimentConfig, n_buffers: int,
+                             dump_tables: bool = False) -> dict:
+    """The one-count view of :func:`graft_sweep`."""
+    return graft_sweep(cfg, [n_buffers], dump_tables)[0]
 
 
 def cmd_graftbench(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
                    json_events: bool = False, dump_tables: bool = False) -> list[dict]:
     """Scaling of memory-sharing cost with the number of shared 2 MiB buffers."""
-    rows, events = [], []
-    tables = None
-    last = len(cfg.buffer_counts) - 1
-    for i, n in enumerate(cfg.buffer_counts):
-        result = run_graft_microbenchmark(cfg, n, dump_tables and i == last)
-        tables = result.pop("tables", None)  # only the last run's are kept
-        rows.append(result)
+    rows = graft_sweep(cfg, cfg.buffer_counts, dump_tables)
+    tables = rows[-1].pop("tables", None)
+    events = []
+    for row in rows:
         events += encode_events([(0.0, "graftbench", None, None, None,
-                                  tuple(result[f] for f in _GRAFTBENCH_FIELDS))], f"N{n}")
+                                  tuple(row[f] for f in _GRAFTBENCH_FIELDS))],
+                                f"N{row['n_buffers']}")
     _emit(out_dir, "graftbench", seed, json_events,
           ["n_buffers", "export_import_ops", "graft_ops"], rows, events, [])
     if tables is not None:

@@ -163,7 +163,7 @@ class PhysPage:
         return self.id == other.id and self.size_class is other.size_class
 
     def __hash__(self):
-        return hash((self.id, self.size_class))
+        return hash(self.id)  # equal pages have equal ids
 
     def __repr__(self):
         return f"PhysPage(id={self.id!r}, size_class={self.size_class!r})"

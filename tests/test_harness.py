@@ -12,7 +12,9 @@ from gpumux.channels import ContextKind
 from gpumux.commands import graphics_draw, kernel_dispatch
 from gpumux.engine import EVENT_FIELDS, Engine
 from gpumux.harness import (ConfigError, cmd_datagen, cmd_graftbench, cmd_rl,
-                            cmd_trace, encode_events, encode_utilization, parse_config)
+                            cmd_trace, encode_events, encode_utilization, graft_sweep,
+                            parse_config, run_graft_microbenchmark)
+from gpumux.vm import AllocPolicy, MemorySystem, SizeClass
 
 GOOD = """
 # small but complete experiment
@@ -149,13 +151,52 @@ def test_rl_outputs(tmp_path):
     assert {row["mode"] for row in rows} == {"sequential", "interleaved"}
 
 
+def _fresh_graft_run(cfg, n_buffers, dump_tables):
+    """One graftbench row from fresh tables mapped to exactly n buffers: the
+    reference every ``graft_sweep`` row must equal, sharing no code with it."""
+    mem = MemorySystem(cfg.device.geometry)
+    source = mem.create_space(AllocPolicy.HIGH_RANGE, base=cfg.device.high_base)
+    target = mem.create_space(AllocPolicy.LOW_RANGE, base=cfg.device.low_base,
+                              limit=cfg.device.high_base)
+    for space in (source, target):
+        va = mem.allocate(space, 2, SizeClass.SMALL)
+        mem.map_range(space, va, mem.alloc_phys(SizeClass.SMALL, 2))
+    report = mem.graft(source, target)
+    writes_before = mem.copy_log.writes
+    for _ in range(n_buffers):
+        va = mem.allocate(source, 1, SizeClass.BIG)
+        mem.map_range(source, va, mem.alloc_phys(SizeClass.BIG))
+    graft_ops = (report.entry_writes + mem.copy_log.writes - writes_before
+                 + report.tlb_invalidations)
+    result = {"n_buffers": n_buffers, "export_import_ops": 2 * n_buffers,
+              "graft_ops": graft_ops}
+    if dump_tables:
+        result["tables"] = {"source": mem.dump_tables(source),
+                            "target": mem.dump_tables(target)}
+    return result
+
+
 def test_graftbench_costs(tmp_path):
     cfg = parse_config(write_config(tmp_path))
     rows = cmd_graftbench(cfg, tmp_path / "out", dump_tables=True)
     assert [r["export_import_ops"] for r in rows] == [8, 32, 128]
     graft = [r["graft_ops"] for r in rows]
     assert graft == sorted(graft)  # monotone
-    assert (tmp_path / "out" / "tables.json").exists()
+    tables = json.loads((tmp_path / "out" / "tables.json").read_text())
+    assert tables == _fresh_graft_run(cfg, 64, True)["tables"]
+
+
+@pytest.mark.parametrize("counts", [[300, 1, 64, 4, 16], [5, 5, 3], [7]])
+def test_graft_sweep_rows_equal_fresh_runs(tmp_path, counts):
+    cfg = parse_config(write_config(tmp_path))
+    assert graft_sweep(cfg, counts) == [_fresh_graft_run(cfg, n, False) for n in counts]
+    # the tables are those at the last configured count, even when a larger
+    # count was mapped after it
+    rows = graft_sweep(cfg, counts, dump_tables=True)
+    fresh = _fresh_graft_run(cfg, counts[-1], True)
+    assert rows[-1] == fresh
+    assert all("tables" not in row for row in rows[:-1])
+    assert run_graft_microbenchmark(cfg, counts[-1], dump_tables=True) == fresh
 
 
 def test_trace_requires_utilization_gain(tmp_path):

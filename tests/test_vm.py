@@ -708,6 +708,38 @@ def test_failed_graft_changes_nothing():
     assert state() == before
 
 
+# Two open graft bugs. Each test asserts the correct
+# behaviour and is a strict xfail, so the fix has to flip it.
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="b's merge writes into a directory node a owns")
+def test_two_sources_grafted_into_one_target_stay_apart():
+    mem = MemorySystem()
+    a = mem.create_space(AllocPolicy.HIGH_RANGE, base=H)
+    b = mem.create_space(AllocPolicy.HIGH_RANGE, base=H + 4 * GiB)
+    g = mem.create_space(AllocPolicy.LOW_RANGE)
+    for space in (a, b, g):
+        mem.map_range(space, space.base, mem.alloc_phys(SMALL))
+    own = dict(mem.iter_leaves(a))
+    mem.graft(a, g)
+    mem.graft(b, g)
+    assert dict(mem.iter_leaves(a)) == own
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a graft into t is not replayed to t's subscribers")
+def test_graft_into_a_subscribed_space_reaches_its_subscribers():
+    mem = MemorySystem()
+    t = mem.create_space(AllocPolicy.HIGH_RANGE, base=H)
+    u = mem.create_space(AllocPolicy.LOW_RANGE)
+    s = mem.create_space(AllocPolicy.HIGH_RANGE, base=H + 600 * GiB)
+    for space in (s, t, u):
+        mem.map_range(space, space.base, mem.alloc_phys(SMALL))
+    mem.graft(t, u)
+    mem.graft(s, t)
+    assert dict(mem.iter_leaves(u)) == mem.union_oracle(t, u)
+
+
 def test_memory_system_is_freed_by_reference_counting():
     # graft-time state must not make a reference cycle among the spaces
     gc.disable()
