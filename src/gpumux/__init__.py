@@ -10,7 +10,7 @@ from .commands import (CommandKind, GpuCommand, graphics_draw, init_compute,
 from .config import DeviceConfig
 from .engine import Engine, FaultRecord, MetricsTrace, SemaphoreAtLeast, TimeReached
 from .harness import (ConfigError, ExperimentConfig, cmd_datagen, cmd_graftbench,
-                      cmd_rl, cmd_trace, parse_config, run_graft_microbenchmark)
+                      cmd_rl, cmd_trace, parse_config)
 from .vm import (AddressSpace, AddressSpaceExhausted, AllocPolicy, AlreadyMapped,
                  CopyEngineLog, CycleDetected, GraftReport, InconsistentUnion,
                  MemorySystem, NotMapped, OverlapDetected, PageFault, PageGeometry,

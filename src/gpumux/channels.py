@@ -44,7 +44,6 @@ class ContextKind(enum.Enum):
 class ComputeConfig:
     """Hardware state a channel needs before it can run compute kernels."""
     local_memory_bytes: int = 64 * 1024
-    warp_sched_mode: str = "balanced"
 
     def __post_init__(self):
         if self.local_memory_bytes < 0:

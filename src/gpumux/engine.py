@@ -112,12 +112,6 @@ class _Process:
         self.done = False
 
 
-@dataclass
-class TimesliceGroup:
-    id: int
-    channel_ids: list[int] = dataclasses.field(default_factory=list)
-
-
 # The extra fields of each event kind, in the order they are logged and written.
 EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     "submit": ("seq", "micro_ops"),
@@ -181,11 +175,6 @@ class MetricsTrace:
                  **dict(zip(EVENT_FIELDS[kind], extras))}
                 for t, kind, ch, tsg, stream, extras in self.records]
 
-    def event_lines(self) -> list[str]:
-        """One compact JSON object per record, without a run label."""
-        from .harness import encode_events  # harness imports this module
-        return encode_events(self.records)
-
     def exec_intervals(self, stream_id: int | None = None,
                        kind: str | None = None) -> list[tuple]:
         """(start, end, tsg, channel) per executed timed command, paired from events."""
@@ -222,10 +211,12 @@ class Engine:
         self._switch_penalty = ticks(self.config.context_switch_penalty)
         self.memory = MemorySystem(self.config.geometry)
         self.now = 0   # ticks
-        self.contexts: dict[int, Context] = {}
-        self.channels: dict[int, Channel] = {}
-        self.streams: dict[int, StreamHandle] = {}
-        self.tsgs: dict[int, TimesliceGroup] = {}
+        # registries indexed by id: ids are dense, taken as len() at creation
+        # and never reused; a timeslice group is the list of its channel ids
+        self.contexts: list[Context] = []
+        self.channels: list[Channel] = []
+        self.streams: list[StreamHandle] = []
+        self.tsgs: list[list[int]] = []
         self.trace = MetricsTrace()
         self.phys_mem: dict[tuple[int, int], int] = {}
         self.processes: list[_Process] = []
@@ -236,14 +227,11 @@ class Engine:
         self._dirty: set[tuple[int, int]] = set()   # written since last checked
         self._timers: list[tuple[int, int]] = []   # (deadline tick, pid)
         self._waiters_resolved_at = self.memory.total_tlb_invalidations
-        self.grafted_pairs: set[tuple[int, int]] = set()
         self._token_owner: dict[int, int] = {}
-        self._rr_index = -1
-        self._last_tsg: int | None = None
+        self._last_tsg = -1   # the group of the last window; round robin starts after it
         self._infer_busy_until = 0
         self._running = False
         self._seq = 0
-        self._next_id = {"context": 0, "channel": 0, "stream": 0, "tsg": 0}
 
     @property
     def clock(self) -> float:
@@ -251,16 +239,7 @@ class Engine:
         return self.now / TICKS_PER_S
 
     # ------------------------------------------------------------------
-    # identity helpers
-
-    def _take_id(self, kind: str) -> int:
-        n = self._next_id[kind]
-        self._next_id[kind] = n + 1
-        return n
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
+    # event log
 
     def _log(self, event: str, channel: int | None, tsg: int | None,
              stream: int | None, *extras):
@@ -279,10 +258,9 @@ class Engine:
         else:
             space = mem.create_space(AllocPolicy.LOW_RANGE, base=self.config.low_base,
                                      limit=self.config.high_base)
-        tsg = TimesliceGroup(self._take_id("tsg"))
-        self.tsgs[tsg.id] = tsg
-        ctx = Context(self._take_id("context"), kind, space.id, tsg.id)
-        self.contexts[ctx.id] = ctx
+        ctx = Context(len(self.contexts), kind, space.id, len(self.tsgs))
+        self.tsgs.append([])
+        self.contexts.append(ctx)
         # small always-present footprint standing in for runtime-internal state
         va = mem.allocate(space, 1, SizeClass.SMALL)
         mem.map_range(space, va, mem.alloc_phys(SizeClass.SMALL))
@@ -298,13 +276,13 @@ class Engine:
         cap = self.config.ring_capacity
         cmdbuf_base = mem.allocate(space, cap, SizeClass.SMALL)
         mem.map_range(space, cmdbuf_base, mem.alloc_phys(SizeClass.SMALL, cap))
-        channel_id = self._take_id("channel")
+        channel_id = len(self.channels)
         token = 0x1000 + channel_id
         channel = Channel(channel_id, ctx.id, ctx.tsg_id, Ring(cap), token,
                           cmdbuf_base, visible_to_app)
-        self.channels[channel_id] = channel
-        self.contexts[ctx.id].channels.append(channel_id)
-        self.tsgs[ctx.tsg_id].channel_ids.append(channel_id)
+        self.channels.append(channel)
+        ctx.channels.append(channel_id)
+        self.tsgs[ctx.tsg_id].append(channel_id)
         self._token_owner[token] = channel_id
         return channel
 
@@ -322,9 +300,9 @@ class Engine:
         cap = self.config.ring_capacity
         cmdbuf_base = mem.allocate(space, cap, SizeClass.SMALL)
         mem.map_range(space, cmdbuf_base, mem.alloc_phys(SizeClass.SMALL, cap))
-        stream = StreamHandle(self._take_id("stream"), ctx.id, channel.id,
-                              sync_vaddr, cmdbuf_base)
-        self.streams[stream.id] = stream
+        stream = StreamHandle(len(self.streams), ctx.id, channel.id, sync_vaddr,
+                              cmdbuf_base)
+        self.streams.append(stream)
         return stream
 
     def provision_forwarding_pool(self, graphics_ctx: Context, requested: int) -> list[int]:
@@ -384,7 +362,8 @@ class Engine:
                               cmdbuf_base + slot * SizeClass.SMALL.nbytes)
         micro_ops = 1
         # 2: ring entry appended
-        seq = self._next_seq()
+        self._seq += 1
+        seq = self._seq
         ch.ring.slots[slot] = GpFifoEntry(len(buf), buf, seq, stream_id)
         micro_ops += 1
         # 3: PUT advanced
@@ -435,12 +414,9 @@ class Engine:
             raise PoolExhausted("no forwarding channels available")
         ctx = self.contexts[stream.context_id]
         self._drain_stream(stream)
-        pair = (ctx.space_id, graphics_ctx.space_id)
-        if pair not in self.grafted_pairs and not self.config.disable_graft:
-            src = self.memory.spaces[ctx.space_id]
-            dst = self.memory.spaces[graphics_ctx.space_id]
-            self.memory.graft(src, dst)
-            self.grafted_pairs.add(pair)
+        src = self.memory.spaces[ctx.space_id]
+        if graphics_ctx.space_id not in src.subscribers and not self.config.disable_graft:
+            self.memory.graft(src, self.memory.spaces[graphics_ctx.space_id])
         fwd = self.channels[graphics_ctx.forward_pool.pop(0)]
         if fwd.compute_config is None and not self.config.skip_bootstrap:
             self.bootstrap(fwd, ctx.compute_state)
@@ -592,18 +568,14 @@ class Engine:
 
     def _tsg_runnable(self, tsg_id: int) -> bool:
         return any(self.channels[cid].pending and not self.channels[cid].faulted
-                   for cid in self.tsgs[tsg_id].channel_ids)
+                   for cid in self.tsgs[tsg_id])
 
-    def _any_runnable(self) -> bool:
-        return any(self._tsg_runnable(t) for t in self.tsgs)
-
-    def _next_runnable_tsg(self) -> TimesliceGroup | None:
-        n = len(self.tsgs)   # TSG ids are 0..n-1 in creation order
+    def _next_runnable_tsg(self) -> int | None:
+        n = len(self.tsgs)
         for step in range(1, n + 1):
-            tsg_id = (self._rr_index + step) % n
+            tsg_id = (self._last_tsg + step) % n
             if self._tsg_runnable(tsg_id):
-                self._rr_index = tsg_id
-                return self.tsgs[tsg_id]
+                return tsg_id
         return None
 
     def run(self, until=None) -> MetricsTrace:
@@ -612,23 +584,17 @@ class Engine:
             raise EngineError("run is not reentrant")
         self._running = True
         try:
+            # every window and timer jump ends with the ready drivers drained,
+            # so a window that finds no group runnable leaves only the timers
             self._run_ready_processes()
-            while True:
-                if until is not None and until(self):
-                    break
+            while until is None or not until(self):
                 if self._run_window():
                     continue
-                self._run_ready_processes()
-                if until is not None and until(self):
+                if not self._timers:
                     break
-                if self._any_runnable():
-                    continue
-                if self._timers:
-                    self.trace.segments.append((self.now, self._timers[0][0], 0.0, 0.0, None))
-                    self.now = self._timers[0][0]
-                    self._run_ready_processes()
-                    continue
-                break
+                self.trace.segments.append((self.now, self._timers[0][0], 0.0, 0.0, None))
+                self.now = self._timers[0][0]
+                self._run_ready_processes()
         finally:
             self._running = False
         self.trace.makespan = self.clock
@@ -640,11 +606,11 @@ class Engine:
         if tsg is None:
             return False
         penalty = self._switch_penalty
-        if penalty and self._last_tsg is not None and self._last_tsg != tsg.id:
+        if penalty and self._last_tsg not in (-1, tsg):
             t = self.now + penalty
             self.trace.segments.append((self.now, t, 0.0, 0.0, None))
             self.now = t
-        self._last_tsg = tsg.id
+        self._last_tsg = tsg
         start = self.clock
         expiry = self.now + self._quantum
         inflight: dict[int, _Inflight] = {}
@@ -666,7 +632,7 @@ class Engine:
             if dt > 0:  # 0 after a timer cut that rounded a flight down to 0
                 cu = compute / stretch / self.config.compute_capacity
                 gu = graphics / stretch / self.config.graphics_capacity
-                self.trace.segments.append((self.now, t_next, cu, gu, tsg.id))
+                self.trace.segments.append((self.now, t_next, cu, gu, tsg))
                 progress = round(dt / stretch)
                 for f in flights:
                     f.remaining -= progress
@@ -678,16 +644,16 @@ class Engine:
                     flight = inflight.pop(cid)
                     self._finish_command(self.channels[cid], flight.cmd)
             self._run_ready_processes()
-        self.trace.windows.append((tsg.id, start, self.clock))
+        self.trace.windows.append((tsg, start, self.clock))
         return True
 
-    def _launch_ready(self, tsg: TimesliceGroup, inflight: dict):
+    def _launch_ready(self, tsg: int, inflight: dict):
         """Start head commands on every pending channel of the active group.
         Loops because zero-duration completions can wake drivers that submit
         more work eligible to start at the same instant."""
         while True:
             progressed = False
-            for cid in tsg.channel_ids:
+            for cid in self.tsgs[tsg]:
                 ch = self.channels[cid]
                 if ch.faulted or cid in inflight or not ch.pending:
                     continue
@@ -695,7 +661,7 @@ class Engine:
                 if cmd is None:
                     continue
                 inflight[cid] = _Inflight(ticks(cmd.base_duration), cmd)
-                self._log("exec_start", ch.id, tsg.id, ch.active_entry.stream_id,
+                self._log("exec_start", ch.id, tsg, ch.active_entry.stream_id,
                           cmd.kind.value, ch.active_entry.seq)
                 progressed = True
             if self._run_ready_processes():

@@ -239,9 +239,10 @@ _WORKLOAD_HEADER = ["env", "mode", "K", "B", "G", "makespan", "throughput",
 
 
 def _collect(metrics: Metrics, run: str, speedup: float, cfg: ExperimentConfig,
-             events: list, utils: list) -> dict:
+             events: list | None, utils: list) -> dict:
     check_all(metrics.trace, run)
-    events += encode_events(metrics.trace.records, run)
+    if events is not None:
+        events += encode_events(metrics.trace.records, run)
     utils += encode_utilization(
         metrics.trace.utilization_samples(cfg.device.utilization_sample_dt), run)
     return {"env": metrics.env, "mode": metrics.mode, "K": metrics.steps,
@@ -264,13 +265,14 @@ def _emit(out_dir: Path, command: str, seed: int, json_events: bool,
 # commands
 
 def _paired_sweep(cfg: ExperimentConfig, batches: list[int], label: str, run,
-                  modes: tuple) -> tuple[list[dict], list, list, tuple[Metrics, Metrics]]:
+                  modes: tuple, json_events: bool
+                  ) -> tuple[list[dict], list | None, list, tuple[Metrics, Metrics]]:
     """Run every batch in the sequential and then the overlapped mode of
     ``modes`` with ``run(batch, mode)``. Returns the summary rows (the
-    overlapped row carries the speedup), the run-tagged events and
-    utilization samples, and the last pair of Metrics. Run labels are
-    ``label.format(batch)`` followed by the mode."""
-    rows, events, utils = [], [], []
+    overlapped row carries the speedup), the run-tagged events (None unless
+    ``json_events``) and utilization samples, and the last pair of Metrics.
+    Run labels are ``label.format(batch)`` followed by the mode."""
+    rows, events, utils = [], [] if json_events else None, []
     for batch in batches:
         seq, over = run(batch, modes[0]), run(batch, modes[1])
         speedup = seq.makespan / over.makespan if over.makespan > 0 else 1.0
@@ -292,7 +294,7 @@ def cmd_datagen(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
                 json_events: bool = False, dump_tables: bool = False) -> list[dict]:
     """Sequential vs pipelined data generation across the batch sweep."""
     rows, events, utils, _ = _paired_sweep(cfg, cfg.batches, "B{}/", _run_datagen(cfg),
-                                           _DATAGEN_MODES)
+                                           _DATAGEN_MODES, json_events)
     _emit(out_dir, "datagen", seed, json_events, _WORKLOAD_HEADER, rows, events, utils)
     return rows
 
@@ -305,7 +307,8 @@ def cmd_rl(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
                               cfg.costs, cfg.device, env=cfg.env)
 
     rows, events, utils, _ = _paired_sweep(
-        cfg, cfg.batches, "B{}/", run, (RolloutMode.SEQUENTIAL, RolloutMode.INTERLEAVED))
+        cfg, cfg.batches, "B{}/", run, (RolloutMode.SEQUENTIAL, RolloutMode.INTERLEAVED),
+        json_events)
     _emit(out_dir, "rl", seed, json_events, _WORKLOAD_HEADER, rows, events, utils)
     return rows
 
@@ -351,12 +354,6 @@ def graft_sweep(cfg: ExperimentConfig, counts: list[int],
     return rows
 
 
-def run_graft_microbenchmark(cfg: ExperimentConfig, n_buffers: int,
-                             dump_tables: bool = False) -> dict:
-    """The one-count view of :func:`graft_sweep`."""
-    return graft_sweep(cfg, [n_buffers], dump_tables)[0]
-
-
 def cmd_graftbench(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
                    json_events: bool = False, dump_tables: bool = False) -> list[dict]:
     """Scaling of memory-sharing cost with the number of shared 2 MiB buffers."""
@@ -381,8 +378,8 @@ def cmd_trace(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
     Fails with an invariant violation if overlap does not raise the mean
     compute utilization.
     """
-    rows, events, utils, (seq, pipe) = _paired_sweep(cfg, cfg.batches[:1], "",
-                                                     _run_datagen(cfg), _DATAGEN_MODES)
+    rows, events, utils, (seq, pipe) = _paired_sweep(
+        cfg, cfg.batches[:1], "", _run_datagen(cfg), _DATAGEN_MODES, json_events)
     if cfg.steps > 0 and pipe.trace.mean_compute_util() <= seq.trace.mean_compute_util():
         raise InvariantViolation(
             "pipelined mean compute utilization not above sequential "

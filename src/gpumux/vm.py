@@ -527,7 +527,7 @@ class MemorySystem:
     def _invalidate_tlb(self, space: AddressSpace):
         spaces = [space]
         if self.propagate_tlb:
-            spaces += [sub for sub, _ in self._subscribers(space)]
+            spaces += [sub for sub, _ in self._fanout[space.id]]
         for s in spaces:
             s.tlb.clear()
             s.tlb_invalidations += 1
@@ -574,12 +574,7 @@ class MemorySystem:
                            entry_writes=len(copies), tlb_invalidations=1)
 
     def _reaches(self, space: AddressSpace, wanted: int) -> bool:
-        return space.id == wanted or any(sub.id == wanted for sub, _ in self._subscribers(space))
-
-    def _subscribers(self, space: AddressSpace) -> tuple:
-        """(subscriber, the space it subscribes to) for every transitive
-        subscriber of `space`, as computed at the last graft."""
-        return self._fanout[space.id]
+        return space.id == wanted or any(sub.id == wanted for sub, _ in self._fanout[space.id])
 
     def _collect_subscribers(self, space: AddressSpace):
         """Yield (subscriber, the space it subscribes to) for every transitive

@@ -17,7 +17,7 @@ from gpumux.channels import ContextKind
 from gpumux.commands import kernel_dispatch
 from gpumux.config import DeviceConfig
 from gpumux.engine import Engine
-from gpumux.harness import ExperimentConfig, run_graft_microbenchmark
+from gpumux.harness import ExperimentConfig, encode_events, graft_sweep
 from gpumux.vm import AllocPolicy, MemorySystem, PageFault, SizeClass
 from gpumux.workloads import (DatagenMode, EpisodeSpec, PhaseCost, RolloutMode,
                               RolloutSpec, run_datagen, run_rl_rollout)
@@ -128,7 +128,7 @@ def test_criterion_3_graft_vs_export_import_scaling():
                            steps=0, batches=[1], groups=1, buffer_counts=[])
     t0 = time.monotonic()
     counts = [4 << i for i in range(12)]  # 4 .. 8192
-    rows = [run_graft_microbenchmark(cfg, n) for n in counts]
+    rows = [graft_sweep(cfg, [n])[0] for n in counts]
     elapsed = time.monotonic() - t0
     export = [r["export_import_ops"] for r in rows]
     graft = [r["graft_ops"] for r in rows]
@@ -305,7 +305,7 @@ def test_criterion_9_determinism_and_exclusivity():
 
     def run_bytes():
         m = run_datagen(EpisodeSpec(12, 48, DatagenMode.PIPELINED), PhaseCost())
-        return ("\n".join(m.trace.event_lines())
+        return ("\n".join(encode_events(m.trace.records))
                 + json.dumps(m.trace.segments) + repr(m.makespan))
 
     identical = run_bytes() == run_bytes()

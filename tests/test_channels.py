@@ -156,9 +156,18 @@ def test_bind_swaps_token_and_grafts_once():
     fwd = e.channels[stream.bound_channel_id]
     assert ch.token == fwd.token != original_token
     assert ch.ring is fwd.ring and ch.userd is fwd.userd
-    pair = (compute.space_id, graphics.space_id)
-    assert pair in e.grafted_pairs
-    assert len(e.grafted_pairs) == 1
+    spaces = e.memory.spaces
+    assert spaces[compute.space_id].subscribers == [graphics.space_id]
+
+
+def test_bind_into_an_already_grafted_pair_grafts_nothing():
+    e, compute, graphics, (stream,) = build()
+    mem = e.memory
+    target = mem.spaces[graphics.space_id]
+    mem.graft(mem.spaces[compute.space_id], target)
+    before = (mem.copy_log.reads, mem.copy_log.writes, target.tlb_invalidations)
+    e.bind(stream, graphics)
+    assert (mem.copy_log.reads, mem.copy_log.writes, target.tlb_invalidations) == before
 
 
 def test_double_bind_rejected():

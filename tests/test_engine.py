@@ -11,6 +11,7 @@ from gpumux.commands import (CommandKind, GpuCommand, graphics_draw, kernel_disp
                              semaphore_write, sleep)
 from gpumux.config import DeviceConfig
 from gpumux.engine import Condition, Engine, SemaphoreAtLeast, TimeReached
+from gpumux.harness import encode_events
 from gpumux.vm import SizeClass
 from gpumux.workloads import PhaseCost, RolloutMode, RolloutSpec, run_rl_rollout
 
@@ -465,7 +466,7 @@ def _trace_bytes():
     e.submit(s2, [kernel_dispatch(1.3, 0.6), kernel_dispatch(0.2, 0.3)])
     e.submit(s1, [kernel_dispatch(0.4, 0.2)])
     trace = e.run()
-    return "\n".join(trace.event_lines()) + json.dumps(trace.segments)
+    return "\n".join(encode_events(trace.records)) + json.dumps(trace.segments)
 
 
 def test_identical_runs_are_byte_identical():

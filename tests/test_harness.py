@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpumux.cli as cli
+import gpumux.harness as harness
 from gpumux.audits import InvariantViolation
 from gpumux.channels import ContextKind
 from gpumux.commands import graphics_draw, kernel_dispatch
 from gpumux.engine import EVENT_FIELDS, Engine
 from gpumux.harness import (ConfigError, cmd_datagen, cmd_graftbench, cmd_rl,
                             cmd_trace, encode_events, encode_utilization, graft_sweep,
-                            parse_config, run_graft_microbenchmark)
+                            parse_config)
 from gpumux.vm import AllocPolicy, MemorySystem, SizeClass
 
 GOOD = """
@@ -151,6 +152,22 @@ def test_rl_outputs(tmp_path):
     assert {row["mode"] for row in rows} == {"sequential", "interleaved"}
 
 
+@pytest.mark.parametrize("command", [cmd_datagen, cmd_rl, cmd_trace])
+def test_events_encoded_only_when_written(tmp_path, monkeypatch, command):
+    cfg = parse_config(write_config(tmp_path))
+    command(cfg, tmp_path / "want")
+
+    def refuse(*args):
+        raise AssertionError("events encoded for a run that writes no events.jsonl")
+
+    monkeypatch.setattr(harness, "encode_events", refuse)
+    command(cfg, tmp_path / "got")
+    for name in ("summary.csv", "utilization.jsonl"):
+        assert (tmp_path / "got" / name).read_bytes() == \
+            (tmp_path / "want" / name).read_bytes()
+    assert not (tmp_path / "got" / "events.jsonl").exists()
+
+
 def _fresh_graft_run(cfg, n_buffers, dump_tables):
     """One graftbench row from fresh tables mapped to exactly n buffers: the
     reference every ``graft_sweep`` row must equal, sharing no code with it."""
@@ -196,7 +213,6 @@ def test_graft_sweep_rows_equal_fresh_runs(tmp_path, counts):
     fresh = _fresh_graft_run(cfg, counts[-1], True)
     assert rows[-1] == fresh
     assert all("tables" not in row for row in rows[:-1])
-    assert run_graft_microbenchmark(cfg, counts[-1], dump_tables=True) == fresh
 
 
 def test_trace_requires_utilization_gain(tmp_path):
@@ -346,8 +362,8 @@ def test_fault_events_write_as_json_dumps_and_round_trip():
     run = 'B1/"faults"'
     assert [line + "\n" for line in encode_events(trace.records, run)] == \
         [_dumps_line({"run": run, **ev}) for ev in trace.events]
-    assert trace.event_lines() == [json.dumps(ev, separators=(",", ":"))
-                                   for ev in trace.events]
+    assert encode_events(trace.records) == [json.dumps(ev, separators=(",", ":"))
+                                            for ev in trace.events]
 
     base = ["time", "event", "channel", "tsg", "stream"]
     for ev, rec in zip(trace.events, trace.records, strict=True):

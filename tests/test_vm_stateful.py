@@ -138,7 +138,7 @@ class GraftPropagation(RuleBasedStateMachine):
                         visit(mem.spaces[sid])
 
             visit(space)
-            assert tuple(mem._subscribers(space)) == tuple(want)
+            assert mem._fanout[space.id] == tuple(want)
             peers = [mem.spaces[p].mapped for p in space.graft_peers]
             assert space.group_mapped[0] is space.mapped
             assert sorted(map(id, space.group_mapped[1:])) == sorted(map(id, peers))
