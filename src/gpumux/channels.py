@@ -12,7 +12,8 @@ snapshot), which is how compute work is redirected into the graphics group.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+
+from .vm import _SlotValue
 
 
 class ChannelError(Exception):
@@ -40,38 +41,15 @@ class ContextKind(enum.Enum):
     GRAPHICS = "graphics"
 
 
-@dataclass(frozen=True)
-class ComputeConfig:
+class ComputeConfig(_SlotValue):
     """Hardware state a channel needs before it can run compute kernels."""
-    local_memory_bytes: int = 64 * 1024
 
-    def __post_init__(self):
-        if self.local_memory_bytes < 0:
+    __slots__ = ("local_memory_bytes",)
+
+    def __init__(self, local_memory_bytes: int = 64 * 1024):
+        if local_memory_bytes < 0:
             raise ValueError("local_memory_bytes must be >= 0")
-
-
-class _SlotValue:
-    """Base of the small values built on every submission: equality, hash and
-    a dataclass-style repr over the fields named in the class's own
-    ``__slots__``. Two values are equal when they are of the same class and
-    their fields are equal."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+        self.local_memory_bytes = local_memory_bytes
 
 
 class UserD:
@@ -138,14 +116,18 @@ class Context:
         self.bound_stream_ids: set[int] = set()
 
 
-@dataclass
-class Snapshot:
+class Snapshot(_SlotValue):
     """Pre-swap submission state of a stream's channel; restoring it must be exact."""
-    ring: Ring
-    userd: UserD
-    token: int
-    get: int
-    put: int
+
+    __slots__ = ("ring", "userd", "token", "get", "put")
+    __hash__ = None   # a mutable record
+
+    def __init__(self, ring: Ring, userd: UserD, token: int, get: int, put: int):
+        self.ring = ring
+        self.userd = userd
+        self.token = token
+        self.get = get
+        self.put = put
 
 
 class StreamHandle:

@@ -7,7 +7,8 @@ from __future__ import annotations
 import enum
 import math
 
-from .channels import ComputeConfig, _SlotValue
+from .channels import ComputeConfig
+from .vm import _SlotValue
 
 
 class CommandKind(enum.Enum):

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .vm import DEFAULT_HIGH_BASE, DEFAULT_LOW_BASE, PageGeometry
+from .vm import DEFAULT_HIGH_BASE, DEFAULT_LOW_BASE, PageGeometry, SizeClass, _SlotValue
 
 TICKS_PER_S = 10**9   # the engine clock counts whole nanoseconds
 
@@ -15,34 +14,50 @@ def ticks(seconds: float) -> int:
     return round(seconds * TICKS_PER_S)
 
 
-@dataclass(frozen=True)
-class DeviceConfig:
-    quantum: float = 0.1
-    context_switch_penalty: float = 0.0
-    hw_max_queues: int = 8          # channels per timeslice group
-    ring_capacity: int = 1024       # submission ring entries per channel
-    compute_capacity: float = 1.0
-    graphics_capacity: float = 1.0
-    utilization_sample_dt: float = 0.5
-    geometry: PageGeometry = field(default_factory=PageGeometry)
-    high_base: int = DEFAULT_HIGH_BASE
-    low_base: int = DEFAULT_LOW_BASE
+class DeviceConfig(_SlotValue):
+    """Device parameters: ``hw_max_queues`` channels per timeslice group and
+    ``ring_capacity`` entries per submission ring. Compute contexts allocate
+    VAs from ``high_base`` up, graphics contexts from ``low_base`` up to it.
+    ``disable_graft`` and ``skip_bootstrap`` are diagnostic knobs: each skips a
+    coherence step (the graft at bind, the bootstrap of a forwarding channel)
+    so tests can show the failure it normally prevents."""
 
-    # Diagnostic knobs. Each one skips a coherence step (the graft at bind,
-    # the bootstrap of a forwarding channel) so tests can show the failure it
-    # normally prevents; both default off.
-    disable_graft: bool = False
-    skip_bootstrap: bool = False
+    __slots__ = ("quantum", "context_switch_penalty", "hw_max_queues", "ring_capacity",
+                 "compute_capacity", "graphics_capacity", "utilization_sample_dt",
+                 "geometry", "high_base", "low_base", "disable_graft", "skip_bootstrap")
 
-    def __post_init__(self):
-        for name in ("quantum", "utilization_sample_dt"):
-            if not 1 <= getattr(self, name) * TICKS_PER_S < math.inf:
+    def __init__(self, quantum: float = 0.1, context_switch_penalty: float = 0.0,
+                 hw_max_queues: int = 8, ring_capacity: int = 1024,
+                 compute_capacity: float = 1.0, graphics_capacity: float = 1.0,
+                 utilization_sample_dt: float = 0.5,
+                 geometry: PageGeometry = PageGeometry(),
+                 high_base: int = DEFAULT_HIGH_BASE, low_base: int = DEFAULT_LOW_BASE,
+                 disable_graft: bool = False, skip_bootstrap: bool = False):
+        for name, value in (("quantum", quantum),
+                            ("utilization_sample_dt", utilization_sample_dt)):
+            if not 1 <= value * TICKS_PER_S < math.inf:
                 raise ValueError(f"{name} must be finite and at least 1 ns")
-        if not 0 <= self.context_switch_penalty < math.inf:
+        if not 0 <= context_switch_penalty < math.inf:
             raise ValueError("context_switch_penalty must be finite and >= 0")
-        if self.hw_max_queues < 2:
+        if hw_max_queues < 2:
             raise ValueError("need at least one app queue and one spare")
-        if self.ring_capacity < 2:
+        if ring_capacity < 2:
             raise ValueError("ring_capacity must be >= 2")
-        if self.compute_capacity <= 0 or self.graphics_capacity <= 0:
+        if compute_capacity <= 0 or graphics_capacity <= 0:
             raise ValueError("resource capacities must be positive")
+        if high_base % SizeClass.SMALL.nbytes or low_base % SizeClass.SMALL.nbytes:
+            raise ValueError("high_base and low_base must be 4 KiB aligned")
+        if not 0 <= low_base < high_base < geometry.va_limit:
+            raise ValueError("need 0 <= low_base < high_base < 2**va_width")
+        self.quantum = quantum
+        self.context_switch_penalty = context_switch_penalty
+        self.hw_max_queues = hw_max_queues
+        self.ring_capacity = ring_capacity
+        self.compute_capacity = compute_capacity
+        self.graphics_capacity = graphics_capacity
+        self.utilization_sample_dt = utilization_sample_dt
+        self.geometry = geometry
+        self.high_base = high_base
+        self.low_base = low_base
+        self.disable_graft = disable_graft
+        self.skip_bootstrap = skip_bootstrap

@@ -39,31 +39,32 @@ order; ``harness.encode_events`` writes them as lines byte-identical to
 
 from __future__ import annotations
 
-import dataclasses
 from bisect import insort
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .channels import (AlreadyBound, Channel, ComputeConfig, Context,
                        ContextKind, GpFifoEntry, NotBound, PoolExhausted, Ring,
-                       RingFull, StreamHandle, _SlotValue, restore_snapshot,
+                       RingFull, StreamHandle, restore_snapshot,
                        swap_submission_state, take_snapshot)
 from .commands import CommandKind, GpuCommand, init_compute, semaphore_write
 from .config import TICKS_PER_S, DeviceConfig, ticks
-from .vm import AllocPolicy, MemorySystem, PageFault, SizeClass
+from .vm import AllocPolicy, MemorySystem, PageFault, SizeClass, _SlotValue
 
 
 class EngineError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class FaultRecord:
-    kind: str                 # "page_fault" | "execution_fault"
-    channel: int
-    time: float
-    vaddr: int | None = None
-    detail: str = ""
+class FaultRecord(_SlotValue):
+    __slots__ = ("kind", "channel", "time", "vaddr", "detail")
+
+    def __init__(self, kind: str, channel: int, time: float, vaddr: int | None = None,
+                 detail: str = ""):
+        self.kind = kind   # "page_fault" | "execution_fault"
+        self.channel = channel
+        self.time = time
+        self.vaddr = vaddr
+        self.detail = detail
 
 
 class Condition(_SlotValue):
@@ -206,7 +207,7 @@ class Engine:
 
     def __init__(self, config: DeviceConfig | None = None):
         self.config = config or DeviceConfig()
-        # DeviceConfig is frozen, so its times convert to ticks once
+        # nothing writes a DeviceConfig, so its times convert to ticks once
         self._quantum = ticks(self.config.quantum)
         self._switch_penalty = ticks(self.config.context_switch_penalty)
         self.memory = MemorySystem(self.config.geometry)
@@ -388,8 +389,7 @@ class Engine:
                     for sid in sorted(ctx.bound_stream_ids)]
         for fwd in fwds:
             self._check_room(fwd)
-        ctx.compute_state = dataclasses.replace(ctx.compute_state,
-                                                local_memory_bytes=nbytes)
+        ctx.compute_state = ComputeConfig(nbytes)
         for fwd in fwds:
             self.bootstrap(fwd, ctx.compute_state)
 

@@ -10,7 +10,6 @@ byte-identical for identical config and seed.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 from .audits import InvariantViolation, check_all
 from .config import DeviceConfig
 from .engine import EVENT_FIELDS
-from .vm import AllocPolicy, MemorySystem, PageGeometry, SizeClass
+from .vm import AllocPolicy, MemorySystem, PageGeometry, SizeClass, _SlotValue
 from .workloads import (ENV_PRESETS, DatagenMode, EpisodeSpec, Metrics, PhaseCost,
                         RolloutMode, RolloutSpec, run_datagen, run_rl_rollout)
 
@@ -78,15 +77,19 @@ _GEOMETRY_KEYS = {"page_levels": "levels", "page_bits_per_level": "bits_per_leve
                   "big_page_level": "big_page_level", "va_width": "va_width"}
 
 
-@dataclasses.dataclass
-class ExperimentConfig:
-    device: DeviceConfig
-    costs: PhaseCost
-    env: str
-    steps: int
-    batches: list[int]
-    groups: int
-    buffer_counts: list[int]
+class ExperimentConfig(_SlotValue):
+    __slots__ = ("device", "costs", "env", "steps", "batches", "groups", "buffer_counts")
+    __hash__ = None   # a mutable record
+
+    def __init__(self, device: DeviceConfig, costs: PhaseCost, env: str, steps: int,
+                 batches: list[int], groups: int, buffer_counts: list[int]):
+        self.device = device
+        self.costs = costs
+        self.env = env
+        self.steps = steps
+        self.batches = batches
+        self.groups = groups
+        self.buffer_counts = buffer_counts
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -142,8 +145,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"line {lineno}: unknown preset '{preset}' "
                           f"(known: {', '.join(sorted(ENV_PRESETS))})")
     base_costs = ENV_PRESETS.get(preset or env, PhaseCost())
+    fields = {name: getattr(base_costs, name) for name in PhaseCost.__slots__}
     try:
-        costs = dataclasses.replace(base_costs, **costs_kv)
+        costs = PhaseCost(**(fields | costs_kv))
     except ValueError as exc:
         raise ConfigError(f"[costs]: {exc}") from None
 
@@ -360,10 +364,11 @@ def cmd_graftbench(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
     rows = graft_sweep(cfg, cfg.buffer_counts, dump_tables)
     tables = rows[-1].pop("tables", None)
     events = []
-    for row in rows:
-        events += encode_events([(0.0, "graftbench", None, None, None,
-                                  tuple(row[f] for f in _GRAFTBENCH_FIELDS))],
-                                f"N{row['n_buffers']}")
+    if json_events:
+        for row in rows:
+            events += encode_events([(0.0, "graftbench", None, None, None,
+                                      tuple(row[f] for f in _GRAFTBENCH_FIELDS))],
+                                    f"N{row['n_buffers']}")
     _emit(out_dir, "graftbench", seed, json_events,
           ["n_buffers", "export_import_ops", "graft_ops"], rows, events, [])
     if tables is not None:

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import compress
 
 
@@ -97,8 +96,39 @@ class SizeClass(enum.Enum):
         self.nbytes = nbytes  # a plain attribute: read on every map and unmap
 
 
-@dataclass(frozen=True)
-class PageGeometry:
+class _SlotValue:
+    """Base of the package's small values: equality, hash and a dataclass-style
+    repr over the fields named in the class's own ``__slots__``. Two values are
+    equal when they are of the same class and their fields are equal. A value
+    is immutable by convention: nothing writes one after it is built. A mutable
+    record sets ``__hash__ = None``, so it compares by field but has no hash."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _DerivedLayout(_SlotValue):
+    """The figures a PageGeometry derives from its fields: slots outside its own
+    ``__slots__``, so they take no part in its equality, hash or repr."""
+
+    __slots__ = ("level_shifts", "fanout", "va_limit")
+
+
+class PageGeometry(_DerivedLayout):
     """Radix layout of the page tables.
 
     Level 0 is the root; small pages map as leaves at the deepest level and
@@ -107,32 +137,30 @@ class PageGeometry:
     higher index bits are simply zero for all valid addresses.
     """
 
-    levels: int = 5
-    bits_per_level: int = 9
-    page_shift: int = 12
-    big_page_level: int = 3
-    va_width: int = 48
-    # right shift that brings a level's index bits down to bit 0
-    level_shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    fanout: int = field(init=False, repr=False, compare=False)  # slots per node
-    va_limit: int = field(init=False, repr=False, compare=False)  # 1 << va_width
+    __slots__ = ("levels", "bits_per_level", "page_shift", "big_page_level", "va_width")
 
-    def __post_init__(self):
-        object.__setattr__(self, "level_shifts", tuple(
-            self.page_shift + self.bits_per_level * (self.levels - 1 - level)
-            for level in range(self.levels)))
-        object.__setattr__(self, "fanout", 1 << self.bits_per_level)
-        object.__setattr__(self, "va_limit", 1 << self.va_width)
-        if self.levels < 2:
+    def __init__(self, levels: int = 5, bits_per_level: int = 9, page_shift: int = 12,
+                 big_page_level: int = 3, va_width: int = 48):
+        # right shift that brings a level's index bits down to bit 0
+        self.level_shifts = tuple(page_shift + bits_per_level * (levels - 1 - level)
+                                  for level in range(levels))
+        self.fanout = 1 << bits_per_level  # slots per node
+        self.va_limit = 1 << va_width
+        if levels < 2:
             raise ValueError("need at least a root and a leaf level")
-        if SizeClass.SMALL.nbytes != 1 << self.page_shift:
+        if SizeClass.SMALL.nbytes != 1 << page_shift:
             raise ValueError("page_shift must match the small page size")
-        if not 0 < self.big_page_level < self.levels:
+        if not 0 < big_page_level < levels:
             raise ValueError("big_page_level out of range")
-        if self.entry_span(self.big_page_level) != SizeClass.BIG.nbytes:
+        if self.entry_span(big_page_level) != SizeClass.BIG.nbytes:
             raise ValueError("big pages must land on a level whose entries span 2 MiB")
-        if self.va_width < self.page_shift + self.bits_per_level:
+        if va_width < page_shift + bits_per_level:
             raise ValueError("va_width too small for this layout")
+        self.levels = levels
+        self.bits_per_level = bits_per_level
+        self.page_shift = page_shift
+        self.big_page_level = big_page_level
+        self.va_width = va_width
 
     def entry_span(self, level: int) -> int:
         """Bytes covered by one entry of a node at `level`."""
@@ -268,18 +296,25 @@ class AddressSpace:
         self.group_mapped: tuple[_IntervalSet, ...] = (self.mapped,)
 
 
-@dataclass
-class CopyEngineLog:
-    reads: int = 0
-    writes: int = 0
+class CopyEngineLog(_SlotValue):
+    __slots__ = ("reads", "writes")
+    __hash__ = None   # a mutable record
+
+    def __init__(self, reads: int = 0, writes: int = 0):
+        self.reads = reads
+        self.writes = writes
 
 
-@dataclass
-class GraftReport:
-    pdes_copied: int = 0
-    max_depth_descended: int = 0
-    entry_writes: int = 0
-    tlb_invalidations: int = 0
+class GraftReport(_SlotValue):
+    __slots__ = ("pdes_copied", "max_depth_descended", "entry_writes", "tlb_invalidations")
+    __hash__ = None   # a mutable record
+
+    def __init__(self, pdes_copied: int = 0, max_depth_descended: int = 0,
+                 entry_writes: int = 0, tlb_invalidations: int = 0):
+        self.pdes_copied = pdes_copied
+        self.max_depth_descended = max_depth_descended
+        self.entry_writes = entry_writes
+        self.tlb_invalidations = tlb_invalidations
 
 
 def _align_up(value: int, align: int) -> int:

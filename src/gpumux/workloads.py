@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .commands import graphics_draw, kernel_dispatch
 from .config import DeviceConfig
-from .channels import ContextKind, _SlotValue
+from .channels import ContextKind
 from .engine import Condition, Engine, MetricsTrace
-from .vm import SizeClass
+from .vm import SizeClass, _SlotValue
 
 
-@dataclass(frozen=True)
-class PhaseCost:
+class PhaseCost(_SlotValue):
     """Phase durations, affine in batch size, plus per-phase resource demand.
 
     The shipped fractions are a calibration choice, not a measurement:
@@ -39,24 +37,26 @@ class PhaseCost:
     units and uses a substantial compute share.
     """
 
-    sim_base: float = 0.9
-    sim_per_env: float = 0.002
-    render_base: float = 0.033
-    render_per_env: float = 0.0065
-    inference_base: float = 0.03
-    inference_per_env: float = 0.0005
-    sim_compute_frac: float = 0.1
-    render_compute_frac: float = 0.6
-    render_graphics_frac: float = 1.0
+    __slots__ = ("sim_base", "sim_per_env", "render_base", "render_per_env",
+                 "inference_base", "inference_per_env", "sim_compute_frac",
+                 "render_compute_frac", "render_graphics_frac")
 
-    def __post_init__(self):
-        for name in ("sim_base", "sim_per_env", "render_base", "render_per_env",
-                     "inference_base", "inference_per_env"):
-            if not 0 <= getattr(self, name) < math.inf:
+    def __init__(self, sim_base: float = 0.9, sim_per_env: float = 0.002,
+                 render_base: float = 0.033, render_per_env: float = 0.0065,
+                 inference_base: float = 0.03, inference_per_env: float = 0.0005,
+                 sim_compute_frac: float = 0.1, render_compute_frac: float = 0.6,
+                 render_graphics_frac: float = 1.0):
+        values = (sim_base, sim_per_env, render_base, render_per_env, inference_base,
+                  inference_per_env, sim_compute_frac, render_compute_frac,
+                  render_graphics_frac)
+        for name, value in zip(self.__slots__[:6], values):
+            if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-        for name in ("sim_compute_frac", "render_compute_frac", "render_graphics_frac"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
+        for name, value in zip(self.__slots__[6:], values[6:]):
+            if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
 
     def sim(self, batch: int) -> float:
         return self.sim_base + self.sim_per_env * batch
@@ -94,33 +94,34 @@ class RolloutMode(enum.Enum):
     INTERLEAVED = "interleaved"
 
 
-@dataclass(frozen=True)
-class EpisodeSpec:
-    steps: int
-    batch: int
-    mode: DatagenMode
+class EpisodeSpec(_SlotValue):
+    __slots__ = ("steps", "batch", "mode")
 
-    def __post_init__(self):
-        if self.steps < 0:
+    def __init__(self, steps: int, batch: int, mode: DatagenMode):
+        if steps < 0:
             raise ValueError("steps must be >= 0 (0 means an empty workload)")
-        if self.batch < 1:
+        if batch < 1:
             raise ValueError("batch must be >= 1")
+        self.steps = steps
+        self.batch = batch
+        self.mode = mode
 
 
-@dataclass(frozen=True)
-class RolloutSpec:
-    horizon: int
-    batch: int
-    groups: int = 2
-    mode: RolloutMode = RolloutMode.INTERLEAVED
+class RolloutSpec(_SlotValue):
+    __slots__ = ("horizon", "batch", "groups", "mode")
 
-    def __post_init__(self):
-        if self.horizon < 0:
+    def __init__(self, horizon: int, batch: int, groups: int = 2,
+                 mode: RolloutMode = RolloutMode.INTERLEAVED):
+        if horizon < 0:
             raise ValueError("horizon must be >= 0")
-        if self.batch < 1 or self.groups < 1:
+        if batch < 1 or groups < 1:
             raise ValueError("batch and groups must be >= 1")
-        if self.batch % self.groups:
+        if batch % groups:
             raise ValueError("groups must divide the batch")
+        self.horizon = horizon
+        self.batch = batch
+        self.groups = groups
+        self.mode = mode
 
 
 class AsyncHandle(_SlotValue):
@@ -136,17 +137,22 @@ class AsyncHandle(_SlotValue):
         self.stream = stream
 
 
-@dataclass
-class Metrics:
-    env: str
-    mode: str
-    steps: int
-    batch: int
-    groups: int
-    makespan: float
-    throughput: float
-    env_steps: int
-    trace: MetricsTrace
+class Metrics(_SlotValue):
+    __slots__ = ("env", "mode", "steps", "batch", "groups", "makespan", "throughput",
+                 "env_steps", "trace")
+    __hash__ = None   # a mutable record
+
+    def __init__(self, env: str, mode: str, steps: int, batch: int, groups: int,
+                 makespan: float, throughput: float, env_steps: int, trace: MetricsTrace):
+        self.env = env
+        self.mode = mode
+        self.steps = steps
+        self.batch = batch
+        self.groups = groups
+        self.makespan = makespan
+        self.throughput = throughput
+        self.env_steps = env_steps
+        self.trace = trace
 
 
 class SimSession:

@@ -1,7 +1,5 @@
 """Contexts, channels, forwarding pools, snapshot-and-swap, bootstrapping."""
 
-import dataclasses
-
 import pytest
 
 from gpumux.channels import AlreadyBound, ContextKind, NotBound, PoolExhausted, RingFull

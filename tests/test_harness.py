@@ -152,7 +152,7 @@ def test_rl_outputs(tmp_path):
     assert {row["mode"] for row in rows} == {"sequential", "interleaved"}
 
 
-@pytest.mark.parametrize("command", [cmd_datagen, cmd_rl, cmd_trace])
+@pytest.mark.parametrize("command", [cmd_datagen, cmd_rl, cmd_trace, cmd_graftbench])
 def test_events_encoded_only_when_written(tmp_path, monkeypatch, command):
     cfg = parse_config(write_config(tmp_path))
     command(cfg, tmp_path / "want")
@@ -256,6 +256,20 @@ def test_cli_quantum_below_one_tick_exits_2(tmp_path, capsys):
     assert cli.main(["datagen", "--config", str(path), "--out",
                      str(tmp_path / "out")]) == 2
     assert "quantum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("high_base = 0x700000000001", "aligned"),
+    ("low_base = 0x100000800", "aligned"),
+    ("low_base = 0x700000000000", "low_base < high_base"),
+    ("high_base = 0x1000000000000", "high_base < 2**va_width"),
+], ids=["high_unaligned", "low_unaligned", "low_not_below_high", "high_at_va_limit"])
+def test_cli_bad_va_base_exits_2(tmp_path, capsys, line, message):
+    path = write_config(tmp_path, GOOD.replace("[device]", f"[device]\n{line}"))
+    out = tmp_path / "out"
+    assert cli.main(["datagen", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("groups, rc", [(8, 2), (3, 0)])
