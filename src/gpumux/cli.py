@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 config error (including a submission ring too small
-for the workload, which is only found while it runs), 3 internal invariant
-violation.
+for the workload, which is only found while it runs) or an ``--out`` that
+cannot be written (such as the path of an existing file, found before the
+first run), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -41,10 +42,14 @@ def main(argv: list[str] | None = None) -> int:
     command = _COMMANDS[args.command][0]
     try:
         cfg = parse_config(args.config)
-        command(cfg, Path(args.out), seed=args.seed, json_events=args.json_events,
-                dump_tables=args.dump_tables)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        command(cfg, Path(args.out), seed=args.seed, json_events=args.json_events,
+                dump_tables=args.dump_tables)
+    except OSError as exc:   # a command reads no file: this is writing --out
+        print(f"cannot write outputs to --out: {exc}", file=sys.stderr)
         return 2
     except RingFull as exc:
         print(f"config error: {exc}; raise ring_capacity in [device]", file=sys.stderr)

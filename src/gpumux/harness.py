@@ -1,16 +1,23 @@
 """Experiment runner: config files, sweeps, and golden-file-friendly outputs.
 
 Configs are flat ``key = value`` text grouped in sections. Unknown sections or
-keys are rejected with the offending line number, and all values validate
-before any engine is constructed. Each command writes a ``summary.csv``, a
-``utilization.jsonl``, and (on request) an ``events.jsonl`` whose rows carry a
-``run`` label so the CSV is recomputable from the event log. Outputs are
-byte-identical for identical config and seed.
+keys, and a key given twice in one section, are rejected with the offending
+line number, and all values validate before any engine is constructed. Each
+command writes a ``summary.csv``, a ``utilization.jsonl``, and (on request) an
+``events.jsonl`` whose rows carry a ``run`` label so the CSV is recomputable
+from the event log. Outputs are byte-identical for identical config and seed.
+
+The JSONL files are written run by run, as each run is audited and encoded,
+so memory follows one run rather than the whole sweep. They go to temporary
+files in the output directory, and every file moves into place only when the
+command succeeds: a failed command leaves the directory as it found it.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from itertools import takewhile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -116,6 +123,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         value = value.strip()
         if key not in _SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in [{section}]")
+        if (section, key) in values:
+            first = values[(section, key)][1]
+            raise ConfigError(f"line {lineno}: key '{key}' in [{section}] already set "
+                              f"on line {first}")
         try:
             parsed = _SCHEMA[section][key](value)
         except ValueError as exc:
@@ -180,10 +191,10 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[dict]):
+def _csv(header: list[str], rows: list[dict]) -> str:
     lines = [",".join(header)]
     lines += [",".join(_fmt(row[h]) for h in header) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # Fixed-schema JSONL writer. Each line is exactly what
@@ -234,8 +245,71 @@ def encode_utilization(samples: list[tuple], run: str | None = None) -> list[str
             for t, cu, gu, tsg in samples]
 
 
-def _write_lines(path: Path, lines: list[str]):
-    path.write_text("\n".join(lines) + "\n" if lines else "")
+class _Outputs:
+    """The output files of one command, written while it runs.
+
+    Each file goes to a temporary ``.<name>.tmp`` in ``out_dir``:
+    ``utilization.jsonl``, and ``events.jsonl`` (which starts with the meta
+    line) when ``json_events`` is set, are opened on entering the ``with``
+    block, before the first run, and take one block of lines per run.
+    ``commit`` writes ``summary.csv`` and moves every file into place.
+    Leaving the block without a commit, as an exception does, deletes the
+    temporary files and the directories that this writer created, so a failed
+    command leaves ``out_dir`` as it found it.
+    """
+
+    def __init__(self, out_dir: Path, command: str, seed: int, json_events: bool):
+        self.out_dir = out_dir
+        self.json_events = json_events
+        self._meta = json.dumps({"meta": {"command": command, "seed": seed}},
+                                separators=(",", ":")) + "\n"
+        self._files = {}      # final name -> open temporary file
+        self._created = []    # directories made by __enter__, deepest first
+
+    def __enter__(self) -> _Outputs:
+        missing = list(takewhile(lambda d: not d.exists(),
+                                 (self.out_dir, *self.out_dir.parents)))
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            self._created = missing
+            self.add("utilization.jsonl", "")
+            if self.json_events:
+                self.add("events.jsonl", self._meta)
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc_info):
+        for name, f in self._files.items():
+            f.close()
+            self._temp(name).unlink()
+        self._files.clear()
+        for d in self._created:
+            d.rmdir()
+
+    def _temp(self, name: str) -> Path:
+        return self.out_dir / f".{name}.tmp"
+
+    def write(self, name: str, lines: list[str]):
+        """Append ``lines`` to an open JSONL file, one per line."""
+        if lines:
+            f = self._files[name]
+            f.write("\n".join(lines))
+            f.write("\n")
+
+    def add(self, name: str, text: str):
+        """Open the temporary file of ``name`` and write ``text`` to it."""
+        self._files[name] = f = open(self._temp(name), "w")
+        f.write(text)
+
+    def commit(self, header: list[str], rows: list[dict]):
+        """Write ``summary.csv`` and move every file into place."""
+        self.add("summary.csv", _csv(header, rows))
+        self._created = []
+        for name in list(self._files):
+            self._files.pop(name).close()
+            os.replace(self._temp(name), self.out_dir / name)
 
 
 _WORKLOAD_HEADER = ["env", "mode", "K", "B", "G", "makespan", "throughput",
@@ -243,47 +317,37 @@ _WORKLOAD_HEADER = ["env", "mode", "K", "B", "G", "makespan", "throughput",
 
 
 def _collect(metrics: Metrics, run: str, speedup: float, cfg: ExperimentConfig,
-             events: list | None, utils: list) -> dict:
+             out: _Outputs) -> dict:
     check_all(metrics.trace, run)
-    if events is not None:
-        events += encode_events(metrics.trace.records, run)
-    utils += encode_utilization(
-        metrics.trace.utilization_samples(cfg.device.utilization_sample_dt), run)
+    if out.json_events:
+        out.write("events.jsonl", encode_events(metrics.trace.records, run))
+    out.write("utilization.jsonl", encode_utilization(
+        metrics.trace.utilization_samples(cfg.device.utilization_sample_dt), run))
     return {"env": metrics.env, "mode": metrics.mode, "K": metrics.steps,
             "B": metrics.batch, "G": metrics.groups, "makespan": metrics.makespan,
             "throughput": metrics.throughput, "speedup_vs_sequential": speedup}
-
-
-def _emit(out_dir: Path, command: str, seed: int, json_events: bool,
-          header: list[str], rows: list[dict], events: list, utils: list):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "summary.csv", header, rows)
-    _write_lines(out_dir / "utilization.jsonl", utils)
-    if json_events:
-        meta = json.dumps({"meta": {"command": command, "seed": seed}},
-                          separators=(",", ":"))
-        _write_lines(out_dir / "events.jsonl", [meta] + events)
 
 
 # ----------------------------------------------------------------------
 # commands
 
 def _paired_sweep(cfg: ExperimentConfig, batches: list[int], label: str, run,
-                  modes: tuple, json_events: bool
-                  ) -> tuple[list[dict], list | None, list, tuple[Metrics, Metrics]]:
+                  modes: tuple, out: _Outputs
+                  ) -> tuple[list[dict], tuple[Metrics, Metrics]]:
     """Run every batch in the sequential and then the overlapped mode of
-    ``modes`` with ``run(batch, mode)``. Returns the summary rows (the
-    overlapped row carries the speedup), the run-tagged events (None unless
-    ``json_events``) and utilization samples, and the last pair of Metrics.
-    Run labels are ``label.format(batch)`` followed by the mode."""
-    rows, events, utils = [], [] if json_events else None, []
+    ``modes`` with ``run(batch, mode)``, writing each run's lines to ``out``.
+    Returns the summary rows (the overlapped row carries the speedup) and the
+    last pair of Metrics. Run labels are ``label.format(batch)`` followed by
+    the mode."""
+    rows = []
     for batch in batches:
+        seq = over = metrics = None   # free the last batch's traces before this one runs
         seq, over = run(batch, modes[0]), run(batch, modes[1])
         speedup = seq.makespan / over.makespan if over.makespan > 0 else 1.0
         for metrics, gain in ((seq, 1.0), (over, speedup)):
             rows.append(_collect(metrics, label.format(batch) + metrics.mode, gain, cfg,
-                                 events, utils))
-    return rows, events, utils, (seq, over)
+                                 out))
+    return rows, (seq, over)
 
 
 def _run_datagen(cfg: ExperimentConfig):
@@ -297,9 +361,10 @@ _DATAGEN_MODES = (DatagenMode.SEQUENTIAL, DatagenMode.PIPELINED)
 def cmd_datagen(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
                 json_events: bool = False, dump_tables: bool = False) -> list[dict]:
     """Sequential vs pipelined data generation across the batch sweep."""
-    rows, events, utils, _ = _paired_sweep(cfg, cfg.batches, "B{}/", _run_datagen(cfg),
-                                           _DATAGEN_MODES, json_events)
-    _emit(out_dir, "datagen", seed, json_events, _WORKLOAD_HEADER, rows, events, utils)
+    with _Outputs(out_dir, "datagen", seed, json_events) as out:
+        rows, _ = _paired_sweep(cfg, cfg.batches, "B{}/", _run_datagen(cfg),
+                                _DATAGEN_MODES, out)
+        out.commit(_WORKLOAD_HEADER, rows)
     return rows
 
 
@@ -310,10 +375,10 @@ def cmd_rl(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
         return run_rl_rollout(RolloutSpec(cfg.steps, batch, cfg.groups, mode),
                               cfg.costs, cfg.device, env=cfg.env)
 
-    rows, events, utils, _ = _paired_sweep(
-        cfg, cfg.batches, "B{}/", run, (RolloutMode.SEQUENTIAL, RolloutMode.INTERLEAVED),
-        json_events)
-    _emit(out_dir, "rl", seed, json_events, _WORKLOAD_HEADER, rows, events, utils)
+    with _Outputs(out_dir, "rl", seed, json_events) as out:
+        rows, _ = _paired_sweep(cfg, cfg.batches, "B{}/", run,
+                                (RolloutMode.SEQUENTIAL, RolloutMode.INTERLEAVED), out)
+        out.commit(_WORKLOAD_HEADER, rows)
     return rows
 
 
@@ -361,18 +426,17 @@ def graft_sweep(cfg: ExperimentConfig, counts: list[int],
 def cmd_graftbench(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
                    json_events: bool = False, dump_tables: bool = False) -> list[dict]:
     """Scaling of memory-sharing cost with the number of shared 2 MiB buffers."""
-    rows = graft_sweep(cfg, cfg.buffer_counts, dump_tables)
-    tables = rows[-1].pop("tables", None)
-    events = []
-    if json_events:
-        for row in rows:
-            events += encode_events([(0.0, "graftbench", None, None, None,
-                                      tuple(row[f] for f in _GRAFTBENCH_FIELDS))],
-                                    f"N{row['n_buffers']}")
-    _emit(out_dir, "graftbench", seed, json_events,
-          ["n_buffers", "export_import_ops", "graft_ops"], rows, events, [])
-    if tables is not None:
-        (out_dir / "tables.json").write_text(json.dumps(tables, indent=2) + "\n")
+    with _Outputs(out_dir, "graftbench", seed, json_events) as out:
+        rows = graft_sweep(cfg, cfg.buffer_counts, dump_tables)
+        tables = rows[-1].pop("tables", None)
+        if json_events:
+            for row in rows:
+                record = (0.0, "graftbench", None, None, None,
+                          tuple(row[f] for f in _GRAFTBENCH_FIELDS))
+                out.write("events.jsonl", encode_events([record], f"N{row['n_buffers']}"))
+        if tables is not None:
+            out.add("tables.json", json.dumps(tables, indent=2) + "\n")
+        out.commit(["n_buffers", "export_import_ops", "graft_ops"], rows)
     return rows
 
 
@@ -383,11 +447,13 @@ def cmd_trace(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
     Fails with an invariant violation if overlap does not raise the mean
     compute utilization.
     """
-    rows, events, utils, (seq, pipe) = _paired_sweep(
-        cfg, cfg.batches[:1], "", _run_datagen(cfg), _DATAGEN_MODES, json_events)
-    if cfg.steps > 0 and pipe.trace.mean_compute_util() <= seq.trace.mean_compute_util():
-        raise InvariantViolation(
-            "pipelined mean compute utilization not above sequential "
-            f"({pipe.trace.mean_compute_util()} <= {seq.trace.mean_compute_util()})")
-    _emit(out_dir, "trace", seed, json_events, _WORKLOAD_HEADER, rows, events, utils)
+    with _Outputs(out_dir, "trace", seed, json_events) as out:
+        rows, (seq, pipe) = _paired_sweep(cfg, cfg.batches[:1], "", _run_datagen(cfg),
+                                          _DATAGEN_MODES, out)
+        if cfg.steps > 0 and \
+                pipe.trace.mean_compute_util() <= seq.trace.mean_compute_util():
+            raise InvariantViolation(
+                "pipelined mean compute utilization not above sequential "
+                f"({pipe.trace.mean_compute_util()} <= {seq.trace.mean_compute_util()})")
+        out.commit(_WORKLOAD_HEADER, rows)
     return rows

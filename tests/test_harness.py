@@ -1,6 +1,9 @@
 """Config validation, experiment outputs, determinism, and the CLI surface."""
 
+import gc
 import json
+import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 import gpumux.cli as cli
 import gpumux.harness as harness
 from gpumux.audits import InvariantViolation
-from gpumux.channels import ContextKind
+from gpumux.channels import ContextKind, RingFull
 from gpumux.commands import graphics_draw, kernel_dispatch
 from gpumux.engine import EVENT_FIELDS, Engine
 from gpumux.harness import (ConfigError, cmd_datagen, cmd_graftbench, cmd_rl,
@@ -78,6 +81,19 @@ def test_bad_value_reports_line(tmp_path):
     assert "quantum" in str(exc.value)
 
 
+def test_duplicate_key_reports_both_lines(tmp_path):
+    # strict like configparser: a repeated key is an error, not "last one wins",
+    # also when its section is opened a second time
+    bad = GOOD.replace("steps = 6", "steps = 2\nsteps = 3")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(write_config(tmp_path, bad))
+    assert "'steps'" in str(exc.value)
+    assert "line 14" in str(exc.value) and "line 13" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(write_config(tmp_path, GOOD + "[device]\nquantum = 0.2\n"))
+    assert "'quantum'" in str(exc.value) and "line 4" in str(exc.value)
+
+
 def test_invalid_device_values_rejected(tmp_path):
     bad = GOOD.replace("quantum = 0.1", "quantum = -1.0")
     with pytest.raises(ConfigError):
@@ -110,9 +126,8 @@ def test_datagen_outputs_and_speedups(tmp_path):
     cfg = parse_config(write_config(tmp_path))
     out = tmp_path / "out"
     rows = cmd_datagen(cfg, out, json_events=True)
-    assert (out / "summary.csv").exists()
-    assert (out / "utilization.jsonl").exists()
-    assert (out / "events.jsonl").exists()
+    # no temporary file is left behind
+    assert sorted(os.listdir(out)) == ["events.jsonl", "summary.csv", "utilization.jsonl"]
     assert len(rows) == 4  # 2 batches x 2 modes
     for row in rows:
         if row["mode"] == "pipelined":
@@ -166,6 +181,68 @@ def test_events_encoded_only_when_written(tmp_path, monkeypatch, command):
         assert (tmp_path / "got" / name).read_bytes() == \
             (tmp_path / "want" / name).read_bytes()
     assert not (tmp_path / "got" / "events.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", [cmd_datagen, cmd_rl])
+def test_peak_memory_follows_one_batch(tmp_path, command):
+    # each run's lines are written as the run ends: a sweep of four equal
+    # batches peaks near one batch, where keeping the lines to the end grows
+    # with the sweep (about 3x here)
+    def traced_peak(batches):
+        text = GOOD.replace("steps = 6", "steps = 20").replace(
+            "batches = 16 32", "batches = " + " ".join(["16"] * batches))
+        cfg = parse_config(write_config(tmp_path, text))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            command(cfg, tmp_path / "out", json_events=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = traced_peak(1)
+    assert traced_peak(4) < 1.5 * one
+
+
+def _snapshot(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+def _ring_full_on_third_run(monkeypatch, name):
+    real, calls = getattr(harness, name), []
+
+    def runner(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RingFull("engineered failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, runner)
+
+
+def _break_trace_check(monkeypatch):
+    # two sequential runs: the utilization check after the sweep must fail
+    monkeypatch.setattr(harness, "_DATAGEN_MODES", (harness.DatagenMode.SEQUENTIAL,) * 2)
+
+
+@pytest.mark.parametrize("command, error, sabotage", [
+    (cmd_datagen, RingFull, lambda mp: _ring_full_on_third_run(mp, "run_datagen")),
+    (cmd_rl, RingFull, lambda mp: _ring_full_on_third_run(mp, "run_rl_rollout")),
+    (cmd_trace, InvariantViolation, _break_trace_check),
+], ids=["datagen", "rl", "trace"])
+def test_failed_command_leaves_out_as_it_found_it(tmp_path, monkeypatch, command, error,
+                                                  sabotage):
+    cfg = parse_config(write_config(tmp_path))
+    previous = tmp_path / "previous"
+    command(cfg, previous, json_events=True)
+    before = _snapshot(previous)
+    for out in (previous, tmp_path / "fresh" / "out"):
+        with monkeypatch.context() as mp:
+            sabotage(mp)
+            with pytest.raises(error):
+                command(cfg, out, json_events=True)
+    assert _snapshot(previous) == before
+    assert not (tmp_path / "fresh").exists()
 
 
 def _fresh_graft_run(cfg, n_buffers, dump_tables):
@@ -270,6 +347,19 @@ def test_cli_bad_va_base_exits_2(tmp_path, capsys, line, message):
     assert cli.main(["datagen", "--config", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_out_naming_a_file_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started for an --out that cannot be written")
+
+    monkeypatch.setattr(harness, "run_datagen", refuse)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert cli.main(["datagen", "--config", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 2
+    assert "cannot write outputs to --out" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("groups, rc", [(8, 2), (3, 0)])
