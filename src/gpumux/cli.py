@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 config error (including a submission ring too small
-for the workload, which is only found while it runs) or an ``--out`` that
-cannot be written (such as the path of an existing file, found before the
-first run), 3 internal invariant violation.
+Exit codes: 0 success, 2 config error (including a ``--config`` path that
+cannot be read, such as a missing file or a directory, and a submission ring
+too small for the workload, which is only found while it runs) or an
+``--out`` that cannot be written (such as the path of an existing file, found
+before the first run), 3 internal invariant violation.
 """
 
 from __future__ import annotations

@@ -148,23 +148,38 @@ class MetricsTrace:
 
     def utilization_samples(self, sample_dt: float) -> list[tuple]:
         """Fixed-interval averages of the exact utilization segments, one
-        ``(time, compute_util, graphics_util, tsg)`` row per interval."""
+        ``(time, compute_util, graphics_util, tsg)`` row per interval.
+
+        A bin is the sum of ``util * overlap / width`` over the segments that
+        overlap it, in segment order. Segments do not overlap, so a bin that
+        lies wholly inside a segment gets only that segment's values: those
+        bins are filled by one slice assignment per segment and share the
+        segment's value objects (which lets the writer format them once). At
+        most two partial bins per segment are summed.
+        """
         width = ticks(sample_dt)
         n_bins = -(-ticks(self.makespan) // width)
         acc_c = [0.0] * n_bins
         acc_g = [0.0] * n_bins
         tsg_of = [None] * n_bins
         for t0, t1, cu, gu, tsg in self.segments:
-            i = t0 // width
-            while t0 < t1:
-                hi = min(t1, (i + 1) * width)
-                frac = (hi - t0) / width
-                acc_c[i] += cu * frac
-                acc_g[i] += gu * frac
-                if tsg is not None and tsg_of[i] is None:
-                    tsg_of[i] = tsg
-                t0 = hi
-                i += 1
+            lo, hi = -(-t0 // width), t1 // width   # bins lo .. hi-1 lie wholly inside
+            if lo > hi:   # t0 and t1 in bin hi
+                partial = ((hi, t0, t1),)
+            else:
+                if lo < hi:
+                    # what 0.0 + cu * 1.0 gives: cu itself, but -0.0 becomes 0.0
+                    acc_c[lo:hi] = [cu or 0.0] * (hi - lo)
+                    acc_g[lo:hi] = [gu or 0.0] * (hi - lo)
+                    tsg_of[lo:hi] = [tsg] * (hi - lo)
+                partial = ((lo - 1, t0, lo * width), (hi, hi * width, t1))
+            for i, a, b in partial:
+                if a < b:
+                    frac = (b - a) / width
+                    acc_c[i] += cu * frac
+                    acc_g[i] += gu * frac
+                    if tsg is not None and tsg_of[i] is None:
+                        tsg_of[i] = tsg
         return [(i * width / TICKS_PER_S, acc_c[i], acc_g[i], tsg_of[i])
                 for i in range(n_bins)]
 

@@ -2,10 +2,11 @@
 
 Configs are flat ``key = value`` text grouped in sections. Unknown sections or
 keys, and a key given twice in one section, are rejected with the offending
-line number, and all values validate before any engine is constructed. Each
-command writes a ``summary.csv``, a ``utilization.jsonl``, and (on request) an
-``events.jsonl`` whose rows carry a ``run`` label so the CSV is recomputable
-from the event log. Outputs are byte-identical for identical config and seed.
+line number, a file that cannot be read is rejected too, and all values
+validate before any engine is constructed. Each command writes a
+``summary.csv``, a ``utilization.jsonl``, and (on request) an ``events.jsonl``
+whose rows carry a ``run`` label so the CSV is recomputable from the event
+log. Outputs are byte-identical for identical config and seed.
 
 The JSONL files are written run by run, as each run is audited and encoded,
 so memory follows one run rather than the whole sweep. They go to temporary
@@ -101,8 +102,11 @@ class ExperimentConfig(_SlotValue):
 
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Parse and fully validate a config file; raises ConfigError with the
-    offending line number on any problem."""
-    text = Path(path).read_text()
+    offending line number on any problem, and for a file that cannot be read."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     section = None
     values: dict[tuple[str, str], tuple[object, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -201,9 +205,17 @@ def _csv(header: list[str], rows: list[dict]) -> str:
 # ``json.dumps({"run": run, **row}, separators=(",", ":"))`` gives for a row
 # with finite floats: one ``%`` template per event kind, built once, with the
 # keys and the event name baked in. ``time`` and the utilization values are
-# floats (``%r``), channel, TSG and stream are ints or None, and only the
+# floats (``repr``), channel, TSG and stream are ints or None, and only the
 # extras go through ``_json``: None, str (quoted by the C function that
 # ``json.dumps`` itself uses for a str), int or float.
+#
+# Each distinct value is formatted once. An event time is shared by several
+# records, so ``encode_events`` keeps one text per time for the run; a zero
+# is formatted in place, since ``0.0 == -0.0`` but they print differently.
+# The bins of ``utilization_samples`` that lie wholly inside one segment hold
+# that segment's value objects, so ``encode_utilization`` reuses the previous
+# row's text after the time when the row holds the same objects (``is``, not
+# ``==``, for the same reason).
 
 def _json(value) -> str:
     if value is None:
@@ -215,10 +227,11 @@ def _json(value) -> str:
 
 _GRAFTBENCH_FIELDS = ("export_import_ops", "graft_ops")
 _EVENT_BODIES = {
-    kind: ('"time":%r,"event":' + json.dumps(kind) + ',"channel":%s,"tsg":%s,"stream":%s'
+    kind: ('"time":%s,"event":' + json.dumps(kind) + ',"channel":%s,"tsg":%s,"stream":%s'
            + "".join(f",{json.dumps(f)}:%s" for f in fields) + "}")
     for kind, fields in {**EVENT_FIELDS, "graftbench": _GRAFTBENCH_FIELDS}.items()}
-_UTIL_BODY = '"time":%r,"compute_util":%r,"graphics_util":%r,"tsg":%s}'
+_UTIL_HEAD = '"time":%r,"compute_util":%s'
+_UTIL_TAIL = '%r,"graphics_util":%r,"tsg":%s}'
 
 
 def _prefix(run: str | None) -> str:
@@ -228,11 +241,22 @@ def _prefix(run: str | None) -> str:
     return '{"run":' + json.dumps(run).replace("%", "%%") + ","
 
 
+class _TimeTexts(dict):
+    """``repr`` of each event time, formatted on first use; zeros are not kept."""
+
+    def __missing__(self, t):
+        text = repr(t)
+        if t:
+            self[t] = text
+        return text
+
+
 def encode_events(records: list[tuple], run: str | None = None) -> list[str]:
     """One JSON line (without newline) per ``MetricsTrace.records`` entry."""
     prefix = _prefix(run)
     templates = {kind: prefix + body for kind, body in _EVENT_BODIES.items()}
-    return [templates[kind] % (t, "null" if ch is None else ch,
+    times = _TimeTexts()
+    return [templates[kind] % (times[t], "null" if ch is None else ch,
                                "null" if tsg is None else tsg,
                                "null" if stream is None else stream, *map(_json, extras))
             for t, kind, ch, tsg, stream, extras in records]
@@ -240,9 +264,15 @@ def encode_events(records: list[tuple], run: str | None = None) -> list[str]:
 
 def encode_utilization(samples: list[tuple], run: str | None = None) -> list[str]:
     """One JSON line (without newline) per ``utilization_samples`` row."""
-    template = _prefix(run) + _UTIL_BODY
-    return [template % (t, cu, gu, "null" if tsg is None else tsg)
-            for t, cu, gu, tsg in samples]
+    template = _prefix(run) + _UTIL_HEAD
+    lines = []
+    last_cu = last_gu = last_tsg = object()
+    for t, cu, gu, tsg in samples:
+        if cu is not last_cu or gu is not last_gu or tsg is not last_tsg:
+            last_cu, last_gu, last_tsg = cu, gu, tsg
+            tail = _UTIL_TAIL % (cu, gu, "null" if tsg is None else tsg)
+        lines.append(template % (t, tail))
+    return lines
 
 
 class _Outputs:

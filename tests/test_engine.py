@@ -4,13 +4,15 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpumux.audits import check_all, check_temporal_exclusivity
 from gpumux.channels import ComputeConfig, ContextKind, GpFifoEntry
 from gpumux.commands import (CommandKind, GpuCommand, graphics_draw, kernel_dispatch,
                              semaphore_write, sleep)
-from gpumux.config import DeviceConfig
-from gpumux.engine import Condition, Engine, SemaphoreAtLeast, TimeReached
+from gpumux.config import TICKS_PER_S, DeviceConfig
+from gpumux.engine import Condition, Engine, MetricsTrace, SemaphoreAtLeast, TimeReached
 from gpumux.harness import encode_events
 from gpumux.vm import SizeClass
 from gpumux.workloads import PhaseCost, RolloutMode, RolloutSpec, run_rl_rollout
@@ -458,6 +460,77 @@ def test_utilization_reflects_resource_fractions():
     trace = e.run()
     assert trace.compute_busy() == pytest.approx(0.5)
     assert trace.mean_compute_util() == pytest.approx(0.25)
+
+
+def _per_bin_samples(segments, makespan_ticks, width):
+    """The utilization bins summed one bin at a time: the reference for
+    ``MetricsTrace.utilization_samples``."""
+    n_bins = -(-makespan_ticks // width)
+    acc_c = [0.0] * n_bins
+    acc_g = [0.0] * n_bins
+    tsg_of = [None] * n_bins
+    for t0, t1, cu, gu, tsg in segments:
+        i = t0 // width
+        while t0 < t1:
+            hi = min(t1, (i + 1) * width)
+            frac = (hi - t0) / width
+            acc_c[i] += cu * frac
+            acc_g[i] += gu * frac
+            if tsg is not None and tsg_of[i] is None:
+                tsg_of[i] = tsg
+            t0 = hi
+            i += 1
+    return [(i * width / TICKS_PER_S, acc_c[i], acc_g[i], tsg_of[i]) for i in range(n_bins)]
+
+
+_UTIL = st.floats(0.0, 8.0, allow_subnormal=False) | st.sampled_from([0.0, -0.0, 1.0, 0.5])
+
+
+@st.composite
+def _segment_runs(draw):
+    """A bin width in ticks, sorted non-overlapping segments, and a makespan
+    at or after the last segment's end."""
+    width = draw(st.integers(1, 40))
+    length = st.integers(0, 3 * width) | st.integers(1, 30).map(lambda k: k * width)
+    t, segments = draw(st.integers(0, 2 * width)), []
+    for _ in range(draw(st.integers(0, 12))):
+        t += draw(st.sampled_from([0, 0, 0, 1, width]))   # mostly contiguous
+        t1 = t + draw(length)
+        segments.append((t, t1, draw(_UTIL), draw(_UTIL),
+                         draw(st.none() | st.integers(0, 3))))
+        t = t1
+    return width, segments, t + draw(st.integers(0, 2 * width))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(run=_segment_runs())
+def test_utilization_samples_match_per_bin_reference(run):
+    width, segments, makespan_ticks = run
+    trace = MetricsTrace()
+    trace.segments = segments
+    trace.makespan = makespan_ticks / TICKS_PER_S
+    samples = trace.utilization_samples(width / TICKS_PER_S)
+    # repr, not ==: 0.0 == -0.0 but they print differently
+    assert [tuple(map(repr, row)) for row in samples] == \
+        [tuple(map(repr, row)) for row in _per_bin_samples(segments, makespan_ticks, width)]
+    # work conservation, within one tick of each segment's utilization
+    binned = sum(cu * width for _, cu, _, _ in samples)
+    exact = sum((t1 - t0) * cu for t0, t1, cu, _, _ in segments)
+    assert abs(binned - exact) <= sum(cu for _, _, cu, _, _ in segments)
+
+
+def test_whole_bins_share_their_segments_values():
+    trace = MetricsTrace()
+    cu, gu = 0.1 + 0.2, 0.7
+    trace.segments = [(0, 5, 0.5, 0.0, None), (5, 95, cu, gu, 3), (95, 100, -0.0, -0.0, 1)]
+    trace.makespan = 100 / TICKS_PER_S
+    samples = trace.utilization_samples(10 / TICKS_PER_S)
+    assert [row[3] for row in samples] == [3] * 10   # the first group seen in a bin
+    # bins 1 .. 8 lie wholly inside the second segment and hold its objects
+    assert all(row[1] is cu and row[2] is gu for row in samples[1:9])
+    # the partial bins are sums, and a whole bin of -0.0 would be 0.0
+    assert repr(samples[0][1]) == repr(0.5 * 0.5 + cu * 0.5)
+    assert repr(samples[9][1]) == repr(cu * 0.5 + -0.0 * 0.5)
 
 
 def _trace_bytes():

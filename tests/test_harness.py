@@ -328,6 +328,22 @@ def test_cli_config_error_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("make", [lambda tmp: tmp / "missing.ini", lambda tmp: tmp],
+                         ids=["missing_file", "directory"])
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, make):
+    out = tmp_path / "out"
+    assert cli.main(["datagen", "--config", str(make(tmp_path)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read ")
+    assert not out.exists()
+
+
+def test_undecodable_config_is_a_config_error(tmp_path):
+    path = tmp_path / "binary.ini"
+    path.write_bytes(b"[device]\nquantum = \xff\xfe\n")
+    with pytest.raises(ConfigError):
+        parse_config(path)
+
+
 def test_cli_quantum_below_one_tick_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, GOOD.replace("quantum = 0.1", "quantum = 1e-10"))
     assert cli.main(["datagen", "--config", str(path), "--out",
@@ -444,6 +460,56 @@ def test_utilization_writer_matches_json_dumps(rows, run):
     keys = ("time", "compute_util", "graphics_util", "tsg")
     assert [line + "\n" for line in lines] == [_dumps_line({"run": run, **dict(zip(keys, r))})
                                                for r in rows]
+
+
+def _event_lines(records, run):
+    label = {} if run is None else {"run": run}
+    return [_dumps_line({**label, "time": t, "event": kind, "channel": ch, "tsg": tsg,
+                         "stream": stream, **dict(zip(EVENT_FIELDS[kind], extras))})
+            for t, kind, ch, tsg, stream, extras in records]
+
+
+def _copy_float(value):
+    """The same float value, held in a new object."""
+    return float(repr(value))
+
+
+_SHARED_TIME = 0.1 + 0.2
+
+
+@pytest.mark.parametrize("times", [
+    [_SHARED_TIME] * 40,
+    [_SHARED_TIME, _copy_float(_SHARED_TIME), 0.30000000000000004, _SHARED_TIME, 1e16,
+     _copy_float(1e16)],
+    [0.0, -0.0, 0.0, -0.0, _copy_float(-0.0), 1.5, -0.0],
+    [-0.0, 0.0, _copy_float(0.0), -0.0],
+], ids=["one_object", "equal_values_in_different_objects", "zero_then_negative_zero",
+        "negative_zero_first"])
+def test_event_writer_shares_times_exactly(times):
+    records = [(t, "semaphore", i % 3, None, i, (i, None)) for i, t in enumerate(times)]
+    records += [(t, "doorbell", None, 2, None, (7,)) for t in reversed(times)]
+    for run in ("B1/x", None):
+        assert [line + "\n" for line in encode_events(records, run)] == \
+            _event_lines(records, run)
+
+
+_UTIL_KEYS = ("time", "compute_util", "graphics_util", "tsg")
+_CU, _GU = 0.1 + 0.2, 2 / 3
+
+
+@pytest.mark.parametrize("rows", [
+    [(i / 10, _CU, _GU, 4) for i in range(30)],
+    [(0.0, _CU, _GU, 4), (0.1, _CU, _GU, None), (0.2, _CU, _copy_float(_GU), None),
+     (0.3, _copy_float(_CU), _copy_float(_GU), None), (0.4, 0.0, 0.0, None),
+     (0.5, 0.0, 0.0, None)],
+    [(0.0, 0.0, 0.0, 1), (0.1, -0.0, 0.0, 1), (0.2, 0.0, 0.0, 1), (0.3, 0.0, -0.0, 1),
+     (0.4, _copy_float(-0.0), 0.0, 1)],
+    [(0.0, 0.5, 0.5, 1), (0.1, 0.5, 0.5, 1), (0.2, 0.5, 0.5, 2), (0.3, 0.5, 0.5, 2)],
+], ids=["shared_tails", "equal_tails_in_different_objects",
+        "zero_then_negative_zero", "same_utils_new_group"])
+def test_utilization_writer_shares_tails_exactly(rows):
+    assert [line + "\n" for line in encode_utilization(rows, "B1/x")] == \
+        [_dumps_line({"run": "B1/x", **dict(zip(_UTIL_KEYS, r))}) for r in rows]
 
 
 def test_fault_events_write_as_json_dumps_and_round_trip():
