@@ -40,6 +40,7 @@ order; ``harness.encode_events`` writes them as lines byte-identical to
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Iterator
 from heapq import heappop, heappush
 
 from .channels import (AlreadyBound, Channel, ComputeConfig, Context,
@@ -146,42 +147,43 @@ class MetricsTrace:
     def mean_compute_util(self) -> float:
         return self.compute_busy() / self.makespan if self.makespan > 0 else 0.0
 
-    def utilization_samples(self, sample_dt: float) -> list[tuple]:
+    def utilization_samples(self, sample_dt: float) -> Iterator[tuple]:
         """Fixed-interval averages of the exact utilization segments, one
         ``(time, compute_util, graphics_util, tsg)`` row per interval.
 
         A bin is the sum of ``util * overlap / width`` over the segments that
-        overlap it, in segment order. Segments do not overlap, so a bin that
-        lies wholly inside a segment gets only that segment's values: those
-        bins are filled by one slice assignment per segment and share the
-        segment's value objects (which lets the writer format them once). At
-        most two partial bins per segment are summed.
+        overlap it, in segment order. The rows are yielded segment by segment:
+        a bin is final, and yielded, once the next segment starts past it, so
+        a run's rows are never held at once. Segments do not overlap, so a bin
+        that lies wholly inside a segment gets only that segment's values:
+        those rows share the segment's value objects (which lets the writer
+        format them once). At most two partial bins per segment are summed.
         """
         width = ticks(sample_dt)
-        n_bins = -(-ticks(self.makespan) // width)
-        acc_c = [0.0] * n_bins
-        acc_g = [0.0] * n_bins
-        tsg_of = [None] * n_bins
-        for t0, t1, cu, gu, tsg in self.segments:
+        end = -(-ticks(self.makespan) // width) * width
+        i, c, g, k = 0, 0.0, 0.0, None   # the open bin and its sums; bins before i are out
+        # an empty last segment at the end of the last bin closes every bin
+        for t0, t1, cu, gu, tsg in self.segments + [(end, end, 0.0, 0.0, None)]:
             lo, hi = -(-t0 // width), t1 // width   # bins lo .. hi-1 lie wholly inside
-            if lo > hi:   # t0 and t1 in bin hi
-                partial = ((hi, t0, t1),)
-            else:
-                if lo < hi:
-                    # what 0.0 + cu * 1.0 gives: cu itself, but -0.0 becomes 0.0
-                    acc_c[lo:hi] = [cu or 0.0] * (hi - lo)
-                    acc_g[lo:hi] = [gu or 0.0] * (hi - lo)
-                    tsg_of[lo:hi] = [tsg] * (hi - lo)
-                partial = ((lo - 1, t0, lo * width), (hi, hi * width, t1))
-            for i, a, b in partial:
+            # a whole bin holds what 0.0 + cu * 1.0 gives: cu itself, but -0.0 becomes 0.0
+            whole_c, whole_g = cu or 0.0, gu or 0.0
+            # the part in t0's bin (all of the segment if t1 is in that bin
+            # too), then the part in bin hi
+            for j, a, b in ((lo - 1, t0, min(lo * width, t1)),
+                            (hi, max(lo, hi) * width, t1)):
+                while i < j:   # every bin before j is final
+                    if i < lo:
+                        yield i * width / TICKS_PER_S, c, g, k
+                        c, g, k = 0.0, 0.0, None
+                    else:
+                        yield i * width / TICKS_PER_S, whole_c, whole_g, tsg
+                    i += 1
                 if a < b:
                     frac = (b - a) / width
-                    acc_c[i] += cu * frac
-                    acc_g[i] += gu * frac
-                    if tsg is not None and tsg_of[i] is None:
-                        tsg_of[i] = tsg
-        return [(i * width / TICKS_PER_S, acc_c[i], acc_g[i], tsg_of[i])
-                for i in range(n_bins)]
+                    c += cu * frac
+                    g += gu * frac
+                    if tsg is not None and k is None:
+                        k = tsg
 
     @property
     def events(self) -> list[dict]:

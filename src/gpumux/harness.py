@@ -9,16 +9,27 @@ whose rows carry a ``run`` label so the CSV is recomputable from the event
 log. Outputs are byte-identical for identical config and seed.
 
 The JSONL files are written run by run, as each run is audited and encoded,
-so memory follows one run rather than the whole sweep. They go to temporary
-files in the output directory, and every file moves into place only when the
-command succeeds: a failed command leaves the directory as it found it.
+in blocks of ``_CHUNK`` lines, so memory follows one run and one block of its
+lines rather than the whole sweep. They go to temporary files in the output
+directory, and every file moves into place only when the command succeeds: a
+failed command leaves the directory as it found it.
+
+A paired sweep (``datagen``, ``rl``, ``trace``) uses two processes, so it
+needs POSIX ``os.fork``: a forked child runs, audits and encodes the
+sequential runs and sends their lines through a pipe, while this process runs
+the overlapped runs, and the lines are written in the order of one process.
+The memory of each process follows one run. A failure in a batch is
+reproduced by running that batch again in this process, as one process runs
+it, so the command raises the exception one process raises.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import os
-from itertools import takewhile
+from collections.abc import Iterable, Iterator
+from itertools import islice, takewhile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -216,6 +227,9 @@ def _csv(header: list[str], rows: list[dict]) -> str:
 # that segment's value objects, so ``encode_utilization`` reuses the previous
 # row's text after the time when the row holds the same objects (``is``, not
 # ``==``, for the same reason).
+#
+# Both encoders yield their lines one at a time, and ``_blocks`` joins them
+# ``_CHUNK`` lines at a time, so a run's lines are never held at once.
 
 def _json(value) -> str:
     if value is None:
@@ -251,28 +265,36 @@ class _TimeTexts(dict):
         return text
 
 
-def encode_events(records: list[tuple], run: str | None = None) -> list[str]:
+def encode_events(records: list[tuple], run: str | None = None) -> Iterator[str]:
     """One JSON line (without newline) per ``MetricsTrace.records`` entry."""
     prefix = _prefix(run)
     templates = {kind: prefix + body for kind, body in _EVENT_BODIES.items()}
     times = _TimeTexts()
-    return [templates[kind] % (times[t], "null" if ch is None else ch,
+    return (templates[kind] % (times[t], "null" if ch is None else ch,
                                "null" if tsg is None else tsg,
                                "null" if stream is None else stream, *map(_json, extras))
-            for t, kind, ch, tsg, stream, extras in records]
+            for t, kind, ch, tsg, stream, extras in records)
 
 
-def encode_utilization(samples: list[tuple], run: str | None = None) -> list[str]:
+def encode_utilization(samples: Iterable[tuple], run: str | None = None) -> Iterator[str]:
     """One JSON line (without newline) per ``utilization_samples`` row."""
     template = _prefix(run) + _UTIL_HEAD
-    lines = []
     last_cu = last_gu = last_tsg = object()
     for t, cu, gu, tsg in samples:
         if cu is not last_cu or gu is not last_gu or tsg is not last_tsg:
             last_cu, last_gu, last_tsg = cu, gu, tsg
             tail = _UTIL_TAIL % (cu, gu, "null" if tsg is None else tsg)
-        lines.append(template % (t, tail))
-    return lines
+        yield template % (t, tail)
+
+
+_CHUNK = 256   # lines per block written to a file or sent between processes
+
+
+def _blocks(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` joined by newlines ``_CHUNK`` at a time (no line is empty)."""
+    lines = iter(lines)
+    while block := "\n".join(islice(lines, _CHUNK)):
+        yield block
 
 
 class _Outputs:
@@ -281,7 +303,7 @@ class _Outputs:
     Each file goes to a temporary ``.<name>.tmp`` in ``out_dir``:
     ``utilization.jsonl``, and ``events.jsonl`` (which starts with the meta
     line) when ``json_events`` is set, are opened on entering the ``with``
-    block, before the first run, and take one block of lines per run.
+    block, before the first run, and take the lines of each run in blocks.
     ``commit`` writes ``summary.csv`` and moves every file into place.
     Leaving the block without a commit, as an exception does, deletes the
     temporary files and the directories that this writer created, so a failed
@@ -321,12 +343,21 @@ class _Outputs:
     def _temp(self, name: str) -> Path:
         return self.out_dir / f".{name}.tmp"
 
-    def write(self, name: str, lines: list[str]):
-        """Append ``lines`` to an open JSONL file, one per line."""
-        if lines:
-            f = self._files[name]
-            f.write("\n".join(lines))
-            f.write("\n")
+    def write(self, name: str, block: str):
+        """Append a block of ``_blocks`` lines to an open JSONL file."""
+        f = self._files[name]
+        f.write(block)
+        f.write("\n")
+
+    def tell(self) -> dict:
+        """The position of each open file, flushed, for ``rewind``."""
+        return {name: f.tell() for name, f in self._files.items()}
+
+    def rewind(self, marks: dict):
+        """Cut each file back to its position in ``marks``."""
+        for name, pos in marks.items():
+            self._files[name].seek(pos)
+            self._files[name].truncate()
 
     def add(self, name: str, text: str):
         """Open the temporary file of ``name`` and write ``text`` to it."""
@@ -347,12 +378,14 @@ _WORKLOAD_HEADER = ["env", "mode", "K", "B", "G", "makespan", "throughput",
 
 
 def _collect(metrics: Metrics, run: str, speedup: float, cfg: ExperimentConfig,
-             out: _Outputs) -> dict:
+             out: _Outputs | _PipeOutputs) -> dict:
     check_all(metrics.trace, run)
     if out.json_events:
-        out.write("events.jsonl", encode_events(metrics.trace.records, run))
-    out.write("utilization.jsonl", encode_utilization(
-        metrics.trace.utilization_samples(cfg.device.utilization_sample_dt), run))
+        for block in _blocks(encode_events(metrics.trace.records, run)):
+            out.write("events.jsonl", block)
+    samples = metrics.trace.utilization_samples(cfg.device.utilization_sample_dt)
+    for block in _blocks(encode_utilization(samples, run)):
+        out.write("utilization.jsonl", block)
     return {"env": metrics.env, "mode": metrics.mode, "K": metrics.steps,
             "B": metrics.batch, "G": metrics.groups, "makespan": metrics.makespan,
             "throughput": metrics.throughput, "speedup_vs_sequential": speedup}
@@ -361,23 +394,158 @@ def _collect(metrics: Metrics, run: str, speedup: float, cfg: ExperimentConfig,
 # ----------------------------------------------------------------------
 # commands
 
+class _SequentialRuns:
+    """A forked child that runs the sequential run of each batch of a paired
+    sweep, audits and encodes it, and sends it to this process in a pipe.
+
+    Per run the child sends ``marshal`` pairs: ``(file name, block)`` for
+    each block of its lines, then ``(None, (summary row, mean compute
+    utilization))``, or ``(None, None)`` if the run raised. The exception
+    itself is not sent: the parent runs the batch again to raise it. The
+    child leaves only through ``os._exit``, since returning into the caller
+    would run the clean-up of the parent's ``_Outputs``.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, batches: list[int], label: str, run,
+                 mode, json_events: bool):
+        r, w = os.pipe()
+        try:   # room for a run's lines, so that the child need not wait for this process
+            import fcntl
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
+        except (AttributeError, OSError):   # not Linux, or over the user's pipe quota
+            pass
+        try:
+            self.pid = os.fork()
+        except OSError as exc:   # not an --out error, which is what cli.main takes it for
+            os.close(r)
+            os.close(w)
+            raise RuntimeError(f"cannot fork the sequential runs: {exc}") from None
+        if self.pid == 0:
+            try:
+                os.close(r)
+                with open(w, "wb") as pipe:
+                    _send_runs(cfg, batches, label, run, mode, json_events, pipe)
+            finally:
+                os._exit(0)
+        os.close(w)
+        self._pipe = open(r, "rb")
+
+    def receive(self, out: _Outputs) -> tuple[dict, float]:
+        """Write the next run's blocks to ``out``; return its summary row and
+        mean compute utilization."""
+        name, payload = self._load()
+        while name is not None:
+            out.write(name, payload)
+            name, payload = self._load()
+        if payload is None:
+            raise RuntimeError("a sequential run raised in the child")
+        return payload
+
+    def _load(self):
+        try:
+            return marshal.load(self._pipe)
+        except EOFError:
+            code = self.close(kill=False)
+            raise RuntimeError(f"the process of the sequential runs ended with exit "
+                               f"status {code} before sending its result") from None
+
+    def close(self, kill: bool):
+        """Reap the child, killing it first if ``kill``; returns its exit
+        status (minus the signal number if a signal ended it), or None if it
+        was reaped before."""
+        if not self.pid:
+            return None
+        pid, self.pid = self.pid, 0
+        self._pipe.close()
+        if kill:
+            from signal import SIGKILL
+            os.kill(pid, SIGKILL)
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+class _PipeOutputs:
+    """What ``_collect`` writes to in the child: each block goes to the parent."""
+
+    def __init__(self, pipe, json_events: bool):
+        self.pipe = pipe
+        self.json_events = json_events
+
+    def write(self, name: str | None, block):
+        marshal.dump((name, block), self.pipe)
+
+
+def _send_runs(cfg: ExperimentConfig, batches: list[int], label: str, run, mode,
+               json_events: bool, pipe):
+    """The child's side of ``_SequentialRuns``."""
+    out = _PipeOutputs(pipe, json_events)
+    for batch in batches:
+        metrics = None   # free the last run's trace before this one runs
+        try:
+            metrics = run(batch, mode)
+            row = _collect(metrics, label.format(batch) + metrics.mode, 1.0, cfg, out)
+            result = row, metrics.trace.mean_compute_util()
+        except Exception:
+            out.write(None, None)
+            return
+        out.write(None, result)
+        pipe.flush()
+
+
+def _pair(cfg: ExperimentConfig, batch: int, label: str, run, modes: tuple,
+          out: _Outputs, child: _SequentialRuns | None
+          ) -> tuple[list[dict], tuple[float, float]]:
+    """One batch of ``_paired_sweep``: both summary rows, and both mean
+    compute utilizations. The sequential run comes from ``child``; without
+    one, both run here, in the order and with the calls of one process."""
+    seq = None if child else run(batch, modes[0])
+    over = run(batch, modes[1])
+    if child:
+        seq_row, seq_util = child.receive(out)
+    else:
+        seq_row = _collect(seq, label.format(batch) + seq.mode, 1.0, cfg, out)
+        seq_util = seq.trace.mean_compute_util()
+    speedup = seq_row["makespan"] / over.makespan if over.makespan > 0 else 1.0
+    over_row = _collect(over, label.format(batch) + over.mode, speedup, cfg, out)
+    return [seq_row, over_row], (seq_util, over.trace.mean_compute_util())
+
+
 def _paired_sweep(cfg: ExperimentConfig, batches: list[int], label: str, run,
                   modes: tuple, out: _Outputs
-                  ) -> tuple[list[dict], tuple[Metrics, Metrics]]:
+                  ) -> tuple[list[dict], tuple[float, float]]:
     """Run every batch in the sequential and then the overlapped mode of
     ``modes`` with ``run(batch, mode)``, writing each run's lines to ``out``.
     Returns the summary rows (the overlapped row carries the speedup) and the
-    last pair of Metrics. Run labels are ``label.format(batch)`` followed by
-    the mode."""
+    mean compute utilizations of the last pair. Run labels are
+    ``label.format(batch)`` followed by the mode.
+
+    A forked child runs the sequential runs while this process runs the
+    overlapped ones; the lines go to ``out`` in the order one process writes
+    them. If anything in a batch fails, the child is killed, the batch's
+    lines are cut off, and that batch and the rest run here, so the command
+    raises what one process raises. A child that ends without sending its
+    run raises a RuntimeError naming its exit status."""
     rows = []
-    for batch in batches:
-        seq = over = metrics = None   # free the last batch's traces before this one runs
-        seq, over = run(batch, modes[0]), run(batch, modes[1])
-        speedup = seq.makespan / over.makespan if over.makespan > 0 else 1.0
-        for metrics, gain in ((seq, 1.0), (over, speedup)):
-            rows.append(_collect(metrics, label.format(batch) + metrics.mode, gain, cfg,
-                                 out))
-    return rows, (seq, over)
+    marks = out.tell()   # this flushes the files: the child inherits no unwritten text
+    child = _SequentialRuns(cfg, batches, label, run, modes[0], out.json_events)
+    try:
+        for batch in batches:
+            if child.pid:
+                try:
+                    pair, utils = _pair(cfg, batch, label, run, modes, out, child)
+                except Exception:
+                    if not child.pid:   # it ended without sending its run
+                        raise
+                    child.close(kill=True)
+                    out.rewind(marks)
+            if not child.pid:
+                pair, utils = _pair(cfg, batch, label, run, modes, out, None)
+            rows += pair
+            marks = out.tell()
+    except BaseException:
+        child.close(kill=True)
+        raise
+    child.close(kill=False)
+    return rows, utils
 
 
 def _run_datagen(cfg: ExperimentConfig):
@@ -463,7 +631,8 @@ def cmd_graftbench(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
             for row in rows:
                 record = (0.0, "graftbench", None, None, None,
                           tuple(row[f] for f in _GRAFTBENCH_FIELDS))
-                out.write("events.jsonl", encode_events([record], f"N{row['n_buffers']}"))
+                for block in _blocks(encode_events([record], f"N{row['n_buffers']}")):
+                    out.write("events.jsonl", block)
         if tables is not None:
             out.add("tables.json", json.dumps(tables, indent=2) + "\n")
         out.commit(["n_buffers", "export_import_ops", "graft_ops"], rows)
@@ -478,12 +647,10 @@ def cmd_trace(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
     compute utilization.
     """
     with _Outputs(out_dir, "trace", seed, json_events) as out:
-        rows, (seq, pipe) = _paired_sweep(cfg, cfg.batches[:1], "", _run_datagen(cfg),
-                                          _DATAGEN_MODES, out)
-        if cfg.steps > 0 and \
-                pipe.trace.mean_compute_util() <= seq.trace.mean_compute_util():
-            raise InvariantViolation(
-                "pipelined mean compute utilization not above sequential "
-                f"({pipe.trace.mean_compute_util()} <= {seq.trace.mean_compute_util()})")
+        rows, (seq_util, pipe_util) = _paired_sweep(
+            cfg, cfg.batches[:1], "", _run_datagen(cfg), _DATAGEN_MODES, out)
+        if cfg.steps > 0 and pipe_util <= seq_util:
+            raise InvariantViolation("pipelined mean compute utilization not above "
+                                     f"sequential ({pipe_util} <= {seq_util})")
         out.commit(_WORKLOAD_HEADER, rows)
     return rows

@@ -449,7 +449,7 @@ def test_idle_run_has_zero_utilization_samples():
 
     e.spawn(driver())
     trace = e.run()
-    samples = trace.utilization_samples(0.5)
+    samples = list(trace.utilization_samples(0.5))
     assert len(samples) == 4
     assert all(cu == 0.0 and gu == 0.0 for _, cu, gu, _ in samples)
 
@@ -509,7 +509,7 @@ def test_utilization_samples_match_per_bin_reference(run):
     trace = MetricsTrace()
     trace.segments = segments
     trace.makespan = makespan_ticks / TICKS_PER_S
-    samples = trace.utilization_samples(width / TICKS_PER_S)
+    samples = list(trace.utilization_samples(width / TICKS_PER_S))
     # repr, not ==: 0.0 == -0.0 but they print differently
     assert [tuple(map(repr, row)) for row in samples] == \
         [tuple(map(repr, row)) for row in _per_bin_samples(segments, makespan_ticks, width)]
@@ -524,7 +524,7 @@ def test_whole_bins_share_their_segments_values():
     cu, gu = 0.1 + 0.2, 0.7
     trace.segments = [(0, 5, 0.5, 0.0, None), (5, 95, cu, gu, 3), (95, 100, -0.0, -0.0, 1)]
     trace.makespan = 100 / TICKS_PER_S
-    samples = trace.utilization_samples(10 / TICKS_PER_S)
+    samples = list(trace.utilization_samples(10 / TICKS_PER_S))
     assert [row[3] for row in samples] == [3] * 10   # the first group seen in a bin
     # bins 1 .. 8 lie wholly inside the second segment and hold its objects
     assert all(row[1] is cu and row[2] is gu for row in samples[1:9])

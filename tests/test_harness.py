@@ -19,6 +19,7 @@ from gpumux.harness import (ConfigError, cmd_datagen, cmd_graftbench, cmd_rl,
                             cmd_trace, encode_events, encode_utilization, graft_sweep,
                             parse_config)
 from gpumux.vm import AllocPolicy, MemorySystem, SizeClass
+from gpumux.workloads import DatagenMode, RolloutMode
 
 GOOD = """
 # small but complete experiment
@@ -208,14 +209,14 @@ def _snapshot(path):
     return {p.name: p.read_bytes() for p in path.iterdir()}
 
 
-def _ring_full_on_third_run(monkeypatch, name):
-    real, calls = getattr(harness, name), []
+def _ring_full_at(monkeypatch, name, batch, mode):
+    # the run of one (batch, mode) raises, in whichever process runs it
+    real = getattr(harness, name)
 
-    def runner(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 3:
+    def runner(spec, *args, **kwargs):
+        if (spec.batch, spec.mode) == (batch, mode):
             raise RingFull("engineered failure")
-        return real(*args, **kwargs)
+        return real(spec, *args, **kwargs)
 
     monkeypatch.setattr(harness, name, runner)
 
@@ -225,9 +226,13 @@ def _break_trace_check(monkeypatch):
     monkeypatch.setattr(harness, "_DATAGEN_MODES", (harness.DatagenMode.SEQUENTIAL,) * 2)
 
 
+# batch 16 is written before batch 32 fails: in datagen its sequential run
+# (the child's), in rl its interleaved run (the parent's)
 @pytest.mark.parametrize("command, error, sabotage", [
-    (cmd_datagen, RingFull, lambda mp: _ring_full_on_third_run(mp, "run_datagen")),
-    (cmd_rl, RingFull, lambda mp: _ring_full_on_third_run(mp, "run_rl_rollout")),
+    (cmd_datagen, RingFull,
+     lambda mp: _ring_full_at(mp, "run_datagen", 32, DatagenMode.SEQUENTIAL)),
+    (cmd_rl, RingFull,
+     lambda mp: _ring_full_at(mp, "run_rl_rollout", 32, RolloutMode.INTERLEAVED)),
     (cmd_trace, InvariantViolation, _break_trace_check),
 ], ids=["datagen", "rl", "trace"])
 def test_failed_command_leaves_out_as_it_found_it(tmp_path, monkeypatch, command, error,
@@ -243,6 +248,109 @@ def test_failed_command_leaves_out_as_it_found_it(tmp_path, monkeypatch, command
                 command(cfg, out, json_events=True)
     assert _snapshot(previous) == before
     assert not (tmp_path / "fresh").exists()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("mode", [None, DatagenMode.SEQUENTIAL, DatagenMode.PIPELINED],
+                         ids=["success", "child_run_fails", "parent_run_fails"])
+def test_paired_sweep_leaves_no_child(tmp_path, monkeypatch, mode):
+    cfg = parse_config(write_config(tmp_path))
+    want = cmd_datagen(cfg, tmp_path / "want", json_events=True)
+    _assert_no_child_left()
+    if mode is None:
+        assert cmd_datagen(cfg, tmp_path / "got", json_events=True) == want
+    else:
+        _ring_full_at(monkeypatch, "run_datagen", 32, mode)
+        with pytest.raises(RingFull, match="^engineered failure$"):
+            cmd_datagen(cfg, tmp_path / "got", json_events=True)
+    _assert_no_child_left()
+
+
+def test_child_that_exits_raises_its_exit_status(tmp_path, monkeypatch):
+    cfg = parse_config(write_config(tmp_path))
+    previous = tmp_path / "previous"
+    cmd_datagen(cfg, previous, json_events=True)
+    before = _snapshot(previous)
+    parent, real = os.getpid(), harness.run_datagen
+
+    def runner(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(7)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_datagen", runner)
+    for out in (previous, tmp_path / "fresh" / "out"):
+        # not an OSError, which the CLI would report as an unwritable --out
+        with pytest.raises(RuntimeError, match="exit status 7 ") as info:
+            cli.main(["datagen", "--config", str(write_config(tmp_path)), "--out",
+                      str(out), "--json-events"])
+        assert not isinstance(info.value, OSError)
+        _assert_no_child_left()
+    assert _snapshot(previous) == before
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_batch_that_fails_only_in_the_child_is_rewritten_whole(tmp_path, monkeypatch):
+    # the child sends batch 32's events, then fails; the parent cuts those
+    # lines off and runs the batch itself, so no line is written twice
+    cfg = parse_config(write_config(tmp_path))
+    cmd_datagen(cfg, tmp_path / "want", json_events=True)
+    parent, real = os.getpid(), harness.encode_utilization
+
+    def encode(samples, run=None):
+        if os.getpid() != parent and run == "B32/sequential":
+            raise MemoryError("engineered failure")
+        return real(samples, run)
+
+    monkeypatch.setattr(harness, "encode_utilization", encode)
+    cmd_datagen(cfg, tmp_path / "got", json_events=True)
+    assert _snapshot(tmp_path / "got") == _snapshot(tmp_path / "want")
+    _assert_no_child_left()
+
+
+def test_audit_failure_in_a_child_run_names_run_index_and_kind(tmp_path, monkeypatch):
+    real = harness.run_datagen
+
+    def runner(spec, *args, **kwargs):
+        metrics = real(spec, *args, **kwargs)
+        if (spec.batch, spec.mode) == (32, DatagenMode.SEQUENTIAL):
+            # the last semaphore value of a stream seen once more: not rising
+            records = metrics.trace.records
+            records.append(next(r for r in reversed(records)
+                                if r[1] == "semaphore" and r[4] is not None))
+        return metrics
+
+    monkeypatch.setattr(harness, "run_datagen", runner)
+    with pytest.raises(InvariantViolation) as info:
+        cmd_datagen(parse_config(write_config(tmp_path)), tmp_path / "out")
+    # what one process raised before the sequential runs moved to a child
+    assert (info.value.run, info.value.index, info.value.kind) == \
+        ("B32/sequential", 72, "semaphores_monotonic")
+    assert str(info.value) == "run B32/sequential: event 72: stream 1 semaphore went 6 -> 6"
+    _assert_no_child_left()
+
+
+def test_peak_memory_follows_one_chunk_of_utilization_rows(tmp_path):
+    # the rows of a run are yielded, encoded and written a chunk at a time:
+    # 21540 rows (at 1e-4) must not raise the peak much above 6 rows (at 0.5)
+    def traced_peak(dt):
+        text = GOOD.replace("steps = 6", "steps = 1").replace(
+            "batches = 16 32", "batches = 16").replace(
+            "[device]", f"[device]\nutilization_sample_dt = {dt}")
+        cfg = parse_config(write_config(tmp_path, text))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cmd_datagen(cfg, tmp_path / "out")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(1e-4) < 1.5 * traced_peak(0.5)
 
 
 def _fresh_graft_run(cfg, n_buffers, dump_tables):
@@ -443,7 +551,7 @@ _WRITER_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None,
 @_WRITER_SETTINGS
 @given(records=st.lists(_records(), max_size=6), run=_RUN)
 def test_event_writer_matches_json_dumps(records, run):
-    lines = encode_events(records, run)
+    lines = list(encode_events(records, run))
     assert len(lines) == len(records)
     for line, (t, kind, ch, tsg, stream, extras) in zip(lines, records):
         row = {"run": run, "time": t, "event": kind, "channel": ch, "tsg": tsg,
@@ -532,8 +640,8 @@ def test_fault_events_write_as_json_dumps_and_round_trip():
     run = 'B1/"faults"'
     assert [line + "\n" for line in encode_events(trace.records, run)] == \
         [_dumps_line({"run": run, **ev}) for ev in trace.events]
-    assert encode_events(trace.records) == [json.dumps(ev, separators=(",", ":"))
-                                            for ev in trace.events]
+    assert list(encode_events(trace.records)) == [json.dumps(ev, separators=(",", ":"))
+                                                  for ev in trace.events]
 
     base = ["time", "event", "channel", "tsg", "stream"]
     for ev, rec in zip(trace.events, trace.records, strict=True):

@@ -162,7 +162,7 @@ def test_equal_work_across_modes():
 def test_empty_episode_is_a_no_op():
     m = run_datagen(EpisodeSpec(0, 8, DatagenMode.PIPELINED), BALANCED)
     assert m.makespan == 0.0
-    assert m.trace.utilization_samples(0.5) == []
+    assert list(m.trace.utilization_samples(0.5)) == []
 
 
 def test_pipelined_faults_clean():
