@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 config error (including a ``--config`` path that
-cannot be read, such as a missing file or a directory, and a submission ring
-too small for the workload, which is only found while it runs) or an
-``--out`` that cannot be written (such as the path of an existing file, found
-before the first run), 3 internal invariant violation.
+cannot be read, such as a missing file or a directory, a submission ring too
+small for the workload and a VA window too small for what the command maps,
+such as ``graftbench``'s largest buffer count, both only found while the
+command runs) or an ``--out`` that cannot be written (such as the path of an
+existing file, found before the first run), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 from .audits import InvariantViolation
 from .channels import RingFull
 from .harness import ConfigError, cmd_datagen, cmd_graftbench, cmd_rl, cmd_trace, parse_config
+from .vm import AddressSpaceExhausted
 
 _COMMANDS = {
     "datagen": (cmd_datagen, "sequential vs pipelined data generation sweep"),
@@ -54,6 +56,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RingFull as exc:
         print(f"config error: {exc}; raise ring_capacity in [device]", file=sys.stderr)
+        return 2
+    except AddressSpaceExhausted as exc:
+        print(f"config error: {exc}; widen that window in [device] (compute spaces get "
+              "high_base to 2**va_width, graphics spaces low_base to high_base)",
+              file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -586,11 +586,16 @@ def graft_sweep(cfg: ExperimentConfig, counts: list[int],
     graft-and-propagate vs a 2-ops-per-buffer export/import model.
 
     One run serves every row: both sides get a small resident footprint, the
-    graft runs once, then ``max(counts)`` buffers are mapped on the source.
-    The map sequence is deterministic, so the row for n is the state after
-    the first n maps, the same as a fresh run to n. Graft cost is the initial
-    merge's entry writes, plus subscriber writes caused by the new mappings,
-    plus the merge's TLB invalidation. Rows come back in ``counts`` order.
+    graft runs once, then each row's new buffers are mapped on the source as
+    one contiguous range (one ``allocate``, ``alloc_phys`` and ``map_range``),
+    up to ``max(counts)``. That is the state n single maps leave, the same as
+    a fresh run to n: nothing blocks the source's window, so one k-page
+    allocation returns the range k one-page calls would; pages and nodes are
+    numbered in the same order; and one subscriber merge over the range
+    copies each entry the per-buffer merges would copy, since every later
+    map under a copied entry is shared. Graft cost is the initial merge's
+    entry writes, plus subscriber writes caused by the new mappings, plus the
+    merge's TLB invalidation. Rows come back in ``counts`` order.
     With ``dump_tables`` the last row also carries both tables under
     ``"tables"``, dumped when the count reaches ``counts[-1]``, which need not
     be the largest count.
@@ -606,9 +611,8 @@ def graft_sweep(cfg: ExperimentConfig, counts: list[int],
     writes_before = mem.copy_log.writes
     graft_ops, tables, mapped = {}, None, 0
     for n in sorted(set(counts)):
-        for _ in range(n - mapped):
-            va = mem.allocate(source, 1, SizeClass.BIG)
-            mem.map_range(source, va, mem.alloc_phys(SizeClass.BIG))
+        va = mem.allocate(source, n - mapped, SizeClass.BIG)
+        mem.map_range(source, va, mem.alloc_phys(SizeClass.BIG, n - mapped))
         mapped = n
         subscriber_writes = mem.copy_log.writes - writes_before
         graft_ops[n] = report.entry_writes + subscriber_writes + report.tlb_invalidations
@@ -643,14 +647,15 @@ def cmd_trace(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
               json_events: bool = False, dump_tables: bool = False) -> list[dict]:
     """Paired utilization traces of one workload, sequential vs pipelined.
 
-    Fails with an invariant violation if overlap does not raise the mean
-    compute utilization.
+    Fails with an invariant violation if overlap lowers the mean compute
+    utilization. It need not raise it: one step cannot overlap, and compute
+    may be saturated in both modes.
     """
     with _Outputs(out_dir, "trace", seed, json_events) as out:
         rows, (seq_util, pipe_util) = _paired_sweep(
             cfg, cfg.batches[:1], "", _run_datagen(cfg), _DATAGEN_MODES, out)
-        if cfg.steps > 0 and pipe_util <= seq_util:
-            raise InvariantViolation("pipelined mean compute utilization not above "
-                                     f"sequential ({pipe_util} <= {seq_util})")
+        if pipe_util < seq_util:
+            raise InvariantViolation("pipelined mean compute utilization below "
+                                     f"sequential ({pipe_util} < {seq_util})")
         out.commit(_WORKLOAD_HEADER, rows)
     return rows

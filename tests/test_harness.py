@@ -14,12 +14,13 @@ import gpumux.harness as harness
 from gpumux.audits import InvariantViolation
 from gpumux.channels import ContextKind, RingFull
 from gpumux.commands import graphics_draw, kernel_dispatch
+from gpumux.config import DeviceConfig
 from gpumux.engine import EVENT_FIELDS, Engine
-from gpumux.harness import (ConfigError, cmd_datagen, cmd_graftbench, cmd_rl,
-                            cmd_trace, encode_events, encode_utilization, graft_sweep,
-                            parse_config)
-from gpumux.vm import AllocPolicy, MemorySystem, SizeClass
-from gpumux.workloads import DatagenMode, RolloutMode
+from gpumux.harness import (ConfigError, ExperimentConfig, cmd_datagen, cmd_graftbench,
+                            cmd_rl, cmd_trace, encode_events, encode_utilization,
+                            graft_sweep, parse_config)
+from gpumux.vm import AddressSpaceExhausted, AllocPolicy, MemorySystem, PageGeometry, SizeClass
+from gpumux.workloads import DatagenMode, PhaseCost, RolloutMode
 
 GOOD = """
 # small but complete experiment
@@ -222,8 +223,8 @@ def _ring_full_at(monkeypatch, name, batch, mode):
 
 
 def _break_trace_check(monkeypatch):
-    # two sequential runs: the utilization check after the sweep must fail
-    monkeypatch.setattr(harness, "_DATAGEN_MODES", (harness.DatagenMode.SEQUENTIAL,) * 2)
+    # the pipelined run first: the utilization check after the sweep must fail
+    monkeypatch.setattr(harness, "_DATAGEN_MODES", harness._DATAGEN_MODES[::-1])
 
 
 # batch 16 is written before batch 32 fails: in datagen its sequential run
@@ -388,16 +389,75 @@ def test_graftbench_costs(tmp_path):
     assert tables == _fresh_graft_run(cfg, 64, True)["tables"]
 
 
+def _assert_sweep_equals_fresh_runs(cfg, counts):
+    try:
+        rows = graft_sweep(cfg, counts, dump_tables=True)
+    except AddressSpaceExhausted:
+        with pytest.raises(AddressSpaceExhausted):
+            _fresh_graft_run(cfg, max(counts), False)
+        return
+    assert rows[:-1] == [_fresh_graft_run(cfg, n, False) for n in counts[:-1]]
+    # the tables are those at the last configured count, even when a larger
+    # count was mapped after it
+    assert rows[-1] == _fresh_graft_run(cfg, counts[-1], True)
+
+
 @pytest.mark.parametrize("counts", [[300, 1, 64, 4, 16], [5, 5, 3], [7]])
 def test_graft_sweep_rows_equal_fresh_runs(tmp_path, counts):
     cfg = parse_config(write_config(tmp_path))
     assert graft_sweep(cfg, counts) == [_fresh_graft_run(cfg, n, False) for n in counts]
-    # the tables are those at the last configured count, even when a larger
-    # count was mapped after it
-    rows = graft_sweep(cfg, counts, dump_tables=True)
-    fresh = _fresh_graft_run(cfg, counts[-1], True)
-    assert rows[-1] == fresh
-    assert all("tables" not in row for row in rows[:-1])
+    _assert_sweep_equals_fresh_runs(cfg, counts)
+
+
+_GIB = 1 << 30
+
+
+@st.composite
+def _graft_devices(draw):
+    """A geometry and two VA bases. The source's window often starts in the
+    target's 1 GiB or 512 GiB region, where the target owns the directory the
+    source maps under, so its merges copy entries one at a time; and it may
+    be too small for the largest count."""
+    levels = draw(st.sampled_from([3, 4, 5]))
+    geometry = PageGeometry(levels=levels, big_page_level=levels - 2,
+                            va_width=draw(st.integers(33, min(12 + 9 * levels, 52))))
+    low = draw(st.integers(0, geometry.va_limit >> 13)) << 12   # in the lower half
+    if draw(st.integers(0, 3)) == 3:
+        # a source window of at most 512 MiB, often too small for the counts
+        high = geometry.va_limit - (draw(st.integers(2, 1 << 17)) << 12)
+    else:
+        # high_base lies in low_base's region of the drawn size, with room
+        # below it for the target's two pages
+        region = draw(st.sampled_from([2 << 20, _GIB, 512 * _GIB, geometry.va_limit]))
+        end = min(low - low % region + region, geometry.va_limit) - 4096
+        high = draw(st.integers(low + 8192, max(low + 8192, end))) & ~4095
+    return DeviceConfig(geometry=geometry, high_base=high, low_base=low)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(device=_graft_devices(),
+       counts=st.lists(st.integers(1, 200), min_size=1, max_size=4))
+def test_graft_sweep_rows_equal_fresh_runs_on_drawn_configs(device, counts):
+    cfg = ExperimentConfig(device=device, costs=PhaseCost(), env="custom", steps=0,
+                           batches=[1], groups=1, buffer_counts=counts)
+    _assert_sweep_equals_fresh_runs(cfg, counts)
+
+
+def test_graftbench_maps_each_row_with_one_call(tmp_path, monkeypatch):
+    counts = [300, 1, 64, 4, 16]
+    calls = {"allocate": 0, "map_range": 0}
+    for name in calls:
+        real = getattr(MemorySystem, name)
+
+        def counted(self, *args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(MemorySystem, name, counted)
+    text = GOOD.replace("buffer_counts = 4 16 64", "buffer_counts = 300 1 64 4 16")
+    cmd_graftbench(parse_config(write_config(tmp_path, text)), tmp_path / "out")
+    # one call for each space's resident pages, then one for each distinct count
+    assert calls == dict.fromkeys(calls, 2 + len(set(counts)))
 
 
 def test_trace_requires_utilization_gain(tmp_path):
@@ -408,6 +468,16 @@ def test_trace_requires_utilization_gain(tmp_path):
     utils = [json.loads(l) for l in
              (tmp_path / "out" / "utilization.jsonl").read_text().splitlines()]
     assert utils and all("compute_util" in u for u in utils)
+
+
+def test_trace_accepts_a_run_that_cannot_overlap(tmp_path):
+    # one step cannot overlap, so both modes give the same mean utilization
+    text = ("[costs]\npreset = StackCube\n"
+            "[workload]\nenv = StackCube\nsteps = 1\nbatches = 32\n")
+    rc = cli.main(["trace", "--config", str(write_config(tmp_path, text)),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_trace_empty_workload_zeroes(tmp_path):
@@ -496,6 +566,38 @@ def test_cli_rl_ring_too_small_for_the_groups_exits_2(tmp_path, capsys, groups, 
     assert (out / "summary.csv").exists() == (rc == 0)
     if rc:
         assert "ring_capacity" in capsys.readouterr().err
+
+
+def test_cli_graftbench_window_too_small_exits_2(tmp_path, capsys):
+    previous = tmp_path / "previous"
+    assert cli.main(["graftbench", "--config", str(write_config(tmp_path)),
+                     "--out", str(previous), "--json-events", "--dump-tables"]) == 0
+    before = _snapshot(previous)
+    # 16 MiB above high_base: row 4 fits, row 8's four more buffers do not
+    text = GOOD.replace("[device]", "[device]\nhigh_base = 0xffffff000000").replace(
+        "buffer_counts = 4 16 64", "buffer_counts = 4 8")
+    path = write_config(tmp_path, text, "small.ini")
+    for out in (previous, tmp_path / "fresh" / "out"):
+        capsys.readouterr()
+        assert cli.main(["graftbench", "--config", str(path), "--out", str(out),
+                         "--json-events", "--dump-tables"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: no 0x800000-byte range left")
+        assert "high_base to 2**va_width" in err
+    assert _snapshot(previous) == before
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("command, bases", [
+    ("datagen", "high_base = 0xfffffff00000"),
+    ("graftbench", "low_base = 0x1000\nhigh_base = 0x2000"),
+], ids=["datagen_high_window", "graftbench_low_window"])
+def test_cli_any_window_too_small_exits_2(tmp_path, capsys, command, bases):
+    path = write_config(tmp_path, GOOD.replace("[device]", f"[device]\n{bases}"))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "widen that window in [device]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_invariant_violation_exit_code(tmp_path, monkeypatch):
