@@ -26,9 +26,11 @@ unmerged once over the unmapped range, clearing its copies of the removed
 leaves and pruned directories. Source-side TLB invalidations are replicated
 to subscribers, which keeps the merged view coherent without re-merging.
 A space unmaps only pages it mapped itself, not those it sees through a
-graft. Each walk visits only the slots of a node that overlap its range;
-it computes their bounds inline from the level's shift and the fan-out,
-since a map or unmap pays that cost once per node it visits.
+graft. A map or unmap walks the space's own table from the root once per
+leaf node and writes that node's run of pages with one slice assignment; an
+unmap prunes the directories it emptied back up the path it walked. Each
+merge and unmerge walk visits only the slots of a node that overlap its
+range, with their bounds computed inline from the level's shift and fan-out.
 
 The graft topology is graft-time state: each space's transitive fan-out
 (the ordered (subscriber, source) pairs the two walks visit) and its
@@ -134,7 +136,8 @@ class PageGeometry(_DerivedLayout):
     Level 0 is the root; small pages map as leaves at the deepest level and
     big pages at ``big_page_level``. The radix may index more bits than
     ``va_width``; addresses are only validated against ``va_width``, and any
-    higher index bits are simply zero for all valid addresses.
+    higher index bits are simply zero for all valid addresses. It may not
+    index fewer, or addresses that differ only above its bits would alias.
     """
 
     __slots__ = ("levels", "bits_per_level", "page_shift", "big_page_level", "va_width")
@@ -156,6 +159,8 @@ class PageGeometry(_DerivedLayout):
             raise ValueError("big pages must land on a level whose entries span 2 MiB")
         if va_width < page_shift + bits_per_level:
             raise ValueError("va_width too small for this layout")
+        if va_width > page_shift + levels * bits_per_level:
+            raise ValueError(f"va_width too large for {levels} levels of {bits_per_level} bits")
         self.levels = levels
         self.bits_per_level = bits_per_level
         self.page_shift = page_shift
@@ -270,10 +275,11 @@ class _IntervalSet:
         i = bisect_right(his, lo)
         j = bisect_left(los, hi)
         if i < j:
-            # what is left of the first and the last of them
-            kept = [(a, b) for a, b in ((los[i], lo), (hi, his[j - 1])) if a < b]
-            los[i:j] = [a for a, _ in kept]
-            his[i:j] = [b for _, b in kept]
+            # what is left of the first and the last of them: [a, lo) and [hi, b)
+            a, b = los[i], his[j - 1]
+            kept = slice(a >= lo, 1 + (hi < b))
+            los[i:j] = (a, hi)[kept]
+            his[i:j] = (lo, b)[kept]
 
 
 class AddressSpace:
@@ -390,39 +396,28 @@ class MemorySystem:
             raise ValueError("n_pages must be >= 1")
         size = size_class.nbytes
         span = n_pages * size
-        group = space.group_mapped
-
-        def blocked(lo: int) -> int | None:
-            worst = None
-            for mapped in group:
-                hi = mapped.first_overlap_end(lo, lo + span)
-                if hi is not None and (worst is None or hi > worst):
-                    worst = hi
-            return worst
-
         if hint is not None:
             if hint % size:
                 raise ValueError("hint must be aligned to the page size")
             if not space.base <= hint or hint + span > space.limit:
                 raise ValueError("hint outside the policy window")
-            b = blocked(hint)
-            if b is None:
-                if hint + span > space.alloc_cursor:
-                    space.alloc_cursor = hint + span
-                return hint
-            space.conflicts_resolved += 1
-            start = _align_up(b, size)
+            start = hint
         else:
             start = _align_up(space.alloc_cursor, size)
-
-        while True:
+        while True:  # probe upward from the end of the furthest conflict
             if start + span > space.limit:
                 raise AddressSpaceExhausted(
                     f"no {span:#x}-byte range left in [{space.base:#x}, {space.limit:#x})")
-            b = blocked(start)
-            if b is None:
+            blocked = None
+            for mapped in space.group_mapped:
+                hi = mapped.first_overlap_end(start, start + span)
+                if hi is not None and (blocked is None or hi > blocked):
+                    blocked = hi
+            if blocked is None:
                 break
-            start = _align_up(b, size)
+            if start == hint:  # only the first probe of a hinted request starts there
+                space.conflicts_resolved += 1
+            start = _align_up(blocked, size)
         if start + span > space.alloc_cursor:
             space.alloc_cursor = start + span
         return start
@@ -493,40 +488,60 @@ class MemorySystem:
     def unmap_range(self, space: AddressSpace, vaddr: int, n_pages: int):
         """Clear n_pages leaves starting at vaddr, pruning emptied directories.
 
-        The space's own table is unmerged first; then every transitive
-        subscriber is unmerged once, clearing its copies of the removed
-        leaves and pruned directories. One TLB invalidation is issued for
-        this space (replicated to subscribers unless replication is off).
-        Raises NotMapped before any write, also when a page in the range is
-        one the space only sees through a graft: only its owner unmaps it.
-        Raises ValueError before any write when `vaddr` is not the base of
-        the page it falls in.
+        Like ``map_range`` it walks from the root once per leaf node and takes
+        the range's run of leaves there. Once every run is checked, each is
+        cleared with one slice assignment and the directories it emptied are
+        pruned back up the path it walked; a pruned node is deleted if this
+        space owns it. Then every transitive subscriber is unmerged once,
+        clearing its copies of the removed leaves and pruned directories.
+        One TLB invalidation is issued for this space (replicated to
+        subscribers unless replication is off). Raises NotMapped before any
+        write, also when a page in the range is one the space only sees
+        through a graft: only its owner unmaps it. Raises ValueError before
+        any write when `vaddr` is not the base of the page it falls in.
         """
         if n_pages < 1:
             raise ValueError("n_pages must be >= 1")
         geo = self.geometry
-        mask = geo.fanout - 1
+        fanout = geo.fanout
+        mask = fanout - 1
         removed = set()
-        va = vaddr
-        for _ in range(n_pages):
-            node = space.root
+        runs = []   # (leaf node, first slot, end slot, path of (node, slot) to it)
+        va, left = vaddr, n_pages
+        while left:
+            node, path = space.root, []
             for shift in geo.level_shifts:
-                entry = node.entries[(va >> shift) & mask]
+                idx = (va >> shift) & mask
+                entry = node.entries[idx]
                 if entry is None:
                     raise NotMapped(f"{va:#x} not mapped")
                 if type(entry) is PhysPage:
-                    if va & ((1 << shift) - 1):
-                        raise ValueError(f"{va:#x} is not the base of its page")
                     break
+                path.append((node, idx))
                 node = entry
-            else:
-                raise NotMapped(f"{va:#x} not mapped")
-            removed.add(entry)
-            va += 1 << shift
+            if va & ((1 << shift) - 1):
+                raise ValueError(f"{va:#x} is not the base of its page")
+            # the run ends at the range's end, the node's end, a hole or a directory
+            entries, end, stop = node.entries, idx + 1, min(idx + left, fanout)
+            while end < stop and type(entries[end]) is PhysPage:
+                end += 1
+            removed.update(entries[idx:end])
+            runs.append((node, idx, end, path))
+            left -= end - idx
+            va += (end - idx) << shift
         if not space.mapped.covers(vaddr, va):
             raise NotMapped(f"[{vaddr:#x}, {va:#x}) not mapped by space {space.id}")
 
-        self._unmerge(space.id, space.root, None, 0, vaddr, va, removed)
+        for node, idx, end, path in runs:
+            node.entries[idx:end] = [None] * (end - idx)
+            for parent, slot in reversed(path):
+                if any(node.entries):
+                    break
+                parent.entries[slot] = None  # emptied by this run: prune it
+                removed.add(node)
+                if node.owner == space.id:
+                    self.nodes.pop(node.id, None)
+                node = parent
         for sub, src in self._fanout[space.id]:
             self.copy_log.writes += self._unmerge(sub.id, sub.root, src.root, 0, vaddr, va,
                                                   removed)
@@ -560,13 +575,14 @@ class MemorySystem:
         raise AssertionError("walk ran past the leaf level")
 
     def _invalidate_tlb(self, space: AddressSpace):
-        spaces = [space]
+        space.tlb.clear()
+        space.tlb_invalidations += 1
+        self.total_tlb_invalidations += 1
         if self.propagate_tlb:
-            spaces += [sub for sub, _ in self._fanout[space.id]]
-        for s in spaces:
-            s.tlb.clear()
-            s.tlb_invalidations += 1
-        self.total_tlb_invalidations += len(spaces)
+            for sub, _ in self._fanout[space.id]:
+                sub.tlb.clear()
+                sub.tlb_invalidations += 1
+                self.total_tlb_invalidations += 1
 
     # ------------------------------------------------------------------
     # grafting
@@ -676,11 +692,13 @@ class MemorySystem:
 
     def _unmerge(self, owner: int, node: PageTableNode, src: PageTableNode | None,
                  base: int, lo: int, hi: int, removed: set) -> int:
-        """Clear from the table below `node` the entries of `removed` inside
-        [lo, hi) that it does not share with `src`, the source's node at the
-        same place (None for the space's own table), and prune each directory
-        that emptied: its entry joins `removed`, and its node is deleted if
-        space `owner` owns it. Returns the entries cleared.
+        """Clear from subscriber `owner`'s table below `node` the entries of
+        `removed` inside [lo, hi) that it does not share with `src`, the
+        source's node at the same place (None where the source has no
+        directory), and prune each directory that emptied: its entry joins
+        `removed`, and its node is deleted if space `owner` owns it. Returns
+        the entries cleared. The unmapping space's own table is pruned by
+        ``unmap_range`` along the paths its check walked, before this runs.
 
         It recurses as a method: a nested function that calls itself is a
         reference cycle, which would keep the MemorySystem alive until the

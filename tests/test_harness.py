@@ -588,6 +588,21 @@ def test_cli_graftbench_window_too_small_exits_2(tmp_path, capsys):
     assert not (tmp_path / "fresh").exists()
 
 
+def test_cli_va_width_wider_than_the_radix_exits_2(tmp_path, capsys):
+    # three levels index 39 bits, so the default va_width = 48 would alias
+    previous = tmp_path / "previous"
+    assert cli.main(["graftbench", "--config", str(write_config(tmp_path)),
+                     "--out", str(previous), "--json-events", "--dump-tables"]) == 0
+    before = _snapshot(previous)
+    text = GOOD.replace("[device]", "[device]\npage_levels = 3\nbig_page_level = 1")
+    path = write_config(tmp_path, text, "aliasing.ini")
+    capsys.readouterr()
+    assert cli.main(["graftbench", "--config", str(path), "--out", str(previous),
+                     "--json-events", "--dump-tables"]) == 2
+    assert capsys.readouterr().err.startswith("config error: [device]: va_width too large")
+    assert _snapshot(previous) == before
+
+
 @pytest.mark.parametrize("command, bases", [
     ("datagen", "high_base = 0xfffffff00000"),
     ("graftbench", "low_base = 0x1000\nhigh_base = 0x2000"),

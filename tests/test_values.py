@@ -139,6 +139,8 @@ def test_mutable_records_take_new_field_values():
     (lambda: PageGeometry(big_page_level=5), "big_page_level out of range"),
     (lambda: PageGeometry(big_page_level=2), "span 2 MiB"),
     (lambda: PageGeometry(va_width=20), "va_width too small"),
+    (lambda: PageGeometry(levels=3, big_page_level=1), "va_width too large"),
+    (lambda: PageGeometry(va_width=58), "va_width too large"),
     (lambda: DeviceConfig(quantum=1e-10), "quantum"),
     (lambda: DeviceConfig(quantum=float("inf")), "quantum"),
     (lambda: DeviceConfig(utilization_sample_dt=0.0), "utilization_sample_dt"),

@@ -639,6 +639,89 @@ def test_chain_map_into_the_heads_range_changes_nothing():
         mem.translate(c, start)
 
 
+# ----------------------------------------------------------------------
+# unmaps that span several leaf nodes
+
+def vm_state(mem, spaces):
+    return ([mem.dump_tables(s) for s in spaces], [mem.table_shape(s) for s in spaces],
+            [list(s.mapped) for s in spaces], (mem.copy_log.reads, mem.copy_log.writes),
+            list(mem.nodes))
+
+
+@pytest.mark.parametrize("chain", [False, True], ids=["pair_2mib", "chain_1gib"])
+def test_unmap_across_leaf_nodes_restores_every_table(chain):
+    # the pair's run straddles a 2 MiB boundary inside the subtree both
+    # tables share; the chain's crosses a 1 GiB one, where c holds copies
+    if chain:
+        mem, a, b, c = graft_chain()
+        spaces, source, start = (a, b, c), a, H + 2 * GiB - SMALL.nbytes
+    else:
+        mem, high, low = fresh_pair()
+        map_new(mem, high)
+        map_new(mem, low)
+        mem.graft(high, low)
+        spaces, source, start = (high, low), high, H + BIG.nbytes - SMALL.nbytes
+    shapes = [mem.table_shape(s) for s in spaces]
+    nodes = list(mem.nodes)
+    assert map_new(mem, source, n_pages=3, hint=start) == start
+    assert mem.translate(spaces[-1], start + 2 * SMALL.nbytes)
+    mem.unmap_range(source, start, 3)
+    assert [mem.table_shape(s) for s in spaces] == shapes
+    assert list(mem.nodes) == nodes
+    assert dict(mem.iter_leaves(spaces[-1])) == mem.union_oracle(spaces[-2], spaces[-1])
+
+
+@pytest.mark.parametrize("layout", [(BIG, SMALL, SMALL), (SMALL, SMALL, BIG)],
+                         ids=["big_first", "big_last"])
+def test_unmap_of_big_and_small_pages_in_one_call(layout):
+    mem, high, low = fresh_pair()
+    map_new(mem, high)
+    map_new(mem, low)
+    mem.graft(high, low)
+    before = vm_state(mem, (high, low))
+    start = H + 4 * BIG.nbytes - (0 if layout[0] is BIG else 2 * SMALL.nbytes)
+    va = start
+    for size_class in layout:
+        mem.map_range(high, va, mem.alloc_phys(size_class))
+        va += size_class.nbytes
+    mem.unmap_range(high, start, 3)
+    _, shapes, mapped, _, nodes = vm_state(mem, (high, low))
+    assert (shapes, mapped, nodes) == (before[1], before[2], before[4])  # copy_log has moved
+    assert dict(mem.iter_leaves(low)) == mem.union_oracle(high, low)
+
+
+def test_unmap_over_a_hole_raises_and_changes_nothing():
+    # the hole is the first page of the second leaf node, so the first
+    # node's run is checked, and must not be cleared, before it is found
+    mem, high, low = fresh_pair()
+    mem.graft(high, low)
+    start = map_new(mem, high, n_pages=3, hint=H + BIG.nbytes - SMALL.nbytes)
+    mem.unmap_range(high, H + BIG.nbytes, 1)
+    before = vm_state(mem, (high, low))
+    with pytest.raises(NotMapped, match=f"^{H + BIG.nbytes:#x} not mapped$"):
+        mem.unmap_range(high, start, 3)
+    assert vm_state(mem, (high, low)) == before
+
+
+def test_unmap_unmerges_each_subscriber_once_and_not_its_own_table(monkeypatch):
+    owners = []
+    real = MemorySystem._unmerge
+
+    def counting(self, owner, node, *args):
+        if node.level == 0:   # a top-level call: recursive ones start below a root
+            owners.append(owner)
+        return real(self, owner, node, *args)
+
+    monkeypatch.setattr(MemorySystem, "_unmerge", counting)
+    mem, a, b, c = graft_chain()
+    lone = mem.create_space(AllocPolicy.LOW_RANGE)
+    for space in (a, b, c, lone):
+        owners.clear()
+        mem.unmap_range(space, map_new(mem, space, n_pages=2), 2)
+        assert owners == [sub.id for sub, _ in mem._fanout[space.id]]
+    assert [len(mem._fanout[s.id]) for s in (a, b, c, lone)] == [2, 1, 0, 0]
+
+
 def test_copy_engine_counts_are_pinned():
     """Exact copy-engine reads and writes for two fixed sequences, with the
     values measured at the commit before the merge and unmerge walks

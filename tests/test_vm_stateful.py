@@ -1,16 +1,18 @@
 """Stateful check of graft propagation over chains and fan-outs.
 
 Three spaces (two 4 GiB high windows and the default low window) map, unmap
-and graft at random. After every step each space must show exactly its own
-leaves plus those of every space that reaches it through subscriptions, as
-read by the brute-force walk ``iter_leaves``. A map over a page of the space
-or of a graft peer must raise AlreadyMapped, and an unmap of a page a space
-only sees through a graft must raise NotMapped; either must change no table,
-no ``mapped`` set and no copy-engine counter. The fan-out and
-``group_mapped`` that ``graft`` stores must match a fresh depth-first walk
-of the ``subscribers`` lists and the graft peers. A target is grafted only
-while it has no source and no subscribers, so every space has at most one
-source.
+and graft at random; some maps cross a leaf node and a 1 GiB region, so
+later unmaps span two leaf nodes. After every step each space must show
+exactly its own leaves plus those of every space that reaches it through
+subscriptions, as read by the brute-force walk ``iter_leaves``, and
+``mem.nodes`` must hold exactly the nodes reachable from the three roots. A
+map over a page of the space or of a graft peer must raise AlreadyMapped,
+and an unmap of a page a space only sees through a graft must raise
+NotMapped; either must change no table, no ``mapped`` set and no
+copy-engine counter. The fan-out and ``group_mapped`` that ``graft`` stores
+must match a fresh depth-first walk of the ``subscribers`` lists and the
+graft peers. A target is grafted only while it has no source and no
+subscribers, so every space has at most one source.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from gpumux.vm import (DEFAULT_HIGH_BASE, AllocPolicy, AlreadyMapped, MemorySystem, NotMapped,
-                       SizeClass)
+                       PageTableNode, SizeClass)
 
 GiB = 1 << 30
 
@@ -41,9 +43,8 @@ class GraftPropagation(RuleBasedStateMachine):
             self._map(i, SizeClass.SMALL, 1, None)
         self.ranges = [[] for _ in self.spaces]   # the first page stays resident
 
-    def _map(self, i, size_class, n, k):
+    def _map(self, i, size_class, n, hint):
         space = self.spaces[i]
-        hint = None if k is None else space.base + k * GiB
         va = self.mem.allocate(space, n, size_class, hint=hint)
         pages = self.mem.alloc_phys(size_class, n)
         self.mem.map_range(space, va, pages)
@@ -55,10 +56,21 @@ class GraftPropagation(RuleBasedStateMachine):
           k=st.none() | st.integers(0, 3))
     def map(self, i, big, n, k):
         """Map n small pages or one big page, optionally at a fresh level-2 slot."""
+        hint = None if k is None else self.spaces[i].base + k * GiB
         if big:
-            self._map(i, SizeClass.BIG, 1, k)
+            self._map(i, SizeClass.BIG, 1, hint)
         else:
-            self._map(i, SizeClass.SMALL, n, k)
+            self._map(i, SizeClass.SMALL, n, hint)
+
+    @rule(i=st.integers(0, 2), big=st.booleans(), n=st.integers(2, 3), k=st.integers(1, 3),
+          data=st.data())
+    def map_across(self, i, big, n, k, data):
+        """Map 2-3 small pages or 2 big pages from just below the k-th 1 GiB
+        boundary of the window, so the run crosses a leaf node and a level-2
+        slot (unless the hint is taken and the allocator moves it)."""
+        size_class, n = (SizeClass.BIG, 2) if big else (SizeClass.SMALL, n)
+        below = data.draw(st.integers(1, n - 1))
+        self._map(i, size_class, n, self.spaces[i].base + k * GiB - below * size_class.nbytes)
 
     @rule(data=st.data())
     def map_over_occupied(self, data):
@@ -142,6 +154,17 @@ class GraftPropagation(RuleBasedStateMachine):
             peers = [mem.spaces[p].mapped for p in space.graft_peers]
             assert space.group_mapped[0] is space.mapped
             assert sorted(map(id, space.group_mapped[1:])) == sorted(map(id, peers))
+
+    @invariant()
+    def nodes_are_the_nodes_reachable_from_the_roots(self):
+        reachable = {}
+        for space in self.spaces:
+            reachable[space.root.id] = space.root
+            for _, _, _, entry in self.mem._walk(space.root):
+                if type(entry) is PageTableNode:
+                    reachable[entry.id] = entry
+        assert self.mem.nodes.keys() == reachable.keys()
+        assert all(self.mem.nodes[k] is node for k, node in reachable.items())
 
     @invariant()
     def each_space_shows_what_reaches_it(self):
