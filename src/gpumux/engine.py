@@ -20,12 +20,16 @@ so the command that set the step reaches exactly zero.
 
 Workload drivers are generator processes. They submit work, then yield wait
 conditions (a stream semaphore threshold, or an absolute deadline) and are
-resumed when the condition holds. Waiting drivers are not polled: a semaphore
-waiter sits in a min-heap keyed by the semaphore's physical location and is
-looked at only after a write to that location, and a deadline sits in a timer
-heap keyed by its tick, whose top alone is compared with the clock. Drivers
-resume in rounds, each in ascending pid order (see
-``Engine._run_ready_processes``).
+resumed when the condition holds. A yielded condition is checked once, with
+its ``satisfied``; after that, waiting drivers are not polled. A semaphore
+waiter sits in a min-heap keyed by the physical location its semaphore
+translates to, as a ``(threshold, pid)`` entry, and is looked at only after a
+write to that location, by comparing the value there with its threshold; an
+unmap or graft that may move a translation re-keys every waiter first. A
+deadline sits in a timer heap keyed by its tick, whose top alone is compared
+with the clock. Drivers resume in rounds, each in ascending pid order (see
+``Engine._run_ready_processes``). A semaphore write translates its address
+once, when it is checked, and writes through that translation.
 Resumption order, completion ties, and channel launch order are all broken on
 ids, so identical inputs produce byte-identical traces.
 
@@ -50,6 +54,12 @@ from .channels import (AlreadyBound, Channel, ComputeConfig, Context,
 from .commands import CommandKind, GpuCommand, init_compute, semaphore_write
 from .config import TICKS_PER_S, DeviceConfig, ticks
 from .vm import AllocPolicy, MemorySystem, PageFault, SizeClass, _SlotValue
+
+# the command kinds the per-command path compares, read as module globals: on
+# Python 3.11 a ``CommandKind.X`` read goes through the enum's class
+# descriptor and costs about 15 times as much
+_DISPATCH, _DRAW, _INIT, _SEM_WRITE = (CommandKind.KERNEL_DISPATCH, CommandKind.GRAPHICS_DRAW,
+                                       CommandKind.INIT_COMPUTE, CommandKind.SEMAPHORE_WRITE)
 
 
 class EngineError(Exception):
@@ -507,19 +517,27 @@ class Engine:
         joins it if it already holds. Drivers only submit work and request
         inference, so no semaphore value or clock reading changes during this
         call; the rounds are therefore exactly the passes of re-checking every
-        process in pid order until a pass resumes nothing.
+        process in pid order until a pass resumes nothing. ``_collect_ready``
+        runs only when one of the things that can make a condition hold has
+        happened: a dirty location, a yielded driver, a due timer or a moved
+        translation.
 
         Returns whether any driver was resumed.
         """
         ran_any = False
+        ready = self._ready
+        timers = self._timers
+        mem = self.memory
         while True:
-            self._collect_ready()
-            if not self._ready:
+            if (self._dirty or self._yielded or timers and timers[0][0] <= self.now
+                    or mem.total_tlb_invalidations != self._waiters_resolved_at):
+                self._collect_ready()
+            if not ready:
                 return ran_any
-            self._ready.sort()
-            for pid in self._ready:  # spawn() may append during the round
+            ready.sort()
+            for pid in ready:  # spawn() may append during the round
                 self._resume(self.processes[pid])
-            self._ready.clear()
+            ready.clear()
             ran_any = True
 
     def _resume(self, proc: _Process):
@@ -529,7 +547,9 @@ class Engine:
             proc.done = True
             return
         cond = proc.condition
-        if cond is not None and not isinstance(cond, (SemaphoreAtLeast, TimeReached)):
+        # exactly these two types: the wake path compares a waiter's stored
+        # threshold or deadline and never asks a subclass's ``satisfied``
+        if cond is not None and type(cond) not in (SemaphoreAtLeast, TimeReached):
             raise TypeError("drivers must yield SemaphoreAtLeast or TimeReached conditions")
         self._yielded.append(proc.pid)
 
@@ -538,33 +558,46 @@ class Engine:
 
         Only three things can make a condition hold: a semaphore write (its
         location is dirty), the clock moving (timers), or a driver's new
-        condition. A moved translation re-keys the semaphore waiters first.
+        condition. A moved translation re-keys the semaphore waiters first,
+        so every waiter's key is the location its semaphore translates to
+        now, and the waiters of a dirty location are woken by comparing the
+        value stored there with the threshold in their heap entries, with no
+        translation. A driver's new condition is checked with ``satisfied``,
+        once per yield.
         """
-        procs = self.processes
+        ready = self._ready
         if self.memory.total_tlb_invalidations != self._waiters_resolved_at:
             self._resolve_waiters()
+        phys_mem = self.phys_mem
         for loc in self._dirty:
             heap = self._sem_waiters.get(loc)
-            while heap and procs[heap[0][1]].condition.satisfied(self):
-                self._ready.append(heappop(heap)[1])
+            if heap:
+                value = phys_mem.get(loc, 0)
+                while heap and heap[0][0] <= value:
+                    ready.append(heappop(heap)[1])
         self._dirty.clear()
         timers = self._timers
         while timers and timers[0][0] <= self.now:
-            self._ready.append(heappop(timers)[1])
+            ready.append(heappop(timers)[1])
         # entries pushed below do not hold now: the dirty-only check above
         # stays exact, and every deadline left in the heap is in the future
+        procs = self.processes
         while self._yielded:
             pid = self._yielded[-1]  # popped once placed: a PageFault loses no driver
             cond = procs[pid].condition
             if cond is None or cond.satisfied(self):
-                self._ready.append(pid)
-            elif isinstance(cond, TimeReached):
+                ready.append(pid)
+            elif type(cond) is TimeReached:
                 heappush(timers, (ticks(cond.time), pid))
             else:
                 self._wait_semaphore(self._sem_waiters, pid)
             self._yielded.pop()
 
     def _wait_semaphore(self, index: dict, pid: int):
+        """Key the waiting process ``pid`` in ``index`` by the location its
+        semaphore translates to now, in a min-heap of ``(threshold, pid)``
+        entries; ``_collect_ready`` compares that threshold with the location's
+        value after each write to it."""
         cond = self.processes[pid].condition
         page, off = self.memory.translate(self.memory.spaces[cond.space_id], cond.vaddr)
         heappush(index.setdefault((page.id, off), []), (cond.value, pid))
@@ -584,8 +617,12 @@ class Engine:
     # scheduling
 
     def _tsg_runnable(self, tsg_id: int) -> bool:
-        return any(self.channels[cid].pending and not self.channels[cid].faulted
-                   for cid in self.tsgs[tsg_id])
+        channels = self.channels
+        for cid in self.tsgs[tsg_id]:
+            ch = channels[cid]
+            if ch.pending and not ch.faulted:
+                return True
+        return False
 
     def _next_runnable_tsg(self) -> int | None:
         n = len(self.tsgs)
@@ -637,11 +674,18 @@ class Engine:
             if not inflight:
                 break
             flights = inflight.values()
-            compute = sum(f.cmd.compute_frac for f in flights)
-            graphics = sum(f.cmd.graphics_frac for f in flights)
+            # plain + in flight order, as sum() adds on 3.11 (3.12's compensates)
+            compute = graphics = 0
+            least = None
+            for f in flights:
+                cmd = f.cmd
+                compute += cmd.compute_frac
+                graphics += cmd.graphics_frac
+                if least is None or f.remaining < least:
+                    least = f.remaining
             stretch = max(compute / self.config.compute_capacity,
                           graphics / self.config.graphics_capacity, 1.0)
-            t_next = self.now + round(min(f.remaining for f in flights) * stretch)
+            t_next = self.now + round(least * stretch)
             timer_cut = self._timers and self._timers[0][0] < t_next
             if timer_cut:
                 t_next = self._timers[0][0]
@@ -655,8 +699,8 @@ class Engine:
                     f.remaining -= progress
             self.now = t_next
             if not timer_cut:
-                done_ids = sorted(cid for cid, f in inflight.items()
-                                  if f.remaining <= 0)
+                done_ids = [cid for cid, f in inflight.items() if f.remaining <= 0]
+                done_ids.sort()
                 for cid in done_ids:
                     flight = inflight.pop(cid)
                     self._finish_command(self.channels[cid], flight.cmd)
@@ -679,7 +723,7 @@ class Engine:
                     continue
                 inflight[cid] = _Inflight(ticks(cmd.base_duration), cmd)
                 self._log("exec_start", ch.id, tsg, ch.active_entry.stream_id,
-                          cmd.kind.value, ch.active_entry.seq)
+                          cmd.kind._value_, ch.active_entry.seq)
                 progressed = True
             if self._run_ready_processes():
                 progressed = True
@@ -705,7 +749,8 @@ class Engine:
 
     def _finish_command(self, ch: Channel, cmd: GpuCommand):
         entry = ch.active_entry
-        self._log("exec_end", ch.id, ch.tsg_id, entry.stream_id, cmd.kind.value,
+        # _value_ is what Enum.value returns, without its two Python calls
+        self._log("exec_end", ch.id, ch.tsg_id, entry.stream_id, cmd.kind._value_,
                   entry.seq)
         ch.active_index += 1
         # trailing zero-duration commands (semaphore writes) flush with the
@@ -721,9 +766,10 @@ class Engine:
             cmd = entry.buffer[ch.active_index]
             if cmd.base_duration > 0:
                 return True
-            if not self._start_command(ch, cmd):
+            where = self._start_command(ch, cmd)
+            if not where:
                 return False
-            self._apply_effects(ch, cmd)
+            self._apply_effects(ch, cmd, where)
             ch.active_index += 1
         ch.userd.get += 1
         ch.active_entry = None
@@ -732,29 +778,33 @@ class Engine:
         self._log("buffer_complete", ch.id, ch.tsg_id, entry.stream_id, entry.seq)
         return True
 
-    def _start_command(self, ch: Channel, cmd: GpuCommand) -> bool:
+    def _start_command(self, ch: Channel, cmd: GpuCommand) -> tuple | bool:
         """Check that the command can run on the channel. If it cannot, record
-        the fault, halt the channel and return False."""
+        the fault, halt the channel and return False. Otherwise return the
+        translation ``(page, offset)`` of the last address it checked (for a
+        semaphore write, its semaphore), or True if it touches none."""
         ctx = self.contexts[ch.context_id]
-        if cmd.kind is CommandKind.KERNEL_DISPATCH:
-            if ctx.kind is ContextKind.GRAPHICS and ch.compute_config is None:
+        kind = cmd.kind
+        if kind is _DISPATCH:
+            if ch.compute_config is None and ctx.kind is ContextKind.GRAPHICS:
                 return self._record_fault(ch, "execution_fault",
                                           "kernel dispatch on a channel without compute state")
-        elif cmd.kind is CommandKind.GRAPHICS_DRAW:
+        elif kind is _DRAW:
             if not ctx.fixed_function_ready:
                 return self._record_fault(ch, "execution_fault",
                                           "draw without fixed-function hardware state")
         space = self.memory.spaces[ctx.space_id]
         vaddrs = cmd.touched_vaddrs
-        if cmd.kind is CommandKind.SEMAPHORE_WRITE:
+        if kind is _SEM_WRITE:
             vaddrs += (cmd.sem_vaddr,)
+        where = True
         for va in vaddrs:
             try:
-                self.memory.translate(space, va)
+                where = self.memory.translate(space, va)
             except PageFault as pf:
                 return self._record_fault(ch, "page_fault",
                                           f"walk stopped at level {pf.level}", pf.vaddr)
-        return True
+        return where
 
     def _record_fault(self, ch: Channel, kind: str, detail: str,
                       vaddr: int | None = None) -> bool:
@@ -765,16 +815,18 @@ class Engine:
                   detail)
         return False
 
-    def _apply_effects(self, ch: Channel, cmd: GpuCommand):
-        if cmd.kind is CommandKind.SEMAPHORE_WRITE:
-            ctx = self.contexts[ch.context_id]
-            page, off = self.memory.translate(self.memory.spaces[ctx.space_id],
-                                              cmd.sem_vaddr)
-            self.phys_mem[(page.id, off)] = cmd.sem_value
-            self._dirty.add((page.id, off))
+    def _apply_effects(self, ch: Channel, cmd: GpuCommand, where):
+        """Run a zero-duration command's effect; ``where`` is what
+        ``_start_command`` returned for it."""
+        kind = cmd.kind
+        if kind is _SEM_WRITE:
+            page, off = where
+            loc = (page.id, off)
+            self.phys_mem[loc] = cmd.sem_value
+            self._dirty.add(loc)
             self._log("semaphore", ch.id, ch.tsg_id, ch.active_entry.stream_id,
                       cmd.sem_value, cmd.sem_vaddr)
-        elif cmd.kind is CommandKind.INIT_COMPUTE:
+        elif kind is _INIT:
             ch.compute_config = cmd.config
 
     def reset_channel(self, ch: Channel):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,9 @@ from gpumux.commands import (CommandKind, GpuCommand, graphics_draw, kernel_disp
 from gpumux.config import TICKS_PER_S, DeviceConfig
 from gpumux.engine import Condition, Engine, MetricsTrace, SemaphoreAtLeast, TimeReached
 from gpumux.harness import encode_events
-from gpumux.vm import SizeClass
-from gpumux.workloads import PhaseCost, RolloutMode, RolloutSpec, run_rl_rollout
+from gpumux.vm import MemorySystem, SizeClass
+from gpumux.workloads import (DatagenMode, EpisodeSpec, PhaseCost, RolloutMode, RolloutSpec,
+                              run_datagen, run_rl_rollout)
 
 
 def compute_engine(n_contexts=1, streams_per=1, config=None):
@@ -396,14 +398,21 @@ def test_unsupported_condition_rejected():
         def satisfied(self, engine):
             return False
 
-    e = Engine()
+    # the wake path compares the stored threshold, so it would never ask a
+    # subclass's own satisfied(): subclasses are rejected too
+    class AlwaysAtLeast(SemaphoreAtLeast):
+        def satisfied(self, engine):
+            return True
 
-    def driver():
-        yield Never()
+    for cond in (Never(), AlwaysAtLeast(0, 0x1000, 1)):
+        e = Engine()
 
-    e.spawn(driver())
-    with pytest.raises(TypeError):
-        e.run()
+        def driver():
+            yield cond
+
+        e.spawn(driver())
+        with pytest.raises(TypeError):
+            e.run()
 
 
 def test_waiter_follows_a_remapped_semaphore():
@@ -422,20 +431,105 @@ def test_waiter_follows_a_remapped_semaphore():
     assert log == [(0, 0.0)]
 
 
+def test_waiter_rekeyed_onto_a_location_that_holds_its_threshold_wakes():
+    # the waiter's page is swapped for one that already holds 7; the moved
+    # translation alone makes the next run collect, and the re-key marks the
+    # new location dirty, so that first collection wakes the waiter with no
+    # further semaphore write
+    e, ((s,),) = compute_engine()
+    ctx = e.contexts[s.context_id]
+    space = e.memory.spaces[ctx.space_id]
+    va, other = (mapped_vaddr(e, ctx, SizeClass.SMALL) for _ in range(2))
+    e.submit(s, [semaphore_write(other, 7)])
+    log = []
+    e.spawn(logging_driver(e, log, 0, [SemaphoreAtLeast(space.id, va, 7)]))
+    assert e.run().stalled == [0]
+    page, _ = e.memory.translate(space, other)
+    e.memory.unmap_range(space, va, 1)
+    e.memory.map_range(space, va, [page])
+    writes = dict(e.phys_mem)
+    collected = []
+    collect = e._collect_ready
+
+    def recording_collect():
+        collect()
+        collected.append(list(e._ready))
+    e._collect_ready = recording_collect
+    assert e.run().stalled == []
+    assert collected[0] == [0]
+    assert log == [(0, 0.0)]
+    assert e.phys_mem == writes
+
+
+def count_calls(monkeypatch, counts, owner, name):
+    """Wrap ``owner.name`` to add one to ``counts[name]`` on each call."""
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return inner(*args)
+    monkeypatch.setattr(owner, name, counted)
+
+
+ENGINE_RUNS = {
+    "rl": lambda: run_rl_rollout(RolloutSpec(10, 32768, 64, RolloutMode.INTERLEAVED),
+                                 PhaseCost()),
+    "datagen_sequential": lambda: run_datagen(
+        EpisodeSpec(200, 128, DatagenMode.SEQUENTIAL), PhaseCost()),
+    "datagen_pipelined": lambda: run_datagen(
+        EpisodeSpec(200, 128, DatagenMode.PIPELINED), PhaseCost()),
+}
+
+
+def test_translates_per_buffer_are_pinned(monkeypatch):
+    """Exact ``MemorySystem.translate`` calls per run, with the values of the
+    commit that made the semaphore write translate its address once and woke
+    semaphore waiters without translating. Each submitted buffer costs five:
+    the command-buffer write, the kernel's or draw's touched page, the
+    semaphore write's check (whose translation the write reuses), the
+    ``satisfied`` check of the condition its driver yields and the waiter's
+    key. A bound stream adds two: the bind's bootstrap buffer and the
+    unbind's drain read. The golden digests cannot see host work, so this is
+    the test that catches a translation come back."""
+    calls = Counter()
+    count_calls(monkeypatch, calls, MemorySystem, "translate")
+    counts = {}
+    for name, run in ENGINE_RUNS.items():
+        calls.clear()
+        metrics = run()
+        assert metrics.trace.stalled == []
+        submits = sum(1 for r in metrics.trace.records if r[1] == "submit")
+        counts[name] = (submits, calls["translate"])
+    assert counts == {"rl": (1280, 6402), "datagen_sequential": (400, 2000),
+                      "datagen_pipelined": (400, 2002)}
+
+
+def test_condition_checks_equal_condition_yields(monkeypatch):
+    """``satisfied`` runs once per yielded condition and never on a wake:
+    each rl group yields an inference deadline, its step and its render on
+    each of its 10 steps, 3 * 10 * 64 conditions, and datagen yields a step
+    and a render on each of 200 steps."""
+    calls = Counter()
+    for cls in (SemaphoreAtLeast, TimeReached):
+        count_calls(monkeypatch, calls, cls, "satisfied")
+    counts = {}
+    for name, run in ENGINE_RUNS.items():
+        calls.clear()
+        run()
+        counts[name] = calls["satisfied"]
+    assert counts == {"rl": 1920, "datagen_sequential": 400, "datagen_pipelined": 400}
+
+
 def test_rl_condition_checks_do_not_exceed_trace_events(monkeypatch):
     # polling every driver on every pass made ~40 checks per event here
-    checks = 0
+    calls = Counter()
     for cls in (SemaphoreAtLeast, TimeReached):
-        def counted(self, engine, _inner=cls.satisfied):
-            nonlocal checks
-            checks += 1
-            return _inner(self, engine)
-        monkeypatch.setattr(cls, "satisfied", counted)
+        count_calls(monkeypatch, calls, cls, "satisfied")
     metrics = run_rl_rollout(RolloutSpec(4, 512, 64, RolloutMode.INTERLEAVED),
                              PhaseCost())
     events = len(metrics.trace.events)
     assert metrics.trace.stalled == []
-    assert 0 < checks <= events
+    assert 0 < calls["satisfied"] <= events
 
 
 # ----------------------------------------------------------------------
