@@ -8,7 +8,7 @@ from .channels import (AlreadyBound, ChannelError, ComputeConfig, ContextKind,
 from .commands import (CommandKind, GpuCommand, graphics_draw, init_compute,
                        kernel_dispatch, semaphore_write, sleep)
 from .config import DeviceConfig
-from .engine import Engine, FaultRecord, MetricsTrace, SemaphoreAtLeast, TimeReached
+from .engine import Engine, MetricsTrace, SemaphoreAtLeast, TimeReached
 from .harness import (ConfigError, ExperimentConfig, cmd_datagen, cmd_graftbench,
                       cmd_rl, cmd_trace, parse_config)
 from .vm import (AddressSpace, AddressSpaceExhausted, AllocPolicy, AlreadyMapped,

@@ -110,7 +110,6 @@ class Context:
         self.space_id = space_id
         self.tsg_id = tsg_id
         self.channels: list[int] = []
-        self.fixed_function_ready = kind is ContextKind.GRAPHICS
         self.compute_state = ComputeConfig()
         self.forward_pool: list[int] = []   # free forwarding channels, ascending id
         self.bound_stream_ids: set[int] = set()

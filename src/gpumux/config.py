@@ -17,22 +17,18 @@ def ticks(seconds: float) -> int:
 class DeviceConfig(_SlotValue):
     """Device parameters: ``hw_max_queues`` channels per timeslice group and
     ``ring_capacity`` entries per submission ring. Compute contexts allocate
-    VAs from ``high_base`` up, graphics contexts from ``low_base`` up to it.
-    ``disable_graft`` and ``skip_bootstrap`` are diagnostic knobs: each skips a
-    coherence step (the graft at bind, the bootstrap of a forwarding channel)
-    so tests can show the failure it normally prevents."""
+    VAs from ``high_base`` up, graphics contexts from ``low_base`` up to it."""
 
     __slots__ = ("quantum", "context_switch_penalty", "hw_max_queues", "ring_capacity",
                  "compute_capacity", "graphics_capacity", "utilization_sample_dt",
-                 "geometry", "high_base", "low_base", "disable_graft", "skip_bootstrap")
+                 "geometry", "high_base", "low_base")
 
     def __init__(self, quantum: float = 0.1, context_switch_penalty: float = 0.0,
                  hw_max_queues: int = 8, ring_capacity: int = 1024,
                  compute_capacity: float = 1.0, graphics_capacity: float = 1.0,
                  utilization_sample_dt: float = 0.5,
                  geometry: PageGeometry = PageGeometry(),
-                 high_base: int = DEFAULT_HIGH_BASE, low_base: int = DEFAULT_LOW_BASE,
-                 disable_graft: bool = False, skip_bootstrap: bool = False):
+                 high_base: int = DEFAULT_HIGH_BASE, low_base: int = DEFAULT_LOW_BASE):
         for name, value in (("quantum", quantum),
                             ("utilization_sample_dt", utilization_sample_dt)):
             if not 1 <= value * TICKS_PER_S < math.inf:
@@ -59,5 +55,3 @@ class DeviceConfig(_SlotValue):
         self.geometry = geometry
         self.high_base = high_base
         self.low_base = low_base
-        self.disable_graft = disable_graft
-        self.skip_bootstrap = skip_bootstrap

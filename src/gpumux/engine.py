@@ -60,22 +60,11 @@ from .vm import AllocPolicy, MemorySystem, PageFault, SizeClass, _SlotValue
 # descriptor and costs about 15 times as much
 _DISPATCH, _DRAW, _INIT, _SEM_WRITE = (CommandKind.KERNEL_DISPATCH, CommandKind.GRAPHICS_DRAW,
                                        CommandKind.INIT_COMPUTE, CommandKind.SEMAPHORE_WRITE)
+_GRAPHICS = ContextKind.GRAPHICS   # likewise, for the draw and dispatch checks
 
 
 class EngineError(Exception):
     pass
-
-
-class FaultRecord(_SlotValue):
-    __slots__ = ("kind", "channel", "time", "vaddr", "detail")
-
-    def __init__(self, kind: str, channel: int, time: float, vaddr: int | None = None,
-                 detail: str = ""):
-        self.kind = kind   # "page_fault" | "execution_fault"
-        self.channel = channel
-        self.time = time
-        self.vaddr = vaddr
-        self.detail = detail
 
 
 class Condition(_SlotValue):
@@ -83,9 +72,6 @@ class Condition(_SlotValue):
     nothing writes one after it is built."""
 
     __slots__ = ()
-
-    def satisfied(self, engine: "Engine") -> bool:
-        raise NotImplementedError
 
 
 class SemaphoreAtLeast(Condition):
@@ -141,13 +127,13 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
 
 
 class MetricsTrace:
-    """Everything one run produced: events, utilization, windows, faults."""
+    """Everything one run produced: events (faults among them), utilization,
+    windows."""
 
     def __init__(self):
         self.records: list[tuple] = []    # (time, event, channel, tsg, stream, extras)
         self.segments: list[tuple] = []   # (t0, t1 in ticks, compute_util, graphics_util, tsg)
         self.windows: list[tuple] = []    # (tsg, t0, t1)
-        self.faults: list[FaultRecord] = []
         self.makespan = 0.0
         self.stalled: list[int] = []
 
@@ -248,7 +234,8 @@ class Engine:
         self.trace = MetricsTrace()
         self.phys_mem: dict[tuple[int, int], int] = {}
         self.processes: list[_Process] = []
-        # wake-up structures; every live process is in exactly one of them
+        # wake-up structures; every live process is in exactly one of them,
+        # but for a driver whose semaphore faulted, which is in none
         self._ready: list[int] = []      # pids to resume in the next round
         self._yielded: list[int] = []    # pids whose new condition is unchecked
         self._sem_waiters: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -442,10 +429,10 @@ class Engine:
         ctx = self.contexts[stream.context_id]
         self._drain_stream(stream)
         src = self.memory.spaces[ctx.space_id]
-        if graphics_ctx.space_id not in src.subscribers and not self.config.disable_graft:
+        if graphics_ctx.space_id not in src.subscribers:
             self.memory.graft(src, self.memory.spaces[graphics_ctx.space_id])
         fwd = self.channels[graphics_ctx.forward_pool.pop(0)]
-        if fwd.compute_config is None and not self.config.skip_bootstrap:
+        if fwd.compute_config is None:
             self.bootstrap(fwd, ctx.compute_state)
         ch = self.channels[stream.channel_id]
         stream.saved_snapshot = take_snapshot(ch)
@@ -563,7 +550,9 @@ class Engine:
         now, and the waiters of a dirty location are woken by comparing the
         value stored there with the threshold in their heap entries, with no
         translation. A driver's new condition is checked with ``satisfied``,
-        once per yield.
+        once per yield. A semaphore that does not translate, at the yield or
+        at a re-key, logs a ``fault`` and leaves its driver in no wake-up
+        structure: it stays stalled, also after a later map.
         """
         ready = self._ready
         if self.memory.total_tlb_invalidations != self._waiters_resolved_at:
@@ -583,15 +572,17 @@ class Engine:
         # stays exact, and every deadline left in the heap is in the future
         procs = self.processes
         while self._yielded:
-            pid = self._yielded[-1]  # popped once placed: a PageFault loses no driver
+            pid = self._yielded.pop()
             cond = procs[pid].condition
-            if cond is None or cond.satisfied(self):
-                ready.append(pid)
-            elif type(cond) is TimeReached:
-                heappush(timers, (ticks(cond.time), pid))
-            else:
-                self._wait_semaphore(self._sem_waiters, pid)
-            self._yielded.pop()
+            try:
+                if cond is None or cond.satisfied(self):
+                    ready.append(pid)
+                elif type(cond) is TimeReached:
+                    heappush(timers, (ticks(cond.time), pid))
+                else:
+                    self._wait_semaphore(self._sem_waiters, pid)
+            except PageFault as pf:
+                self._semaphore_fault(pf)
 
     def _wait_semaphore(self, index: dict, pid: int):
         """Key the waiting process ``pid`` in ``index`` by the location its
@@ -602,13 +593,22 @@ class Engine:
         page, off = self.memory.translate(self.memory.spaces[cond.space_id], cond.vaddr)
         heappush(index.setdefault((page.id, off), []), (cond.value, pid))
 
+    def _semaphore_fault(self, pf: PageFault):
+        """Log a waiting driver's semaphore that does not translate."""
+        self._log("fault", None, None, None, "page_fault", pf.vaddr,
+                  f"semaphore wait: walk stopped at level {pf.level}")
+
     def _resolve_waiters(self):
         """Re-key every semaphore waiter after an unmap or graft may have moved
-        a translation, and re-check each location."""
+        a translation, and re-check each location. A waiter whose semaphore
+        no longer translates is dropped (see ``_collect_ready``)."""
         index: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for heap in self._sem_waiters.values():
             for _, pid in heap:
-                self._wait_semaphore(index, pid)
+                try:
+                    self._wait_semaphore(index, pid)
+                except PageFault as pf:
+                    self._semaphore_fault(pf)
         self._sem_waiters = index
         self._dirty.update(index)
         self._waiters_resolved_at = self.memory.total_tlb_invalidations
@@ -786,11 +786,11 @@ class Engine:
         ctx = self.contexts[ch.context_id]
         kind = cmd.kind
         if kind is _DISPATCH:
-            if ch.compute_config is None and ctx.kind is ContextKind.GRAPHICS:
+            if ch.compute_config is None and ctx.kind is _GRAPHICS:
                 return self._record_fault(ch, "execution_fault",
                                           "kernel dispatch on a channel without compute state")
         elif kind is _DRAW:
-            if not ctx.fixed_function_ready:
+            if ctx.kind is not _GRAPHICS:
                 return self._record_fault(ch, "execution_fault",
                                           "draw without fixed-function hardware state")
         space = self.memory.spaces[ctx.space_id]
@@ -810,7 +810,6 @@ class Engine:
                       vaddr: int | None = None) -> bool:
         """Halt the channel on a fault; returns False for ``_start_command``."""
         ch.faulted = True
-        self.trace.faults.append(FaultRecord(kind, ch.id, self.clock, vaddr, detail))
         self._log("fault", ch.id, ch.tsg_id, ch.active_entry.stream_id, kind, vaddr,
                   detail)
         return False

@@ -127,7 +127,7 @@ class _DerivedLayout(_SlotValue):
     """The figures a PageGeometry derives from its fields: slots outside its own
     ``__slots__``, so they take no part in its equality, hash or repr."""
 
-    __slots__ = ("level_shifts", "fanout", "va_limit")
+    __slots__ = ("level_shifts", "fanout", "va_limit", "page_shift")
 
 
 class PageGeometry(_DerivedLayout):
@@ -140,10 +140,11 @@ class PageGeometry(_DerivedLayout):
     index fewer, or addresses that differ only above its bits would alias.
     """
 
-    __slots__ = ("levels", "bits_per_level", "page_shift", "big_page_level", "va_width")
+    __slots__ = ("levels", "bits_per_level", "big_page_level", "va_width")
 
-    def __init__(self, levels: int = 5, bits_per_level: int = 9, page_shift: int = 12,
-                 big_page_level: int = 3, va_width: int = 48):
+    def __init__(self, levels: int = 5, bits_per_level: int = 9, big_page_level: int = 3,
+                 va_width: int = 48):
+        page_shift = self.page_shift = SizeClass.SMALL.nbytes.bit_length() - 1
         # right shift that brings a level's index bits down to bit 0
         self.level_shifts = tuple(page_shift + bits_per_level * (levels - 1 - level)
                                   for level in range(levels))
@@ -151,8 +152,6 @@ class PageGeometry(_DerivedLayout):
         self.va_limit = 1 << va_width
         if levels < 2:
             raise ValueError("need at least a root and a leaf level")
-        if SizeClass.SMALL.nbytes != 1 << page_shift:
-            raise ValueError("page_shift must match the small page size")
         if not 0 < big_page_level < levels:
             raise ValueError("big_page_level out of range")
         if self.entry_span(big_page_level) != SizeClass.BIG.nbytes:
@@ -163,7 +162,6 @@ class PageGeometry(_DerivedLayout):
             raise ValueError(f"va_width too large for {levels} levels of {bits_per_level} bits")
         self.levels = levels
         self.bits_per_level = bits_per_level
-        self.page_shift = page_shift
         self.big_page_level = big_page_level
         self.va_width = va_width
 
@@ -328,24 +326,17 @@ def _align_up(value: int, align: int) -> int:
 
 
 class MemorySystem:
-    """All address spaces of one simulated device, plus copy-engine counters.
+    """All address spaces of one simulated device, plus copy-engine counters."""
 
-    ``propagate_tlb=False`` disables replication of TLB invalidations to
-    subscribers; it exists to demonstrate the stale translations that the
-    replication prevents.
-    """
-
-    def __init__(self, geometry: PageGeometry | None = None, *, propagate_tlb: bool = True):
+    def __init__(self, geometry: PageGeometry | None = None):
         self.geometry = geometry or PageGeometry()
         self.nodes: dict[int, PageTableNode] = {}
         self.spaces: dict[int, AddressSpace] = {}
         self.copy_log = CopyEngineLog()
-        self.propagate_tlb = propagate_tlb
         self.total_tlb_invalidations = 0
         # space id -> what _collect_subscribers yields for it; rebuilt by graft
         self._fanout: dict[int, tuple[tuple[AddressSpace, AddressSpace], ...]] = {}
         self._next_node = 0
-        self._next_space = 0
         self._next_phys = 0
 
     # ------------------------------------------------------------------
@@ -368,10 +359,10 @@ class MemorySystem:
             raise ValueError("policy base must be page aligned")
         if not 0 <= base < limit <= geo.va_limit:
             raise ValueError("policy window must lie inside the VA width")
-        root = self._new_node(0, self._next_space)
-        space = AddressSpace(self._next_space, base, limit, root)
-        self._next_space += 1
-        self.spaces[space.id] = space
+        # ids are dense: no space is ever removed
+        space_id = len(self.spaces)
+        space = AddressSpace(space_id, base, limit, self._new_node(0, space_id))
+        self.spaces[space_id] = space
         self._fanout[space.id] = ()
         return space
 
@@ -494,11 +485,11 @@ class MemorySystem:
         pruned back up the path it walked; a pruned node is deleted if this
         space owns it. Then every transitive subscriber is unmerged once,
         clearing its copies of the removed leaves and pruned directories.
-        One TLB invalidation is issued for this space (replicated to
-        subscribers unless replication is off). Raises NotMapped before any
-        write, also when a page in the range is one the space only sees
-        through a graft: only its owner unmaps it. Raises ValueError before
-        any write when `vaddr` is not the base of the page it falls in.
+        One TLB invalidation is issued for this space and replicated to its
+        subscribers. Raises NotMapped before any write, also when a page in
+        the range is one the space only sees through a graft: only its owner
+        unmaps it. Raises ValueError before any write when `vaddr` is not the
+        base of the page it falls in.
         """
         if n_pages < 1:
             raise ValueError("n_pages must be >= 1")
@@ -578,11 +569,10 @@ class MemorySystem:
         space.tlb.clear()
         space.tlb_invalidations += 1
         self.total_tlb_invalidations += 1
-        if self.propagate_tlb:
-            for sub, _ in self._fanout[space.id]:
-                sub.tlb.clear()
-                sub.tlb_invalidations += 1
-                self.total_tlb_invalidations += 1
+        for sub, _ in self._fanout[space.id]:
+            sub.tlb.clear()
+            sub.tlb_invalidations += 1
+            self.total_tlb_invalidations += 1
 
     # ------------------------------------------------------------------
     # grafting

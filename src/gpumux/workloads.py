@@ -139,11 +139,11 @@ class AsyncHandle(_SlotValue):
 
 class Metrics(_SlotValue):
     __slots__ = ("env", "mode", "steps", "batch", "groups", "makespan", "throughput",
-                 "env_steps", "trace")
+                 "trace")
     __hash__ = None   # a mutable record
 
     def __init__(self, env: str, mode: str, steps: int, batch: int, groups: int,
-                 makespan: float, throughput: float, env_steps: int, trace: MetricsTrace):
+                 makespan: float, throughput: float, trace: MetricsTrace):
         self.env = env
         self.mode = mode
         self.steps = steps
@@ -151,7 +151,6 @@ class Metrics(_SlotValue):
         self.groups = groups
         self.makespan = makespan
         self.throughput = throughput
-        self.env_steps = env_steps
         self.trace = trace
 
 
@@ -290,14 +289,14 @@ def _finish(session: SimSession, env: str, mode: str, steps: int, batch: int,
             groups: int) -> Metrics:
     trace = session.engine.run()
     if trace.stalled:
-        faults = ", ".join(f"{f.kind}@{f.time}" for f in trace.faults) or "none"
+        faults = ", ".join(f"{extras[0]}@{t}" for t, event, _, _, _, extras in trace.records
+                           if event == "fault") or "none"
         raise RuntimeError(f"workload stalled (processes {trace.stalled}); "
                            f"faults: {faults}")
     makespan = trace.makespan
     throughput = steps * batch / makespan if makespan > 0 else 0.0
     return Metrics(env=env, mode=mode, steps=steps, batch=batch, groups=groups,
-                   makespan=makespan, throughput=throughput,
-                   env_steps=steps * batch, trace=trace)
+                   makespan=makespan, throughput=throughput, trace=trace)
 
 
 def run_datagen(spec: EpisodeSpec, costs: PhaseCost,

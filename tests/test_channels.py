@@ -3,7 +3,7 @@
 import pytest
 
 from gpumux.channels import AlreadyBound, ContextKind, NotBound, PoolExhausted, RingFull
-from gpumux.commands import kernel_dispatch
+from gpumux.commands import graphics_draw, kernel_dispatch
 from gpumux.config import DeviceConfig
 from gpumux.engine import Engine
 from gpumux.vm import PageFault, SizeClass
@@ -21,14 +21,27 @@ def build(config=None, pool=1, streams=1):
 # ----------------------------------------------------------------------
 # contexts
 
-def test_compute_context_lacks_fixed_function_state():
+def fault_details(trace):
+    return [ev["detail"] for ev in trace.events if ev["event"] == "fault"]
+
+
+def draw_on(kind):
     e = Engine()
-    assert e.create_context(ContextKind.COMPUTE).fixed_function_ready is False
+    stream = e.create_stream(e.create_context(kind))
+    e.submit(stream, [graphics_draw(1.0, 0.0, 0.5)])
+    return e.run()
+
+
+def test_compute_context_lacks_fixed_function_state():
+    trace = draw_on(ContextKind.COMPUTE)
+    assert fault_details(trace) == ["draw without fixed-function hardware state"]
+    assert not trace.exec_intervals(kind="graphics_draw")
 
 
 def test_graphics_context_has_fixed_function_state():
-    e = Engine()
-    assert e.create_context(ContextKind.GRAPHICS).fixed_function_ready is True
+    trace = draw_on(ContextKind.GRAPHICS)
+    assert fault_details(trace) == []
+    assert len(trace.exec_intervals(kind="graphics_draw")) == 1
 
 
 def test_contexts_get_distinct_groups_and_spaces():
@@ -255,7 +268,7 @@ def test_bind_bootstraps_unconfigured_channel():
     e.submit(stream, [kernel_dispatch(1.0, 0.1)])
     e.run()
     assert fwd.compute_config is not None
-    assert not e.trace.faults
+    assert fault_details(e.trace) == []
 
 
 def test_bootstrap_skipped_for_already_configured_channel():

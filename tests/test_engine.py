@@ -29,6 +29,11 @@ def compute_engine(n_contexts=1, streams_per=1, config=None):
     return e, streams
 
 
+def faults(trace):
+    """The trace's ``fault`` events, as dicts."""
+    return [ev for ev in trace.events if ev["event"] == "fault"]
+
+
 def mapped_vaddr(e, ctx, size_class=SizeClass.BIG):
     space = e.memory.spaces[ctx.space_id]
     va = e.memory.allocate(space, 1, size_class)
@@ -71,6 +76,40 @@ def test_empty_groups_are_skipped():
     trace = e.run()
     assert trace.makespan == pytest.approx(3.0)  # no idle quanta for the empty group
     assert {tsg for tsg, _, _ in trace.windows} == {0}
+
+
+def switching_engine(penalty, graphics=True):
+    """A compute group with four 0.05 s kernels and, if ``graphics``, a
+    graphics group with four 0.05 s draws, under a 0.1 s quantum."""
+    e = Engine(DeviceConfig(quantum=0.1, context_switch_penalty=penalty))
+    compute = e.create_stream(e.create_context(ContextKind.COMPUTE))
+    for _ in range(4):
+        e.submit(compute, [kernel_dispatch(0.05, 0.5)])
+    if graphics:
+        draws = e.create_stream(e.create_context(ContextKind.GRAPHICS))
+        for _ in range(4):
+            e.submit(draws, [graphics_draw(0.05, 0.0, 0.5)])
+    return e
+
+
+def test_context_switch_penalty_idles_between_groups():
+    # each switch idles 0.01 s before the next group's window opens
+    trace = switching_engine(0.01).run()
+    assert trace.windows == [(0, 0.0, 0.1), (1, 0.11, 0.21), (0, 0.22, 0.32),
+                             (1, 0.33, 0.43)]
+    idle = [(t0, t1) for t0, t1, _, _, tsg in trace.segments if tsg is None]
+    assert idle == [(100_000_000, 110_000_000), (210_000_000, 220_000_000),
+                    (320_000_000, 330_000_000)]
+    assert trace.makespan == 0.43
+    assert switching_engine(0.0).run().makespan == 0.4
+    check_all(trace)
+
+
+def test_context_switch_penalty_not_paid_without_a_switch():
+    trace = switching_engine(0.01, graphics=False).run()
+    assert trace.windows == [(0, 0.0, 0.1), (0, 0.1, 0.2)]
+    assert all(tsg is not None for _, _, _, _, tsg in trace.segments)
+    assert trace.makespan == 0.2
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +206,7 @@ def test_draw_on_compute_context_faults():
     e, ((s,),) = compute_engine()
     e.submit(s, [graphics_draw(1.0, 0.2, 0.5)])
     trace = e.run()
-    assert [f.kind for f in trace.faults] == ["execution_fault"]
+    assert [f["kind"] for f in faults(trace)] == ["execution_fault"]
 
 
 def test_unmapped_touch_page_faults_and_halts_channel():
@@ -178,16 +217,15 @@ def test_unmapped_touch_page_faults_and_halts_channel():
     e.submit(s, [kernel_dispatch(1.0, 0.1, touched=(bad,))])
     e.submit(s, [kernel_dispatch(1.0, 0.1, touched=(good,))])
     trace = e.run()
-    assert len(trace.faults) == 1
-    fault = trace.faults[0]
-    assert fault.kind == "page_fault" and fault.vaddr == bad
+    (fault,) = faults(trace)
+    assert fault["kind"] == "page_fault" and fault["vaddr"] == bad
     # the channel halted: the second buffer never ran
     assert not trace.exec_intervals(kind="kernel_dispatch")
     ch = e.channels[s.channel_id]
     e.reset_channel(ch)
     trace = e.run()
     assert len(trace.exec_intervals(kind="kernel_dispatch")) == 1
-    assert len(trace.faults) == 1
+    assert len(faults(trace)) == 1
 
 
 @pytest.mark.parametrize("write_first", [False, True],
@@ -201,14 +239,14 @@ def test_zero_duration_write_faults_and_halts_channel(write_first):
     faulting = e.submit(s, buf)
     following = e.submit(s, [kernel_dispatch(1.0, 0.1)])
     trace = e.run()
-    assert [(f.kind, f.vaddr) for f in trace.faults] == [("page_fault", bad)]
+    assert [(f["kind"], f["vaddr"]) for f in faults(trace)] == [("page_fault", bad)]
     completed = [ev["seq"] for ev in trace.events if ev["event"] == "buffer_complete"]
     assert faulting not in completed and following not in completed
     e.reset_channel(e.channels[s.channel_id])
     trace = e.run()
     completed = [ev["seq"] for ev in trace.events if ev["event"] == "buffer_complete"]
     assert completed == [following]
-    assert len(trace.faults) == 1
+    assert len(faults(trace)) == 1
 
 
 def test_sleep_consumes_time_but_no_resources():
@@ -459,6 +497,39 @@ def test_waiter_rekeyed_onto_a_location_that_holds_its_threshold_wakes():
     assert collected[0] == [0]
     assert log == [(0, 0.0)]
     assert e.phys_mem == writes
+
+
+@pytest.mark.parametrize("unmap_while_waiting", [True, False],
+                         ids=["unmapped_while_waiting", "unmapped_at_yield"])
+def test_semaphore_that_does_not_translate_stalls_only_its_driver(unmap_while_waiting):
+    # the fault is logged once, the driver leaves every wake-up structure,
+    # and the rest of the device keeps running, on this run and the next
+    e, ((s,),) = compute_engine()
+    ctx = e.contexts[s.context_id]
+    space = e.memory.spaces[ctx.space_id]
+    va = mapped_vaddr(e, ctx, SizeClass.SMALL)
+    log = []
+    waiter = logging_driver(e, log, 0, [SemaphoreAtLeast(space.id, va, 7)])
+    if unmap_while_waiting:
+        e.spawn(waiter)
+        assert e.run().stalled == [0]
+    e.memory.unmap_range(space, va, 1)
+    if not unmap_while_waiting:
+        e.spawn(waiter)
+    e.submit(s, [kernel_dispatch(1.0, 0.1)])
+    trace = e.run()
+    assert [(f["channel"], f["tsg"], f["stream"], f["kind"], f["vaddr"], f["detail"])
+            for f in faults(trace)] == [
+        (None, None, None, "page_fault", va, "semaphore wait: walk stopped at level 4")]
+    assert len(trace.exec_intervals(kind="kernel_dispatch")) == 1
+    assert (trace.makespan, trace.stalled) == (1.0, [0])
+    check_all(trace)
+    # a later map does not bring the driver back
+    e.memory.map_range(space, va, e.memory.alloc_phys(SizeClass.SMALL))
+    e.submit(s, [semaphore_write(va, 7)])
+    trace = e.run()
+    assert (trace.stalled, log, len(faults(trace))) == ([0], [], 1)
+    assert trace.makespan == 1.0
 
 
 def count_calls(monkeypatch, counts, owner, name):

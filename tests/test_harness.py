@@ -121,6 +121,35 @@ def test_hex_bases_accepted(tmp_path):
     assert cfg.device.high_base == 0x700000000000
 
 
+def test_every_device_field_is_a_config_key():
+    # a field that no config file can set would be an option only code could use
+    geometry_keys = harness._GEOMETRY_KEYS
+    device_keys = set(harness._SCHEMA["device"]) - set(geometry_keys)
+    assert set(DeviceConfig.__slots__) - {"geometry"} == device_keys
+    assert set(geometry_keys) <= set(harness._SCHEMA["device"])
+    assert set(PageGeometry.__slots__) == set(geometry_keys.values())
+
+
+@pytest.mark.parametrize("text, message", [
+    (GOOD.replace("quantum = 0.1", "quantum 0.1"), "line 4: expected 'key = value'"),
+    ("steps = 6\n" + GOOD, "line 1: key outside any section"),
+    (GOOD.replace("render_per_env = 0.007", "sim_compute_frac = 2"),
+     "[costs]: sim_compute_frac must lie in [0, 1]"),
+    (GOOD.replace("steps = 6", "steps = -1"), "[workload]: steps must be >= 0"),
+    (GOOD.replace("batches = 16 32", "batches = 0"), "[workload]: batches must be positive"),
+    (GOOD.replace("groups = 2", "groups = 0"), "[workload]: groups must be >= 1"),
+    (GOOD.replace("buffer_counts = 4 16 64", "buffer_counts = 0"),
+     "[graftbench]: buffer_counts must be positive"),
+], ids=["no_equals", "outside_section", "bad_cost", "negative_steps", "zero_batch",
+        "zero_groups", "zero_buffer_count"])
+def test_cli_config_error_paths_exit_2(tmp_path, capsys, text, message):
+    out = tmp_path / "out"
+    assert cli.main(["datagen", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # commands and outputs
 

@@ -7,7 +7,7 @@ import pytest
 
 from gpumux.channels import ComputeConfig, Ring, Snapshot, UserD
 from gpumux.config import DeviceConfig
-from gpumux.engine import FaultRecord, MetricsTrace
+from gpumux.engine import MetricsTrace
 from gpumux.harness import ExperimentConfig
 from gpumux.vm import (DEFAULT_HIGH_BASE, DEFAULT_LOW_BASE, CopyEngineLog, GraftReport,
                        PageGeometry)
@@ -19,17 +19,14 @@ _RING, _USERD, _TRACE = Ring(4), UserD(), MetricsTrace()
 # class, its fields in positional order, the values of one instance, and a
 # keyword change that gives an unequal one
 FROZEN = [
-    (PageGeometry, ("levels", "bits_per_level", "page_shift", "big_page_level",
-                    "va_width"), (4, 9, 12, 2, 39), {"va_width": 40}),
+    (PageGeometry, ("levels", "bits_per_level", "big_page_level", "va_width"),
+     (4, 9, 2, 39), {"va_width": 40}),
     (DeviceConfig, ("quantum", "context_switch_penalty", "hw_max_queues",
                     "ring_capacity", "compute_capacity", "graphics_capacity",
-                    "utilization_sample_dt", "geometry", "high_base", "low_base",
-                    "disable_graft", "skip_bootstrap"),
+                    "utilization_sample_dt", "geometry", "high_base", "low_base"),
      (0.2, 0.01, 4, 64, 2.0, 0.5, 0.25, PageGeometry(), 0x6000_0000_0000,
-      0x2_0000_0000, True, True), {"ring_capacity": 65}),
+      0x2_0000_0000), {"ring_capacity": 65}),
     (ComputeConfig, ("local_memory_bytes",), (4096,), {"local_memory_bytes": 8192}),
-    (FaultRecord, ("kind", "channel", "time", "vaddr", "detail"),
-     ("page_fault", 3, 1.5, 0x1000, "x"), {"detail": "y"}),
     (PhaseCost, ("sim_base", "sim_per_env", "render_base", "render_per_env",
                  "inference_base", "inference_per_env", "sim_compute_frac",
                  "render_compute_frac", "render_graphics_frac"),
@@ -46,8 +43,8 @@ MUTABLE = [
     (Snapshot, ("ring", "userd", "token", "get", "put"), (_RING, _USERD, 7, 1, 2),
      {"put": 3}),
     (Metrics, ("env", "mode", "steps", "batch", "groups", "makespan", "throughput",
-               "env_steps", "trace"),
-     ("PickCube", "pipelined", 5, 16, 2, 4.5, 17.7, 80, _TRACE), {"makespan": 4.25}),
+               "trace"),
+     ("PickCube", "pipelined", 5, 16, 2, 4.5, 17.7, _TRACE), {"makespan": 4.25}),
     (ExperimentConfig, ("device", "costs", "env", "steps", "batches", "groups",
                         "buffer_counts"),
      (DeviceConfig(), PhaseCost(), "custom", 6, [16, 32], 2, [4, 16]), {"groups": 1}),
@@ -89,25 +86,22 @@ def test_mutable_records_are_unhashable(cls, names, values, change):
 
 def test_defaults():
     geometry = PageGeometry()
-    assert (geometry.levels, geometry.bits_per_level, geometry.page_shift,
-            geometry.big_page_level, geometry.va_width) == (5, 9, 12, 3, 48)
-    assert geometry.level_shifts == (48, 39, 30, 21, 12)
+    assert (geometry.levels, geometry.bits_per_level, geometry.big_page_level,
+            geometry.va_width) == (5, 9, 3, 48)
+    assert (geometry.page_shift, geometry.level_shifts) == (12, (48, 39, 30, 21, 12))
     assert (geometry.fanout, geometry.va_limit) == (512, 1 << 48)
     device = DeviceConfig()
     assert (device.quantum, device.context_switch_penalty, device.hw_max_queues,
             device.ring_capacity, device.compute_capacity, device.graphics_capacity,
             device.utilization_sample_dt, device.geometry, device.high_base,
-            device.low_base, device.disable_graft, device.skip_bootstrap) == (
-        0.1, 0.0, 8, 1024, 1.0, 1.0, 0.5, geometry, DEFAULT_HIGH_BASE,
-        DEFAULT_LOW_BASE, False, False)
+            device.low_base) == (
+        0.1, 0.0, 8, 1024, 1.0, 1.0, 0.5, geometry, DEFAULT_HIGH_BASE, DEFAULT_LOW_BASE)
     assert ComputeConfig().local_memory_bytes == 64 * 1024
     costs = PhaseCost()
     assert (costs.sim_base, costs.sim_per_env, costs.render_base, costs.render_per_env,
             costs.inference_base, costs.inference_per_env, costs.sim_compute_frac,
             costs.render_compute_frac, costs.render_graphics_frac) == (
         0.9, 0.002, 0.033, 0.0065, 0.03, 0.0005, 0.1, 0.6, 1.0)
-    fault = FaultRecord("execution_fault", 1, 0.5)
-    assert (fault.vaddr, fault.detail) == (None, "")
     spec = RolloutSpec(4, 8)
     assert (spec.groups, spec.mode) == (2, RolloutMode.INTERLEAVED)
     assert (CopyEngineLog().reads, CopyEngineLog().writes) == (0, 0)
@@ -118,10 +112,8 @@ def test_defaults():
 
 def test_repr_names_the_compared_fields():
     assert repr(PageGeometry()) == ("PageGeometry(levels=5, bits_per_level=9, "
-                                    "page_shift=12, big_page_level=3, va_width=48)")
+                                    "big_page_level=3, va_width=48)")
     assert repr(CopyEngineLog(1, 2)) == "CopyEngineLog(reads=1, writes=2)"
-    assert repr(FaultRecord("page_fault", 2, 0.25, 4096)) == (
-        "FaultRecord(kind='page_fault', channel=2, time=0.25, vaddr=4096, detail='')")
     assert repr(EpisodeSpec(1, 2, DatagenMode.SEQUENTIAL)) == (
         "EpisodeSpec(steps=1, batch=2, mode=<DatagenMode.SEQUENTIAL: 'sequential'>)")
 
@@ -134,7 +126,6 @@ def test_mutable_records_take_new_field_values():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: PageGeometry(levels=1), "root and a leaf"),
-    (lambda: PageGeometry(page_shift=13), "page_shift"),
     (lambda: PageGeometry(big_page_level=0), "big_page_level out of range"),
     (lambda: PageGeometry(big_page_level=5), "big_page_level out of range"),
     (lambda: PageGeometry(big_page_level=2), "span 2 MiB"),

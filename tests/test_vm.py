@@ -20,8 +20,8 @@ SMALL = SizeClass.SMALL
 BIG = SizeClass.BIG
 
 
-def fresh_pair(**kwargs):
-    mem = MemorySystem(**kwargs)
+def fresh_pair():
+    mem = MemorySystem()
     high = mem.create_space(AllocPolicy.HIGH_RANGE)
     low = mem.create_space(AllocPolicy.LOW_RANGE)
     return mem, high, low
@@ -448,6 +448,27 @@ def test_source_full_unmap_prunes_subscriber_frontier():
         mem.union_oracle(high, low)
 
 
+def test_subscriber_directory_emptied_by_the_unmerge_is_pruned():
+    # both roots hold their own level-1 node at slot 0, and the graft copies
+    # high's level-2 node into low's; once low's own page and then all of
+    # high's are gone, the unmerge clears that copy, which empties low's
+    # level-1 node: it is pruned from low's root and deleted
+    mem, high, low = fresh_pair()
+    small = map_new(mem, high, 2)
+    own = map_new(mem, low)
+    mem.graft(high, low)
+    big = map_new(mem, high, size_class=BIG)
+    mem.unmap_range(low, own, 1)
+    writes = mem.copy_log.writes
+    mem.unmap_range(high, small, 2)
+    mem.unmap_range(high, big, 1)
+    assert mem.copy_log.writes - writes == 2   # the copied entry, then low's root slot
+    assert not any(low.root.entries) and not any(high.root.entries)
+    reachable = {n["id"] for s in (high, low) for n in mem.dump_tables(s)["nodes"]}
+    assert set(mem.nodes) == reachable == {high.root.id, low.root.id}
+    assert list(mem.iter_leaves(high)) == list(mem.iter_leaves(low)) == []
+
+
 def test_unmap_through_a_graft_raises_and_changes_nothing():
     # low sees high's page only through the graft; only high may unmap it
     mem, high, low = fresh_pair()
@@ -487,9 +508,7 @@ def test_unmap_invalidates_source_and_subscribers():
 
 
 def test_stale_translation_without_invalidation_propagation():
-    mem = MemorySystem(propagate_tlb=False)
-    high = mem.create_space(AllocPolicy.HIGH_RANGE)
-    low = mem.create_space(AllocPolicy.LOW_RANGE)
+    mem, high, low = fresh_pair()
     map_new(mem, high)
     map_new(mem, low)
     mem.graft(high, low)
@@ -497,7 +516,9 @@ def test_stale_translation_without_invalidation_propagation():
     (first,) = mem.alloc_phys(SMALL)
     mem.map_range(high, va, [first])
     assert mem.translate(low, va)[0] == first  # warms the subscriber TLB
+    stale = dict(low.tlb)
     mem.unmap_range(high, va, 1)
+    low.tlb.update(stale)   # as if the invalidation never reached the subscriber
     (second,) = mem.alloc_phys(SMALL)
     mem.map_range(high, va, [second])
     assert mem.translate(high, va)[0] == second

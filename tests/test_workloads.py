@@ -7,6 +7,8 @@ step k+1 overlaps render k.
 
 import pytest
 
+from gpumux import workloads
+from gpumux.engine import SemaphoreAtLeast
 from gpumux.workloads import (DatagenMode, EpisodeSpec, PhaseCost, RolloutMode,
                               RolloutSpec, SimSession, run_datagen, run_rl_rollout)
 
@@ -151,7 +153,7 @@ def test_pipelined_trace_keeps_dependencies_and_overlaps():
 def test_equal_work_across_modes():
     for mode in DatagenMode:
         m = run_datagen(EpisodeSpec(5, 16, mode), BALANCED)
-        assert m.env_steps == 80
+        assert m.throughput * m.makespan == pytest.approx(80)   # env steps
         sem_values = [ev["value"] for ev in m.trace.events
                       if ev["event"] == "semaphore"]
         # 5 increments per stream, two streams
@@ -165,9 +167,23 @@ def test_empty_episode_is_a_no_op():
     assert list(m.trace.utilization_samples(0.5)) == []
 
 
+def test_stall_message_names_the_logged_faults():
+    # a driver that waits on a semaphore that does not translate stalls, and
+    # its fault record is what the message lists
+    s = SimSession(BALANCED, batch=4)
+
+    def driver():
+        yield SemaphoreAtLeast(s.compute_ctx.space_id, 0x7fff_0000_0000, 1)
+
+    s.engine.spawn(driver())
+    with pytest.raises(RuntimeError, match=r"^workload stalled \(processes \[0\]\); "
+                                           r"faults: page_fault@0\.0$"):
+        workloads._finish(s, "custom", "sequential", 0, 4, 1)
+
+
 def test_pipelined_faults_clean():
     m = run_datagen(EpisodeSpec(10, 32, DatagenMode.PIPELINED), PhaseCost())
-    assert not m.trace.faults
+    assert all(ev["event"] != "fault" for ev in m.trace.events)
 
 
 # ----------------------------------------------------------------------
