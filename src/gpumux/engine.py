@@ -422,11 +422,13 @@ class Engine:
             raise EngineError("bind is a control-plane call, not valid mid-run")
         if stream.bound:
             raise AlreadyBound(f"stream {stream.id} is already bound")
+        ctx = self.contexts[stream.context_id]
+        if ctx.kind is not ContextKind.COMPUTE:
+            raise ValueError("only compute streams bind")
         if graphics_ctx.kind is not ContextKind.GRAPHICS:
             raise ValueError("streams bind to graphics contexts")
         if not graphics_ctx.forward_pool:
             raise PoolExhausted("no forwarding channels available")
-        ctx = self.contexts[stream.context_id]
         self._drain_stream(stream)
         src = self.memory.spaces[ctx.space_id]
         if graphics_ctx.space_id not in src.subscribers:
@@ -442,27 +444,34 @@ class Engine:
         self._log("bind", ch.id, graphics_ctx.tsg_id, stream.id, fwd.id)
 
     def unbind(self, stream: StreamHandle):
-        """Drain, restore the saved snapshot, and return the forwarding channel."""
+        """Drain, restore the saved snapshot, and return the forwarding channel.
+        If the channel is faulted (checked before the drain too), it still holds
+        the stream's work: EngineError, and the stream stays bound."""
         if self._running:
             raise EngineError("unbind is a control-plane call, not valid mid-run")
         if not stream.bound:
             raise NotBound(f"stream {stream.id} is not bound")
-        self._drain_stream(stream)
+        fwd = self.channels[stream.bound_channel_id]
+        if fwd.faulted or not self._drain_stream(stream):
+            raise EngineError(f"forwarding channel {fwd.id} faulted with stream "
+                              f"{stream.id}'s work; reset it and run before unbind")
         ch = self.channels[stream.channel_id]
-        fwd_id = stream.bound_channel_id
         restore_snapshot(ch, stream.saved_snapshot)
         ctx = self.contexts[stream.context_id]
-        gctx = self.contexts[self.channels[fwd_id].context_id]
-        insort(gctx.forward_pool, fwd_id)
+        insort(self.contexts[fwd.context_id].forward_pool, fwd.id)
         stream.saved_snapshot = None
         stream.bound_channel_id = None
         ctx.bound_stream_ids.discard(stream.id)
-        self._log("unbind", ch.id, ctx.tsg_id, stream.id, fwd_id)
+        self._log("unbind", ch.id, ctx.tsg_id, stream.id, fwd.id)
 
-    def _drain_stream(self, stream: StreamHandle):
+    def _drain_stream(self, stream: StreamHandle) -> bool:
+        """Run until the stream's semaphore holds its last buffer's value;
+        returns whether it does (not if the stream's channel faulted)."""
         target = stream.next_semaphore_value
         if target and self.stream_semaphore(stream) < target:
             self.run(until=lambda e: e.stream_semaphore(stream) >= target)
+            return self.stream_semaphore(stream) >= target
+        return True
 
     # ------------------------------------------------------------------
     # semaphores and processes

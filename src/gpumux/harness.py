@@ -16,11 +16,12 @@ failed command leaves the directory as it found it.
 
 A paired sweep (``datagen``, ``rl``, ``trace``) uses two processes, so it
 needs POSIX ``os.fork``: a forked child runs, audits and encodes the
-sequential runs and sends their lines through a pipe, while this process runs
-the overlapped runs, and the lines are written in the order of one process.
-The memory of each process follows one run. A failure in a batch is
-reproduced by running that batch again in this process, as one process runs
-it, so the command raises the exception one process raises.
+sequential runs into unnamed temporary files, with one pipe message per run,
+while this process runs the overlapped runs and copies each sequential run's
+lines in when its message arrives, in the order of one process. The memory
+of each process follows one run. A failure in a batch is reproduced by
+running that batch again in this process, as one process runs it, so the
+command raises the exception one process raises.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 import marshal
 import os
+import tempfile
 from collections.abc import Iterable, Iterator
 from itertools import islice, takewhile
 from json.encoder import encode_basestring_ascii
@@ -228,7 +230,7 @@ def _csv(header: list[str], rows: list[dict]) -> str:
 # row's text after the time when the row holds the same objects (``is``, not
 # ``==``, for the same reason).
 #
-# Both encoders yield their lines one at a time, and ``_blocks`` joins them
+# Both encoders yield their lines one at a time, and ``_write`` joins them
 # ``_CHUNK`` lines at a time, so a run's lines are never held at once.
 
 def _json(value) -> str:
@@ -287,14 +289,16 @@ def encode_utilization(samples: Iterable[tuple], run: str | None = None) -> Iter
         yield template % (t, tail)
 
 
-_CHUNK = 256   # lines per block written to a file or sent between processes
+_CHUNK = 256   # lines per block written to a file
+_COPY = 1 << 14   # bytes per read of the child's files: this process's peak follows it
 
 
-def _blocks(lines: Iterable[str]) -> Iterator[str]:
-    """``lines`` joined by newlines ``_CHUNK`` at a time (no line is empty)."""
+def _write(f, lines: Iterable[str]):
+    """Write ``lines`` (none empty), each ended by a newline, ``_CHUNK`` at a time."""
     lines = iter(lines)
     while block := "\n".join(islice(lines, _CHUNK)):
-        yield block
+        f.write(block)
+        f.write("\n")
 
 
 class _Outputs:
@@ -303,7 +307,7 @@ class _Outputs:
     Each file goes to a temporary ``.<name>.tmp`` in ``out_dir``:
     ``utilization.jsonl``, and ``events.jsonl`` (which starts with the meta
     line) when ``json_events`` is set, are opened on entering the ``with``
-    block, before the first run, and take the lines of each run in blocks.
+    block, before the first run, and are in ``files`` by final name.
     ``commit`` writes ``summary.csv`` and moves every file into place.
     Leaving the block without a commit, as an exception does, deletes the
     temporary files and the directories that this writer created, so a failed
@@ -312,10 +316,9 @@ class _Outputs:
 
     def __init__(self, out_dir: Path, command: str, seed: int, json_events: bool):
         self.out_dir = out_dir
-        self.json_events = json_events
-        self._meta = json.dumps({"meta": {"command": command, "seed": seed}},
-                                separators=(",", ":")) + "\n"
-        self._files = {}      # final name -> open temporary file
+        self._meta = (json.dumps({"meta": {"command": command, "seed": seed}},
+                                 separators=(",", ":")) + "\n" if json_events else None)
+        self.files = {}       # final name -> open temporary file
         self._created = []    # directories made by __enter__, deepest first
 
     def __enter__(self) -> _Outputs:
@@ -325,7 +328,7 @@ class _Outputs:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             self._created = missing
             self.add("utilization.jsonl", "")
-            if self.json_events:
+            if self._meta:
                 self.add("events.jsonl", self._meta)
         except BaseException:
             self.__exit__()
@@ -333,43 +336,37 @@ class _Outputs:
         return self
 
     def __exit__(self, *exc_info):
-        for name, f in self._files.items():
+        for name, f in self.files.items():
             f.close()
             self._temp(name).unlink()
-        self._files.clear()
+        self.files.clear()
         for d in self._created:
             d.rmdir()
 
     def _temp(self, name: str) -> Path:
         return self.out_dir / f".{name}.tmp"
 
-    def write(self, name: str, block: str):
-        """Append a block of ``_blocks`` lines to an open JSONL file."""
-        f = self._files[name]
-        f.write(block)
-        f.write("\n")
-
     def tell(self) -> dict:
         """The position of each open file, flushed, for ``rewind``."""
-        return {name: f.tell() for name, f in self._files.items()}
+        return {name: f.tell() for name, f in self.files.items()}
 
     def rewind(self, marks: dict):
         """Cut each file back to its position in ``marks``."""
         for name, pos in marks.items():
-            self._files[name].seek(pos)
-            self._files[name].truncate()
+            self.files[name].seek(pos)
+            self.files[name].truncate()
 
     def add(self, name: str, text: str):
         """Open the temporary file of ``name`` and write ``text`` to it."""
-        self._files[name] = f = open(self._temp(name), "w")
+        self.files[name] = f = open(self._temp(name), "w")
         f.write(text)
 
     def commit(self, header: list[str], rows: list[dict]):
         """Write ``summary.csv`` and move every file into place."""
         self.add("summary.csv", _csv(header, rows))
         self._created = []
-        for name in list(self._files):
-            self._files.pop(name).close()
+        for name in list(self.files):
+            self.files.pop(name).close()
             os.replace(self._temp(name), self.out_dir / name)
 
 
@@ -378,14 +375,13 @@ _WORKLOAD_HEADER = ["env", "mode", "K", "B", "G", "makespan", "throughput",
 
 
 def _collect(metrics: Metrics, run: str, speedup: float, cfg: ExperimentConfig,
-             out: _Outputs | _PipeOutputs) -> dict:
+             files: dict) -> dict:
+    """Audit a run, write its lines to the open JSONL ``files`` by name, return its row."""
     check_all(metrics.trace, run)
-    if out.json_events:
-        for block in _blocks(encode_events(metrics.trace.records, run)):
-            out.write("events.jsonl", block)
+    if "events.jsonl" in files:
+        _write(files["events.jsonl"], encode_events(metrics.trace.records, run))
     samples = metrics.trace.utilization_samples(cfg.device.utilization_sample_dt)
-    for block in _blocks(encode_utilization(samples, run)):
-        out.write("utilization.jsonl", block)
+    _write(files["utilization.jsonl"], encode_utilization(samples, run))
     return {"env": metrics.env, "mode": metrics.mode, "K": metrics.steps,
             "B": metrics.batch, "G": metrics.groups, "makespan": metrics.makespan,
             "throughput": metrics.throughput, "speedup_vs_sequential": speedup}
@@ -396,63 +392,67 @@ def _collect(metrics: Metrics, run: str, speedup: float, cfg: ExperimentConfig,
 
 class _SequentialRuns:
     """A forked child that runs the sequential run of each batch of a paired
-    sweep, audits and encodes it, and sends it to this process in a pipe.
+    sweep, audits it and writes its lines to an unnamed temporary file per
+    output in ``names``, opened before the fork.
 
-    Per run the child sends ``marshal`` pairs: ``(file name, block)`` for
-    each block of its lines, then ``(None, (summary row, mean compute
-    utilization))``, or ``(None, None)`` if the run raised. The exception
-    itself is not sent: the parent runs the batch again to raise it. The
-    child leaves only through ``os._exit``, since returning into the caller
-    would run the clean-up of the parent's ``_Outputs``.
+    After each run the child sends one ``marshal`` message through a pipe,
+    ``(summary row, mean compute utilization, end offset of each file)``, or
+    None if the run raised: the parent runs the batch again to raise it. The
+    processes share each file's offset, so this one reads with ``os.pread``
+    and never seeks. The child leaves only through ``os._exit``, since
+    returning into the caller would run the clean-up of the parent's ``_Outputs``.
     """
 
     def __init__(self, cfg: ExperimentConfig, batches: list[int], label: str, run,
-                 mode, json_events: bool):
+                 mode, names: Iterable[str]):
         r, w = os.pipe()
-        try:   # room for a run's lines, so that the child need not wait for this process
-            import fcntl
-            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
-        except (AttributeError, OSError):   # not Linux, or over the user's pipe quota
-            pass
+        self.pid, self._files = 0, {}   # output name -> the child's unnamed file
         try:
+            for name in names:
+                self._files[name] = tempfile.TemporaryFile("w+")
             self.pid = os.fork()
         except OSError as exc:   # not an --out error, which is what cli.main takes it for
             os.close(r)
             os.close(w)
-            raise RuntimeError(f"cannot fork the sequential runs: {exc}") from None
+            self.close(kill=False)
+            raise RuntimeError(f"cannot start the sequential runs: {exc}") from None
+        self._ends = [0] * len(self._files)   # offsets of the last run copied in
         if self.pid == 0:
             try:
                 os.close(r)
                 with open(w, "wb") as pipe:
-                    _send_runs(cfg, batches, label, run, mode, json_events, pipe)
+                    _send_runs(cfg, batches, label, run, mode, self._files, pipe)
             finally:
                 os._exit(0)
         os.close(w)
         self._pipe = open(r, "rb")
 
-    def receive(self, out: _Outputs) -> tuple[dict, float]:
-        """Write the next run's blocks to ``out``; return its summary row and
-        mean compute utilization."""
-        name, payload = self._load()
-        while name is not None:
-            out.write(name, payload)
-            name, payload = self._load()
-        if payload is None:
-            raise RuntimeError("a sequential run raised in the child")
-        return payload
-
-    def _load(self):
+    def receive(self, files: dict) -> tuple[dict, float]:
+        """Copy the next run's lines into the open output ``files``; return its
+        summary row and mean compute utilization."""
         try:
-            return marshal.load(self._pipe)
+            result = marshal.load(self._pipe)
         except EOFError:
             code = self.close(kill=False)
             raise RuntimeError(f"the process of the sequential runs ended with exit "
                                f"status {code} before sending its result") from None
+        if result is None:
+            raise RuntimeError("a sequential run raised in the child")
+        row, util, ends = result
+        for (name, src), pos, end in zip(self._files.items(), self._ends, ends):
+            dst = files[name]
+            dst.flush()   # the text written before goes first
+            while pos < end:
+                pos += dst.buffer.write(os.pread(src.fileno(), min(_COPY, end - pos), pos))
+        self._ends = ends
+        return row, util
 
     def close(self, kill: bool):
-        """Reap the child, killing it first if ``kill``; returns its exit
-        status (minus the signal number if a signal ended it), or None if it
-        was reaped before."""
+        """Close the files and reap the child, killing it first if ``kill``;
+        returns its exit status (minus the signal number if a signal ended
+        it), or None if it was reaped before."""
+        for f in self._files.values():
+            f.close()
         if not self.pid:
             return None
         pid, self.pid = self.pid, 0
@@ -463,36 +463,26 @@ class _SequentialRuns:
         return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-class _PipeOutputs:
-    """What ``_collect`` writes to in the child: each block goes to the parent."""
-
-    def __init__(self, pipe, json_events: bool):
-        self.pipe = pipe
-        self.json_events = json_events
-
-    def write(self, name: str | None, block):
-        marshal.dump((name, block), self.pipe)
-
-
 def _send_runs(cfg: ExperimentConfig, batches: list[int], label: str, run, mode,
-               json_events: bool, pipe):
+               files: dict, pipe):
     """The child's side of ``_SequentialRuns``."""
-    out = _PipeOutputs(pipe, json_events)
     for batch in batches:
         metrics = None   # free the last run's trace before this one runs
         try:
             metrics = run(batch, mode)
-            row = _collect(metrics, label.format(batch) + metrics.mode, 1.0, cfg, out)
-            result = row, metrics.trace.mean_compute_util()
+            row = _collect(metrics, label.format(batch) + metrics.mode, 1.0, cfg, files)
+            # tell() flushes: each file holds the run's lines up to its offset
+            result = (row, metrics.trace.mean_compute_util(),
+                      [f.tell() for f in files.values()])
         except Exception:
-            out.write(None, None)
+            marshal.dump(None, pipe)
             return
-        out.write(None, result)
+        marshal.dump(result, pipe)
         pipe.flush()
 
 
 def _pair(cfg: ExperimentConfig, batch: int, label: str, run, modes: tuple,
-          out: _Outputs, child: _SequentialRuns | None
+          files: dict, child: _SequentialRuns | None
           ) -> tuple[list[dict], tuple[float, float]]:
     """One batch of ``_paired_sweep``: both summary rows, and both mean
     compute utilizations. The sequential run comes from ``child``; without
@@ -500,12 +490,12 @@ def _pair(cfg: ExperimentConfig, batch: int, label: str, run, modes: tuple,
     seq = None if child else run(batch, modes[0])
     over = run(batch, modes[1])
     if child:
-        seq_row, seq_util = child.receive(out)
+        seq_row, seq_util = child.receive(files)
     else:
-        seq_row = _collect(seq, label.format(batch) + seq.mode, 1.0, cfg, out)
+        seq_row = _collect(seq, label.format(batch) + seq.mode, 1.0, cfg, files)
         seq_util = seq.trace.mean_compute_util()
     speedup = seq_row["makespan"] / over.makespan if over.makespan > 0 else 1.0
-    over_row = _collect(over, label.format(batch) + over.mode, speedup, cfg, out)
+    over_row = _collect(over, label.format(batch) + over.mode, speedup, cfg, files)
     return [seq_row, over_row], (seq_util, over.trace.mean_compute_util())
 
 
@@ -526,19 +516,19 @@ def _paired_sweep(cfg: ExperimentConfig, batches: list[int], label: str, run,
     run raises a RuntimeError naming its exit status."""
     rows = []
     marks = out.tell()   # this flushes the files: the child inherits no unwritten text
-    child = _SequentialRuns(cfg, batches, label, run, modes[0], out.json_events)
+    child = _SequentialRuns(cfg, batches, label, run, modes[0], out.files)
     try:
         for batch in batches:
             if child.pid:
                 try:
-                    pair, utils = _pair(cfg, batch, label, run, modes, out, child)
+                    pair, utils = _pair(cfg, batch, label, run, modes, out.files, child)
                 except Exception:
                     if not child.pid:   # it ended without sending its run
                         raise
                     child.close(kill=True)
                     out.rewind(marks)
             if not child.pid:
-                pair, utils = _pair(cfg, batch, label, run, modes, out, None)
+                pair, utils = _pair(cfg, batch, label, run, modes, out.files, None)
             rows += pair
             marks = out.tell()
     except BaseException:
@@ -635,8 +625,8 @@ def cmd_graftbench(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
             for row in rows:
                 record = (0.0, "graftbench", None, None, None,
                           tuple(row[f] for f in _GRAFTBENCH_FIELDS))
-                for block in _blocks(encode_events([record], f"N{row['n_buffers']}")):
-                    out.write("events.jsonl", block)
+                _write(out.files["events.jsonl"],
+                       encode_events([record], f"N{row['n_buffers']}"))
         if tables is not None:
             out.add("tables.json", json.dumps(tables, indent=2) + "\n")
         out.commit(["n_buffers", "export_import_ops", "graft_ops"], rows)

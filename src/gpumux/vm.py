@@ -546,7 +546,7 @@ class MemorySystem:
         """TLB-first translation; on a miss, walk from the root and fill the TLB."""
         geo = self.geometry
         if not 0 <= vaddr < geo.va_limit:
-            raise ValueError(f"{vaddr:#x} outside the VA width")
+            raise PageFault(vaddr, 0)   # outside the VA width: no root slot holds it
         vpn = vaddr >> geo.page_shift
         hit = space.tlb.get(vpn)
         if hit is not None:

@@ -5,7 +5,7 @@ import pytest
 from gpumux.channels import AlreadyBound, ContextKind, NotBound, PoolExhausted, RingFull
 from gpumux.commands import graphics_draw, kernel_dispatch
 from gpumux.config import DeviceConfig
-from gpumux.engine import Engine
+from gpumux.engine import Engine, EngineError
 from gpumux.vm import PageFault, SizeClass
 
 
@@ -245,6 +245,70 @@ def test_bind_drains_pending_work_first():
     e.bind(stream, graphics)
     assert e.clock == 2.5
     assert e.stream_semaphore(stream) == 1
+
+
+def test_failed_bind_of_a_graphics_stream_runs_nothing():
+    # the stream's kind is checked with the other preconditions, before the
+    # drain: the pending draw does not run and no record is added
+    e = Engine()
+    graphics = e.create_context(ContextKind.GRAPHICS)
+    pool = e.provision_forwarding_pool(graphics, 1)
+    stream = e.create_stream(graphics)
+    e.submit(stream, [graphics_draw(0.3, 0.0, 0.5)])
+    n_records = len(e.trace.records)
+    with pytest.raises(ValueError, match="^only compute streams bind$"):
+        e.bind(stream, graphics)
+    assert (e.clock, len(e.trace.records)) == (0.0, n_records)
+    assert (stream.bound, graphics.forward_pool) == (False, pool)
+
+
+def faulting_bound_stream(streams=1):
+    """A bound stream with a kernel that faults on the forwarding channel,
+    then a valid kernel."""
+    e, _, graphics, created = build(pool=1, streams=streams)
+    stream = created[0]
+    e.bind(stream, graphics)
+    e.submit(stream, [kernel_dispatch(1.0, 0.1, touched=(0x123000,))])
+    e.submit(stream, [kernel_dispatch(1.0, 0.1)])
+    return e, graphics, created, e.channels[stream.bound_channel_id]
+
+
+def test_unbind_of_a_faulted_forwarding_channel_raises_and_keeps_the_binding():
+    e, graphics, (stream,), fwd = faulting_bound_stream()
+    # the drain ends short at the fault
+    with pytest.raises(EngineError, match=f"^forwarding channel {fwd.id} faulted"):
+        e.unbind(stream)
+    assert fwd.faulted and e.stream_semaphore(stream) == 0
+    # already faulted: raises before running anything
+    before = (e.clock, len(e.trace.records), fwd.userd.get, fwd.userd.put)
+    with pytest.raises(EngineError, match=f"^forwarding channel {fwd.id} faulted"):
+        e.unbind(stream)
+    assert (e.clock, len(e.trace.records), fwd.userd.get, fwd.userd.put) == before
+    assert (stream.bound_channel_id, graphics.forward_pool) == (fwd.id, [])
+    e.reset_channel(fwd)
+    e.run()
+    assert e.stream_semaphore(stream) == 2
+    e.unbind(stream)
+    assert graphics.forward_pool == [fwd.id]
+    assert not fwd.faulted and fwd.userd.get == fwd.userd.put
+
+
+def test_second_stream_never_runs_the_work_of_a_failed_unbind():
+    e, graphics, (stream, second), fwd = faulting_bound_stream(streams=2)
+    with pytest.raises(EngineError):
+        e.unbind(stream)
+    with pytest.raises(PoolExhausted):   # the channel did not go back to the pool
+        e.bind(second, graphics)
+    e.reset_channel(fwd)
+    e.run()
+    e.unbind(stream)
+    e.bind(second, graphics)
+    n_records = len(e.trace.records)
+    e.submit(second, [kernel_dispatch(1.0, 0.1)])
+    e.run()
+    started = [(r[2], r[4]) for r in e.trace.records[n_records:] if r[1] == "exec_start"]
+    assert started == [(fwd.id, second.id)]
+    assert (e.stream_semaphore(stream), e.stream_semaphore(second)) == (2, 1)
 
 
 def test_forwarding_channels_reused_lowest_id_first():

@@ -228,6 +228,25 @@ def test_unmapped_touch_page_faults_and_halts_channel():
     assert len(faults(trace)) == 1
 
 
+def test_touch_outside_the_va_width_page_faults_and_halts_channel():
+    # no root slot holds the address: a page fault at level 0 halts the
+    # channel, where an error raised from translate failed every later run
+    e, ((s,),) = compute_engine()
+    far = 1 << 60
+    e.submit(s, [kernel_dispatch(1.0, 0.1, touched=(far,))])
+    e.submit(s, [kernel_dispatch(1.0, 0.1)])
+    trace = e.run()
+    assert [(f["channel"], f["kind"], f["vaddr"], f["detail"]) for f in faults(trace)] == [
+        (s.channel_id, "page_fault", far, "walk stopped at level 0")]
+    ch = e.channels[s.channel_id]
+    assert ch.faulted and not trace.exec_intervals(kind="kernel_dispatch")
+    e.reset_channel(ch)
+    trace = e.run()
+    assert len(trace.exec_intervals(kind="kernel_dispatch")) == 1
+    assert (trace.makespan, e.stream_semaphore(s), len(faults(trace))) == (1.0, 2, 1)
+    check_all(trace)
+
+
 @pytest.mark.parametrize("write_first", [False, True],
                          ids=["write_after_timed_command", "write_at_buffer_head"])
 def test_zero_duration_write_faults_and_halts_channel(write_first):
@@ -530,6 +549,25 @@ def test_semaphore_that_does_not_translate_stalls_only_its_driver(unmap_while_wa
     trace = e.run()
     assert (trace.stalled, log, len(faults(trace))) == ([0], [], 1)
     assert trace.makespan == 1.0
+
+
+def test_semaphore_outside_the_va_width_stalls_only_its_driver():
+    # logged as a fault at level 0 on the first run, which goes on to run the
+    # kernel; the driver stays stalled and later runs proceed
+    e, ((s,),) = compute_engine()
+    ctx = e.contexts[s.context_id]
+    far = 1 << 60
+    log = []
+    e.spawn(logging_driver(e, log, 0, [SemaphoreAtLeast(ctx.space_id, far, 1)]))
+    e.submit(s, [kernel_dispatch(1.0, 0.1)])
+    trace = e.run()
+    assert [(f["channel"], f["kind"], f["vaddr"], f["detail"]) for f in faults(trace)] == [
+        (None, "page_fault", far, "semaphore wait: walk stopped at level 0")]
+    assert (trace.makespan, trace.stalled, log) == (1.0, [0], [])
+    e.submit(s, [kernel_dispatch(1.0, 0.1)])
+    trace = e.run()
+    assert (trace.makespan, trace.stalled, len(faults(trace))) == (2.0, [0], 1)
+    check_all(trace)
 
 
 def count_calls(monkeypatch, counts, owner, name):

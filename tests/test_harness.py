@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import tempfile
 import tracemalloc
 
 import pytest
@@ -20,7 +21,7 @@ from gpumux.harness import (ConfigError, ExperimentConfig, cmd_datagen, cmd_graf
                             cmd_rl, cmd_trace, encode_events, encode_utilization,
                             graft_sweep, parse_config)
 from gpumux.vm import AddressSpaceExhausted, AllocPolicy, MemorySystem, PageGeometry, SizeClass
-from gpumux.workloads import DatagenMode, PhaseCost, RolloutMode
+from gpumux.workloads import DatagenMode, EpisodeSpec, PhaseCost, RolloutMode, run_datagen
 
 GOOD = """
 # small but complete experiment
@@ -285,19 +286,61 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _open_fds():
+    """The descriptors open in this process, or None where /proc/self/fd is absent."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 @pytest.mark.parametrize("mode", [None, DatagenMode.SEQUENTIAL, DatagenMode.PIPELINED],
                          ids=["success", "child_run_fails", "parent_run_fails"])
 def test_paired_sweep_leaves_no_child(tmp_path, monkeypatch, mode):
+    # nor an open descriptor, nor a named file in the temporary directory
     cfg = parse_config(write_config(tmp_path))
     want = cmd_datagen(cfg, tmp_path / "want", json_events=True)
     _assert_no_child_left()
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    fds = _open_fds()
     if mode is None:
         assert cmd_datagen(cfg, tmp_path / "got", json_events=True) == want
+        assert _snapshot(tmp_path / "got") == _snapshot(tmp_path / "want")
     else:
         _ring_full_at(monkeypatch, "run_datagen", 32, mode)
         with pytest.raises(RingFull, match="^engineered failure$"):
             cmd_datagen(cfg, tmp_path / "got", json_events=True)
+        assert not (tmp_path / "got").exists()
     _assert_no_child_left()
+    assert _open_fds() == fds
+    assert os.listdir(tmp_path / "tmp") == []
+
+
+def test_child_runs_larger_than_a_pipe_keep_the_order_of_one_process(tmp_path):
+    # each sequential run writes more than the 1 MiB that the sweep's pipe
+    # once held; the files still hold, per batch, the sequential run's lines
+    # and then the overlapped run's, as one process writes them
+    text = GOOD.replace("[device]", "[device]\nutilization_sample_dt = 1e-4")
+    cfg = parse_config(write_config(tmp_path, text))
+    out = tmp_path / "out"
+    cmd_datagen(cfg, out, json_events=True)
+    sizes = {}
+    with open(out / "events.jsonl") as events, open(out / "utilization.jsonl") as util:
+        assert next(events) == '{"meta":{"command":"datagen","seed":0}}\n'
+        for batch in cfg.batches:
+            for mode in (DatagenMode.SEQUENTIAL, DatagenMode.PIPELINED):
+                metrics = run_datagen(EpisodeSpec(cfg.steps, batch, mode), cfg.costs,
+                                      cfg.device, env=cfg.env)
+                run = f"B{batch}/{metrics.mode}"
+                samples = metrics.trace.utilization_samples(cfg.device.utilization_sample_dt)
+                sizes[run] = 0
+                for f, lines in ((events, encode_events(metrics.trace.records, run)),
+                                 (util, encode_utilization(samples, run))):
+                    for line in lines:
+                        assert next(f) == line + "\n"
+                        sizes[run] += len(line) + 1
+        assert next(events, None) is None and next(util, None) is None
+    assert list(sizes) == ["B16/sequential", "B16/pipelined", "B32/sequential",
+                           "B32/pipelined"]
+    assert min(sizes["B16/sequential"], sizes["B32/sequential"]) > 1 << 20
 
 
 def test_child_that_exits_raises_its_exit_status(tmp_path, monkeypatch):
