@@ -38,14 +38,19 @@ stream, extras)``: the time in float seconds, the event kind, the ids involved
 (or None), and ``extras``, the values of the kind's ``EVENT_FIELDS`` in that
 order. ``MetricsTrace.events`` rebuilds them as dicts with the keys in the same
 order; ``harness.encode_events`` writes them as lines byte-identical to
-``json.dumps(row, separators=(",", ":"))``.
+``json.dumps(row, separators=(",", ":"))``. The utilization rows are
+``utilization_bins`` of the run's segments, which need not be held at once.
+``Engine.run`` calls an optional ``on_window(trace)`` after each window, when
+every record and segment so far is final, so a caller can hand them on while
+the run goes on; the trace still keeps them all.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from heapq import heappop, heappush
+from itertools import chain
 
 from .channels import (AlreadyBound, Channel, ComputeConfig, Context,
                        ContextKind, GpFifoEntry, NotBound, PoolExhausted, Ring,
@@ -126,6 +131,45 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 
+def utilization_bins(segments: Iterable[tuple], sample_dt: float) -> Iterator[tuple]:
+    """Fixed-interval averages of exact utilization segments, one
+    ``(time, compute_util, graphics_util, tsg)`` row per ``sample_dt`` bin.
+
+    ``segments`` are a run's ``MetricsTrace.segments`` in order, followed by
+    its ``closing_segment``, which closes every bin. A bin is the sum of
+    ``util * overlap / width`` over the segments that overlap it, in segment
+    order. The rows are yielded segment by segment: a bin is final, and
+    yielded, once the next segment starts past it, so neither the segments
+    nor the rows need be held at once. Segments do not overlap, so a bin
+    that lies wholly inside a segment gets only that segment's values: those
+    rows share the segment's value objects (which lets the writer format them
+    once). At most two partial bins per segment are summed.
+    """
+    width = ticks(sample_dt)
+    i, c, g, k = 0, 0.0, 0.0, None   # the open bin and its sums; bins before i are out
+    for t0, t1, cu, gu, tsg in segments:
+        lo, hi = -(-t0 // width), t1 // width   # bins lo .. hi-1 lie wholly inside
+        # a whole bin holds what 0.0 + cu * 1.0 gives: cu itself, but -0.0 becomes 0.0
+        whole_c, whole_g = cu or 0.0, gu or 0.0
+        # the part in t0's bin (all of the segment if t1 is in that bin
+        # too), then the part in bin hi
+        for j, a, b in ((lo - 1, t0, min(lo * width, t1)),
+                        (hi, max(lo, hi) * width, t1)):
+            while i < j:   # every bin before j is final
+                if i < lo:
+                    yield i * width / TICKS_PER_S, c, g, k
+                    c, g, k = 0.0, 0.0, None
+                else:
+                    yield i * width / TICKS_PER_S, whole_c, whole_g, tsg
+                i += 1
+            if a < b:
+                frac = (b - a) / width
+                c += cu * frac
+                g += gu * frac
+                if tsg is not None and k is None:
+                    k = tsg
+
+
 class MetricsTrace:
     """Everything one run produced: events (faults among them), utilization,
     windows."""
@@ -143,43 +187,17 @@ class MetricsTrace:
     def mean_compute_util(self) -> float:
         return self.compute_busy() / self.makespan if self.makespan > 0 else 0.0
 
-    def utilization_samples(self, sample_dt: float) -> Iterator[tuple]:
-        """Fixed-interval averages of the exact utilization segments, one
-        ``(time, compute_util, graphics_util, tsg)`` row per interval.
-
-        A bin is the sum of ``util * overlap / width`` over the segments that
-        overlap it, in segment order. The rows are yielded segment by segment:
-        a bin is final, and yielded, once the next segment starts past it, so
-        a run's rows are never held at once. Segments do not overlap, so a bin
-        that lies wholly inside a segment gets only that segment's values:
-        those rows share the segment's value objects (which lets the writer
-        format them once). At most two partial bins per segment are summed.
-        """
+    def closing_segment(self, sample_dt: float) -> tuple:
+        """The empty segment at the end of the last ``sample_dt`` bin of the
+        run, which ends the segments that ``utilization_bins`` takes."""
         width = ticks(sample_dt)
         end = -(-ticks(self.makespan) // width) * width
-        i, c, g, k = 0, 0.0, 0.0, None   # the open bin and its sums; bins before i are out
-        # an empty last segment at the end of the last bin closes every bin
-        for t0, t1, cu, gu, tsg in self.segments + [(end, end, 0.0, 0.0, None)]:
-            lo, hi = -(-t0 // width), t1 // width   # bins lo .. hi-1 lie wholly inside
-            # a whole bin holds what 0.0 + cu * 1.0 gives: cu itself, but -0.0 becomes 0.0
-            whole_c, whole_g = cu or 0.0, gu or 0.0
-            # the part in t0's bin (all of the segment if t1 is in that bin
-            # too), then the part in bin hi
-            for j, a, b in ((lo - 1, t0, min(lo * width, t1)),
-                            (hi, max(lo, hi) * width, t1)):
-                while i < j:   # every bin before j is final
-                    if i < lo:
-                        yield i * width / TICKS_PER_S, c, g, k
-                        c, g, k = 0.0, 0.0, None
-                    else:
-                        yield i * width / TICKS_PER_S, whole_c, whole_g, tsg
-                    i += 1
-                if a < b:
-                    frac = (b - a) / width
-                    c += cu * frac
-                    g += gu * frac
-                    if tsg is not None and k is None:
-                        k = tsg
+        return (end, end, 0.0, 0.0, None)
+
+    def utilization_samples(self, sample_dt: float) -> Iterator[tuple]:
+        """``utilization_bins`` of this run's segments."""
+        return utilization_bins(chain(self.segments, [self.closing_segment(sample_dt)]),
+                                sample_dt)
 
     @property
     def events(self) -> list[dict]:
@@ -416,7 +434,9 @@ class Engine:
         Drains the stream, makes sure the context pair's tables are grafted,
         bootstraps the forwarding channel if it has never run compute, then
         swaps ring/cursors/token. Control-plane call: not valid from inside a
-        running driver process.
+        running driver process. If the stream's channel is faulted (checked
+        before the drain too), it still holds the stream's work: EngineError
+        before the graft, and the stream stays unbound.
         """
         if self._running:
             raise EngineError("bind is a control-plane call, not valid mid-run")
@@ -429,14 +449,16 @@ class Engine:
             raise ValueError("streams bind to graphics contexts")
         if not graphics_ctx.forward_pool:
             raise PoolExhausted("no forwarding channels available")
-        self._drain_stream(stream)
+        ch = self.channels[stream.channel_id]
+        if ch.faulted or not self._drain_stream(stream):
+            raise EngineError(f"channel {ch.id} faulted with stream {stream.id}'s work; "
+                              "reset it and run before bind")
         src = self.memory.spaces[ctx.space_id]
         if graphics_ctx.space_id not in src.subscribers:
             self.memory.graft(src, self.memory.spaces[graphics_ctx.space_id])
         fwd = self.channels[graphics_ctx.forward_pool.pop(0)]
         if fwd.compute_config is None:
             self.bootstrap(fwd, ctx.compute_state)
-        ch = self.channels[stream.channel_id]
         stream.saved_snapshot = take_snapshot(ch)
         swap_submission_state(ch, fwd)
         stream.bound_channel_id = fwd.id
@@ -641,8 +663,12 @@ class Engine:
                 return tsg_id
         return None
 
-    def run(self, until=None) -> MetricsTrace:
-        """Process events until idle (or `until(engine)` turns true)."""
+    def run(self, until=None, on_window=None) -> MetricsTrace:
+        """Process events until idle (or `until(engine)` turns true).
+
+        ``on_window(trace)``, if given, is called after each window: the
+        records and segments added so far are final, so a caller can hand
+        them on while the run goes on. The trace keeps them all."""
         if self._running:
             raise EngineError("run is not reentrant")
         self._running = True
@@ -652,6 +678,8 @@ class Engine:
             self._run_ready_processes()
             while until is None or not until(self):
                 if self._run_window():
+                    if on_window is not None:
+                        on_window(self.trace)
                     continue
                 if not self._timers:
                     break

@@ -18,10 +18,13 @@ A paired sweep (``datagen``, ``rl``, ``trace``) uses two processes, so it
 needs POSIX ``os.fork``: a forked child runs, audits and encodes the
 sequential runs into unnamed temporary files, with one pipe message per run,
 while this process runs the overlapped runs and copies each sequential run's
-lines in when its message arrives, in the order of one process. The memory
-of each process follows one run. A failure in a batch is reproduced by
-running that batch again in this process, as one process runs it, so the
-command raises the exception one process raises.
+lines in when its message arrives, in the order of one process. In the last
+batch the child, with no run left, encodes the overlapped run from chunks of
+records and segments that this process hands over while its engine runs;
+this process still audits the whole run and copies its lines in the same
+way. The memory of each process follows one run. A failure in a batch is
+reproduced by running that batch again in this process, as one process runs
+it, so the command raises the exception one process raises.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from pathlib import Path
 
 from .audits import InvariantViolation, check_all
 from .config import DeviceConfig
-from .engine import EVENT_FIELDS
+from .engine import EVENT_FIELDS, MetricsTrace, utilization_bins
 from .vm import AllocPolicy, MemorySystem, PageGeometry, SizeClass, _SlotValue
 from .workloads import (ENV_PRESETS, DatagenMode, EpisodeSpec, Metrics, PhaseCost,
                         RolloutMode, RolloutSpec, run_datagen, run_rl_rollout)
@@ -375,13 +378,17 @@ _WORKLOAD_HEADER = ["env", "mode", "K", "B", "G", "makespan", "throughput",
 
 
 def _collect(metrics: Metrics, run: str, speedup: float, cfg: ExperimentConfig,
-             files: dict) -> dict:
-    """Audit a run, write its lines to the open JSONL ``files`` by name, return its row."""
+             files: dict, child: _SequentialRuns | None = None) -> dict:
+    """Audit a run, write its lines to the open JSONL ``files`` by name, return
+    its row. A run streamed to ``child`` has its lines copied in from there."""
     check_all(metrics.trace, run)
-    if "events.jsonl" in files:
-        _write(files["events.jsonl"], encode_events(metrics.trace.records, run))
-    samples = metrics.trace.utilization_samples(cfg.device.utilization_sample_dt)
-    _write(files["utilization.jsonl"], encode_utilization(samples, run))
+    if child:
+        child.receive(files)
+    else:
+        if "events.jsonl" in files:
+            _write(files["events.jsonl"], encode_events(metrics.trace.records, run))
+        samples = metrics.trace.utilization_samples(cfg.device.utilization_sample_dt)
+        _write(files["utilization.jsonl"], encode_utilization(samples, run))
     return {"env": metrics.env, "mode": metrics.mode, "K": metrics.steps,
             "B": metrics.batch, "G": metrics.groups, "makespan": metrics.makespan,
             "throughput": metrics.throughput, "speedup_vs_sequential": speedup}
@@ -390,10 +397,15 @@ def _collect(metrics: Metrics, run: str, speedup: float, cfg: ExperimentConfig,
 # ----------------------------------------------------------------------
 # commands
 
+_HANDOFF = 1024   # new records of the streamed run per chunk handed to the child
+
+
 class _SequentialRuns:
     """A forked child that runs the sequential run of each batch of a paired
     sweep, audits it and writes its lines to an unnamed temporary file per
-    output in ``names``, opened before the fork.
+    output in ``names``, opened before the fork. Then, idle, it writes the
+    lines of the last batch's overlapped run to the same files while this
+    process runs it.
 
     After each run the child sends one ``marshal`` message through a pipe,
     ``(summary row, mean compute utilization, end offset of each file)``, or
@@ -401,31 +413,50 @@ class _SequentialRuns:
     processes share each file's offset, so this one reads with ``os.pread``
     and never seeks. The child leaves only through ``os._exit``, since
     returning into the caller would run the clean-up of the parent's ``_Outputs``.
+
+    The overlapped run is handed over in chunks, through one more unnamed
+    file and a second pipe. ``hand_over``, called after each window of the
+    run, ``os.pwrite``s a ``marshal`` chunk of the new records (only with an
+    ``events.jsonl``) and segments once ``_HANDOFF`` records have built up,
+    and sends the chunk's 8-byte end offset through the pipe. ``end_stream``
+    sends the rest with the closing segment and closes the pipe. The child's
+    message for that run carries no row, which this process builds from its
+    own whole trace.
     """
 
     def __init__(self, cfg: ExperimentConfig, batches: list[int], label: str, run,
-                 mode, names: Iterable[str]):
-        r, w = os.pipe()
-        self.pid, self._files = 0, {}   # output name -> the child's unnamed file
+                 modes: tuple, names: Iterable[str]):
+        fds = []
+        self.pid, self._files, self._handoff = 0, {}, None
         try:
+            fds += os.pipe()   # the results
+            fds += os.pipe()   # the end offsets of the streamed run's chunks
             for name in names:
                 self._files[name] = tempfile.TemporaryFile("w+")
+            self._handoff = tempfile.TemporaryFile()
             self.pid = os.fork()
         except OSError as exc:   # not an --out error, which is what cli.main takes it for
-            os.close(r)
-            os.close(w)
+            for fd in fds:
+                os.close(fd)
             self.close(kill=False)
             raise RuntimeError(f"cannot start the sequential runs: {exc}") from None
+        r, w, chunks_r, chunks_w = fds
         self._ends = [0] * len(self._files)   # offsets of the last run copied in
         if self.pid == 0:
             try:
                 os.close(r)
+                os.close(chunks_w)
+                self._chunks = chunks_r
                 with open(w, "wb") as pipe:
-                    _send_runs(cfg, batches, label, run, mode, self._files, pipe)
+                    self._send_runs(cfg, batches, label, run, modes, pipe)
             finally:
                 os._exit(0)
         os.close(w)
+        os.close(chunks_r)
         self._pipe = open(r, "rb")
+        self._chunks = chunks_w   # None once closed
+        self._sent = (0, 0)   # records and segments of the streamed run handed over
+        self._at = 0          # end of the hand-off file
 
     def receive(self, files: dict) -> tuple[dict, float]:
         """Copy the next run's lines into the open output ``files``; return its
@@ -437,7 +468,7 @@ class _SequentialRuns:
             raise RuntimeError(f"the process of the sequential runs ended with exit "
                                f"status {code} before sending its result") from None
         if result is None:
-            raise RuntimeError("a sequential run raised in the child")
+            raise RuntimeError("a run raised in the child")
         row, util, ends = result
         for (name, src), pos, end in zip(self._files.items(), self._ends, ends):
             dst = files[name]
@@ -447,55 +478,122 @@ class _SequentialRuns:
         self._ends = ends
         return row, util
 
+    def hand_over(self, trace: MetricsTrace):
+        """Hand the child the new records and segments of the streamed run
+        once ``_HANDOFF`` records have built up (``Engine.run``'s ``on_window``)."""
+        if len(trace.records) - self._sent[0] >= _HANDOFF:
+            self._send(trace, [])
+
+    def end_stream(self, trace: MetricsTrace, sample_dt: float):
+        """Hand the child the rest of the streamed run and its closing segment,
+        and close the pipe, which ends the run for the child."""
+        self._send(trace, [trace.closing_segment(sample_dt)])
+        self._close_chunks()
+
+    def _send(self, trace: MetricsTrace, closing: list):
+        if self._chunks is None:
+            return
+        r, s = self._sent
+        records, segments = trace.records, trace.segments
+        self._sent = len(records), len(segments)
+        chunk = marshal.dumps((records[r:] if "events.jsonl" in self._files else None,
+                               segments[s:] + closing))
+        self._at += os.pwrite(self._handoff.fileno(), chunk, self._at)
+        try:
+            os.write(self._chunks, self._at.to_bytes(8, "little"))
+        except BrokenPipeError:   # the child ended: receive reports its exit status
+            self._close_chunks()
+
+    def _close_chunks(self):
+        if self._chunks is not None:
+            os.close(self._chunks)
+            self._chunks = None
+
     def close(self, kill: bool):
         """Close the files and reap the child, killing it first if ``kill``;
         returns its exit status (minus the signal number if a signal ended
         it), or None if it was reaped before."""
-        for f in self._files.values():
-            f.close()
+        for f in (*self._files.values(), self._handoff):
+            if f is not None:
+                f.close()
         if not self.pid:
             return None
         pid, self.pid = self.pid, 0
         self._pipe.close()
+        self._close_chunks()
         if kill:
             from signal import SIGKILL
             os.kill(pid, SIGKILL)
         return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
+    # the child's side
 
-def _send_runs(cfg: ExperimentConfig, batches: list[int], label: str, run, mode,
-               files: dict, pipe):
-    """The child's side of ``_SequentialRuns``."""
-    for batch in batches:
-        metrics = None   # free the last run's trace before this one runs
-        try:
-            metrics = run(batch, mode)
-            row = _collect(metrics, label.format(batch) + metrics.mode, 1.0, cfg, files)
-            # tell() flushes: each file holds the run's lines up to its offset
-            result = (row, metrics.trace.mean_compute_util(),
-                      [f.tell() for f in files.values()])
-        except Exception:
-            marshal.dump(None, pipe)
-            return
-        marshal.dump(result, pipe)
-        pipe.flush()
+    def _send_runs(self, cfg: ExperimentConfig, batches: list[int], label: str, run,
+                   modes: tuple, pipe):
+        """Run, audit and write each sequential run, then write the streamed
+        run, each followed by its message."""
+        files = self._files.values()
+        for batch in (*batches, None):   # None: the last batch's overlapped run
+            metrics = None   # free the last run's trace before this one runs
+            try:
+                if batch is None:
+                    self._write_stream(label.format(batches[-1]) + modes[1].value,
+                                       cfg.device.utilization_sample_dt)
+                    row = util = None
+                else:
+                    metrics = run(batch, modes[0])
+                    row = _collect(metrics, label.format(batch) + metrics.mode, 1.0, cfg,
+                                   self._files)
+                    util = metrics.trace.mean_compute_util()
+                # tell() flushes: each file holds the run's lines up to its offset
+                result = (row, util, [f.tell() for f in files])
+            except Exception:
+                marshal.dump(None, pipe)
+                return
+            marshal.dump(result, pipe)
+            pipe.flush()
+
+    def _write_stream(self, run: str, sample_dt: float):
+        """Write the lines of the run that the parent hands over, chunk by
+        chunk as they arrive, until it closes the pipe."""
+        events = self._files.get("events.jsonl")
+
+        def segments():
+            pos = 0
+            while msg := os.read(self._chunks, 8):
+                end = int.from_bytes(msg, "little")
+                records, chunk = marshal.loads(os.pread(self._handoff.fileno(), end - pos,
+                                                        pos))
+                pos = end
+                if events is not None:
+                    _write(events, encode_events(records, run))
+                yield from chunk
+
+        samples = utilization_bins(segments(), sample_dt)
+        _write(self._files["utilization.jsonl"], encode_utilization(samples, run))
 
 
 def _pair(cfg: ExperimentConfig, batch: int, label: str, run, modes: tuple,
-          files: dict, child: _SequentialRuns | None
+          files: dict, child: _SequentialRuns | None, last: bool
           ) -> tuple[list[dict], tuple[float, float]]:
     """One batch of ``_paired_sweep``: both summary rows, and both mean
-    compute utilizations. The sequential run comes from ``child``; without
-    one, both run here, in the order and with the calls of one process."""
+    compute utilizations. The sequential run comes from ``child``, and in the
+    ``last`` batch the overlapped run is streamed to it, which writes its
+    lines; without a child, both run here, in the order and with the calls
+    of one process."""
     seq = None if child else run(batch, modes[0])
-    over = run(batch, modes[1])
+    stream = child if child and last else None
+    over = run(batch, modes[1], on_window=stream and stream.hand_over)
+    if stream:
+        stream.end_stream(over.trace, cfg.device.utilization_sample_dt)
     if child:
         seq_row, seq_util = child.receive(files)
     else:
         seq_row = _collect(seq, label.format(batch) + seq.mode, 1.0, cfg, files)
         seq_util = seq.trace.mean_compute_util()
     speedup = seq_row["makespan"] / over.makespan if over.makespan > 0 else 1.0
-    over_row = _collect(over, label.format(batch) + over.mode, speedup, cfg, files)
+    over_row = _collect(over, label.format(batch) + over.mode, speedup, cfg, files,
+                        stream)
     return [seq_row, over_row], (seq_util, over.trace.mean_compute_util())
 
 
@@ -503,32 +601,34 @@ def _paired_sweep(cfg: ExperimentConfig, batches: list[int], label: str, run,
                   modes: tuple, out: _Outputs
                   ) -> tuple[list[dict], tuple[float, float]]:
     """Run every batch in the sequential and then the overlapped mode of
-    ``modes`` with ``run(batch, mode)``, writing each run's lines to ``out``.
-    Returns the summary rows (the overlapped row carries the speedup) and the
-    mean compute utilizations of the last pair. Run labels are
-    ``label.format(batch)`` followed by the mode.
+    ``modes`` with ``run(batch, mode, on_window=None)``, writing each run's
+    lines to ``out``. Returns the summary rows (the overlapped row carries
+    the speedup) and the mean compute utilizations of the last pair. Run
+    labels are ``label.format(batch)`` followed by the mode.
 
     A forked child runs the sequential runs while this process runs the
-    overlapped ones; the lines go to ``out`` in the order one process writes
-    them. If anything in a batch fails, the child is killed, the batch's
-    lines are cut off, and that batch and the rest run here, so the command
-    raises what one process raises. A child that ends without sending its
-    run raises a RuntimeError naming its exit status."""
+    overlapped ones, and writes the lines of the last overlapped run while
+    this process runs it; the lines go to ``out`` in the order one process
+    writes them. If anything in a batch fails, the child is killed, the
+    batch's lines are cut off, and that batch and the rest run here, so the
+    command raises what one process raises. A child that ends without
+    sending its run raises a RuntimeError naming its exit status."""
     rows = []
     marks = out.tell()   # this flushes the files: the child inherits no unwritten text
-    child = _SequentialRuns(cfg, batches, label, run, modes[0], out.files)
+    child = _SequentialRuns(cfg, batches, label, run, modes, out.files)
     try:
-        for batch in batches:
+        for i, batch in enumerate(batches, 1):
             if child.pid:
                 try:
-                    pair, utils = _pair(cfg, batch, label, run, modes, out.files, child)
+                    pair, utils = _pair(cfg, batch, label, run, modes, out.files, child,
+                                        i == len(batches))
                 except Exception:
                     if not child.pid:   # it ended without sending its run
                         raise
                     child.close(kill=True)
                     out.rewind(marks)
             if not child.pid:
-                pair, utils = _pair(cfg, batch, label, run, modes, out.files, None)
+                pair, utils = _pair(cfg, batch, label, run, modes, out.files, None, False)
             rows += pair
             marks = out.tell()
     except BaseException:
@@ -539,8 +639,9 @@ def _paired_sweep(cfg: ExperimentConfig, batches: list[int], label: str, run,
 
 
 def _run_datagen(cfg: ExperimentConfig):
-    return lambda batch, mode: run_datagen(EpisodeSpec(cfg.steps, batch, mode),
-                                           cfg.costs, cfg.device, env=cfg.env)
+    return lambda batch, mode, on_window=None: run_datagen(
+        EpisodeSpec(cfg.steps, batch, mode), cfg.costs, cfg.device, env=cfg.env,
+        on_window=on_window)
 
 
 _DATAGEN_MODES = (DatagenMode.SEQUENTIAL, DatagenMode.PIPELINED)
@@ -559,9 +660,9 @@ def cmd_datagen(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
 def cmd_rl(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
            json_events: bool = False, dump_tables: bool = False) -> list[dict]:
     """Sequential vs interleaved rollout across the batch sweep."""
-    def run(batch, mode):
+    def run(batch, mode, on_window=None):
         return run_rl_rollout(RolloutSpec(cfg.steps, batch, cfg.groups, mode),
-                              cfg.costs, cfg.device, env=cfg.env)
+                              cfg.costs, cfg.device, env=cfg.env, on_window=on_window)
 
     with _Outputs(out_dir, "rl", seed, json_events) as out:
         rows, _ = _paired_sweep(cfg, cfg.batches, "B{}/", run,

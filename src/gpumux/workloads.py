@@ -7,7 +7,8 @@ environment batch size. ``run_datagen`` plays the episode-generation loop
 (sequential, or pipelined so step k+1 overlaps render k); ``run_rl_rollout``
 plays the rollout loop (sequential, or with the batch split into groups whose
 simulation and rendering interleave). Inference is a fixed-latency phase on a
-serialized off-device queue; it consumes no simulated GPU resources.
+serialized off-device queue; it consumes no simulated GPU resources. Both
+entry points pass ``on_window`` on to ``Engine.run``.
 
 The async calls submit immediately and return handles; the wait calls return
 conditions that driver generators yield to the engine. Commands are immutable
@@ -286,8 +287,8 @@ def _rollout_group(s: SimSession, horizon: int, group: int, batch: int):
 # entry points
 
 def _finish(session: SimSession, env: str, mode: str, steps: int, batch: int,
-            groups: int) -> Metrics:
-    trace = session.engine.run()
+            groups: int, on_window=None) -> Metrics:
+    trace = session.engine.run(on_window=on_window)
     if trace.stalled:
         faults = ", ".join(f"{extras[0]}@{t}" for t, event, _, _, _, extras in trace.records
                            if event == "fault") or "none"
@@ -300,21 +301,24 @@ def _finish(session: SimSession, env: str, mode: str, steps: int, batch: int,
 
 
 def run_datagen(spec: EpisodeSpec, costs: PhaseCost,
-                config: DeviceConfig | None = None, env: str = "custom") -> Metrics:
+                config: DeviceConfig | None = None, env: str = "custom",
+                on_window=None) -> Metrics:
     session = SimSession(costs, spec.batch, config)
     pipelined = spec.mode is DatagenMode.PIPELINED
     if pipelined:
         session.custream_bind()
     driver = (_datagen_pipelined if pipelined else _datagen_sequential)(session, spec.steps)
     session.engine.spawn(driver)
-    metrics = _finish(session, env, spec.mode.value, spec.steps, spec.batch, 1)
+    metrics = _finish(session, env, spec.mode.value, spec.steps, spec.batch, 1,
+                      on_window)
     if pipelined:
         session.custream_unbind()
     return metrics
 
 
 def run_rl_rollout(spec: RolloutSpec, costs: PhaseCost,
-                   config: DeviceConfig | None = None, env: str = "custom") -> Metrics:
+                   config: DeviceConfig | None = None, env: str = "custom",
+                   on_window=None) -> Metrics:
     interleaved = spec.mode is RolloutMode.INTERLEAVED
     groups = spec.groups if interleaved else 1
     session = SimSession(costs, spec.batch, config, groups=groups)
@@ -323,7 +327,8 @@ def run_rl_rollout(spec: RolloutSpec, costs: PhaseCost,
     for g in range(groups):
         session.engine.spawn(_rollout_group(session, spec.horizon, g,
                                             session.group_batch))
-    metrics = _finish(session, env, spec.mode.value, spec.horizon, spec.batch, groups)
+    metrics = _finish(session, env, spec.mode.value, spec.horizon, spec.batch, groups,
+                      on_window)
     if interleaved:
         session.custream_unbind()
     return metrics

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gpumux.audits import check_all
 from gpumux.channels import AlreadyBound, ContextKind, NotBound, PoolExhausted, RingFull
 from gpumux.commands import graphics_draw, kernel_dispatch
 from gpumux.config import DeviceConfig
@@ -309,6 +310,38 @@ def test_second_stream_never_runs_the_work_of_a_failed_unbind():
     started = [(r[2], r[4]) for r in e.trace.records[n_records:] if r[1] == "exec_start"]
     assert started == [(fwd.id, second.id)]
     assert (e.stream_semaphore(stream), e.stream_semaphore(second)) == (2, 1)
+
+
+def test_bind_of_a_faulted_stream_raises_and_changes_nothing():
+    # without the check, bind went on at clock 0.0 past the fault; after a
+    # reset the old valid kernel wrote 2 over the forwarded kernel's 3
+    e, _, graphics, (stream,) = build(pool=1)
+    native = e.channels[stream.channel_id]
+    e.submit(stream, [kernel_dispatch(1.0, 0.1, touched=(0x123000,))])
+    e.submit(stream, [kernel_dispatch(1.0, 0.1)])
+    # the drain ends short at the fault
+    with pytest.raises(EngineError, match=f"^channel {native.id} faulted"):
+        e.bind(stream, graphics)
+    assert native.faulted and e.stream_semaphore(stream) == 0
+    # already faulted: raises before running anything
+    pool = list(graphics.forward_pool)
+    before = (e.clock, len(e.trace.records), native.userd.get, native.userd.put)
+    with pytest.raises(EngineError, match=f"^channel {native.id} faulted"):
+        e.bind(stream, graphics)
+    assert (e.clock, len(e.trace.records), native.userd.get, native.userd.put) == before
+    assert (e.clock, graphics.forward_pool) == (0.0, pool)
+    assert (stream.bound, stream.channel_id, stream.saved_snapshot) == (False, native.id,
+                                                                         None)
+    assert native.token == 0x1000 + native.id
+    e.reset_channel(native)
+    e.run()
+    assert e.stream_semaphore(stream) == 2
+    e.bind(stream, graphics)
+    e.submit(stream, [kernel_dispatch(1.0, 0.1)])
+    e.run()
+    e.unbind(stream)
+    assert e.stream_semaphore(stream) == 3
+    check_all(e.trace)
 
 
 def test_forwarding_channels_reused_lowest_id_first():

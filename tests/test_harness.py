@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import tempfile
+import time
 import tracemalloc
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import gpumux.cli as cli
 import gpumux.harness as harness
-from gpumux.audits import InvariantViolation
+from gpumux.audits import InvariantViolation, check_all
 from gpumux.channels import ContextKind, RingFull
 from gpumux.commands import graphics_draw, kernel_dispatch
 from gpumux.config import DeviceConfig
@@ -21,7 +22,8 @@ from gpumux.harness import (ConfigError, ExperimentConfig, cmd_datagen, cmd_graf
                             cmd_rl, cmd_trace, encode_events, encode_utilization,
                             graft_sweep, parse_config)
 from gpumux.vm import AddressSpaceExhausted, AllocPolicy, MemorySystem, PageGeometry, SizeClass
-from gpumux.workloads import DatagenMode, EpisodeSpec, PhaseCost, RolloutMode, run_datagen
+from gpumux.workloads import (DatagenMode, EpisodeSpec, PhaseCost, RolloutMode, RolloutSpec,
+                               run_datagen, run_rl_rollout)
 
 GOOD = """
 # small but complete experiment
@@ -257,6 +259,93 @@ def _break_trace_check(monkeypatch):
     monkeypatch.setattr(harness, "_DATAGEN_MODES", harness._DATAGEN_MODES[::-1])
 
 
+def _repeat_last_semaphore(records):
+    # the last semaphore value of a stream seen once more: not rising
+    records.append(next(r for r in reversed(records)
+                        if r[1] == "semaphore" and r[4] is not None))
+
+
+def _audit_fails_in(monkeypatch, name, batch, mode):
+    # the trace of one (batch, mode) fails the semaphore audit, in whichever
+    # process audits it
+    real = getattr(harness, name)
+
+    def runner(spec, *args, **kwargs):
+        metrics = real(spec, *args, **kwargs)
+        if (spec.batch, spec.mode) == (batch, mode):
+            _repeat_last_semaphore(metrics.trace.records)
+        return metrics
+
+    monkeypatch.setattr(harness, name, runner)
+
+
+# The last batch's overlapped run (B32/pipelined in GOOD's datagen) is handed
+# to the child while it runs; these fail in that batch. Chunks of 8 records
+# make the child get several before the failure.
+
+def _ring_full_mid_stream(monkeypatch):
+    # the streamed run raises at its 4th window, in whichever process runs it
+    monkeypatch.setattr(harness, "_HANDOFF", 8)
+    real = harness.run_datagen
+
+    def runner(spec, *args, on_window=None, **kwargs):
+        if (spec.batch, spec.mode) != (32, DatagenMode.PIPELINED):
+            return real(spec, *args, on_window=on_window, **kwargs)
+        windows = []
+
+        def window(trace):
+            if on_window is not None:
+                on_window(trace)
+            windows.append(trace)
+            if len(windows) == 4:
+                raise RingFull("engineered failure")
+
+        return real(spec, *args, on_window=window, **kwargs)
+
+    monkeypatch.setattr(harness, "run_datagen", runner)
+
+
+def _child_exits_mid_stream(monkeypatch):
+    # the child exits on the first chunk of the streamed run; this process
+    # waits for that, without reaping it, and then hands over more chunks
+    monkeypatch.setattr(harness, "_HANDOFF", 1)   # a chunk after every window
+    parent, real_encode, real_run = os.getpid(), harness.encode_events, harness.run_datagen
+
+    def encode(records, run=None):
+        if os.getpid() != parent and run == "B32/pipelined":
+            os._exit(7)
+        return real_encode(records, run)
+
+    def runner(spec, *args, on_window=None, **kwargs):
+        def window(trace):
+            on_window(trace)
+            deadline = time.monotonic() + 30
+            while os.waitid(os.P_PID, on_window.__self__.pid,
+                            os.WEXITED | os.WNOWAIT | os.WNOHANG) is None:
+                assert time.monotonic() < deadline, "the child did not exit"
+                time.sleep(0.001)
+
+        return real_run(spec, *args, on_window=on_window and window, **kwargs)
+
+    monkeypatch.setattr(harness, "encode_events", encode)
+    monkeypatch.setattr(harness, "run_datagen", runner)
+
+
+def _audit_fails_in_stream(monkeypatch):
+    monkeypatch.setattr(harness, "_HANDOFF", 8)
+    _audit_fails_in(monkeypatch, "run_datagen", 32, DatagenMode.PIPELINED)
+
+
+# (sabotage, error, message pattern), by id; not an OSError, which the CLI
+# would report as an unwritable --out
+_STREAM_FAILURES = {
+    "ring_full_mid_stream": (_ring_full_mid_stream, RingFull, "^engineered failure$"),
+    "child_exits_mid_stream": (_child_exits_mid_stream, RuntimeError, "exit status 7 "),
+    "audit_fails_in_stream": (_audit_fails_in_stream, InvariantViolation,
+                              "^run B32/pipelined: "),
+}
+
+
 # batch 16 is written before batch 32 fails: in datagen its sequential run
 # (the child's), in rl its interleaved run (the parent's)
 @pytest.mark.parametrize("command, error, sabotage", [
@@ -265,7 +354,8 @@ def _break_trace_check(monkeypatch):
     (cmd_rl, RingFull,
      lambda mp: _ring_full_at(mp, "run_rl_rollout", 32, RolloutMode.INTERLEAVED)),
     (cmd_trace, InvariantViolation, _break_trace_check),
-], ids=["datagen", "rl", "trace"])
+    *((cmd_datagen, error, sabotage) for sabotage, error, _ in _STREAM_FAILURES.values()),
+], ids=["datagen", "rl", "trace", *_STREAM_FAILURES])
 def test_failed_command_leaves_out_as_it_found_it(tmp_path, monkeypatch, command, error,
                                                   sabotage):
     cfg = parse_config(write_config(tmp_path))
@@ -291,9 +381,13 @@ def _open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
-@pytest.mark.parametrize("mode", [None, DatagenMode.SEQUENTIAL, DatagenMode.PIPELINED],
-                         ids=["success", "child_run_fails", "parent_run_fails"])
-def test_paired_sweep_leaves_no_child(tmp_path, monkeypatch, mode):
+@pytest.mark.parametrize("sabotage, error, message", [
+    (None, None, None),
+    *((lambda mp, mode=mode: _ring_full_at(mp, "run_datagen", 32, mode), RingFull,
+       "^engineered failure$") for mode in (DatagenMode.SEQUENTIAL, DatagenMode.PIPELINED)),
+    *_STREAM_FAILURES.values(),
+], ids=["success", "child_run_fails", "parent_run_fails", *_STREAM_FAILURES])
+def test_paired_sweep_leaves_no_child(tmp_path, monkeypatch, sabotage, error, message):
     # nor an open descriptor, nor a named file in the temporary directory
     cfg = parse_config(write_config(tmp_path))
     want = cmd_datagen(cfg, tmp_path / "want", json_events=True)
@@ -301,12 +395,12 @@ def test_paired_sweep_leaves_no_child(tmp_path, monkeypatch, mode):
     (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     fds = _open_fds()
-    if mode is None:
+    if sabotage is None:
         assert cmd_datagen(cfg, tmp_path / "got", json_events=True) == want
         assert _snapshot(tmp_path / "got") == _snapshot(tmp_path / "want")
     else:
-        _ring_full_at(monkeypatch, "run_datagen", 32, mode)
-        with pytest.raises(RingFull, match="^engineered failure$"):
+        sabotage(monkeypatch)
+        with pytest.raises(error, match=message):
             cmd_datagen(cfg, tmp_path / "got", json_events=True)
         assert not (tmp_path / "got").exists()
     _assert_no_child_left()
@@ -341,6 +435,84 @@ def test_child_runs_larger_than_a_pipe_keep_the_order_of_one_process(tmp_path):
     assert list(sizes) == ["B16/sequential", "B16/pipelined", "B32/sequential",
                            "B32/pipelined"]
     assert min(sizes["B16/sequential"], sizes["B32/sequential"]) > 1 << 20
+
+
+def _one_process_runs(cfg, command):
+    """(label, trace) of each run of ``command``'s sweep, in order, each run
+    in this process."""
+    if command is cmd_rl:
+        run = lambda batch, mode: run_rl_rollout(  # noqa: E731
+            RolloutSpec(cfg.steps, batch, cfg.groups, mode), cfg.costs, cfg.device,
+            env=cfg.env)
+        modes = (RolloutMode.SEQUENTIAL, RolloutMode.INTERLEAVED)
+    else:
+        run = lambda batch, mode: run_datagen(  # noqa: E731
+            EpisodeSpec(cfg.steps, batch, mode), cfg.costs, cfg.device, env=cfg.env)
+        modes = (DatagenMode.SEQUENTIAL, DatagenMode.PIPELINED)
+    label = "" if command is cmd_trace else "B{}/"
+    for batch in cfg.batches[:1] if command is cmd_trace else cfg.batches:
+        for mode in modes:
+            metrics = run(batch, mode)
+            yield label.format(batch) + metrics.mode, metrics.trace
+
+
+@pytest.mark.parametrize("command, text, json_events", [
+    (cmd_rl, GOOD.replace("steps = 6", "steps = 24").replace("groups = 2", "groups = 16"),
+     True),
+    (cmd_trace, GOOD, True),
+    (cmd_datagen, GOOD.replace("[device]", "[device]\nutilization_sample_dt = 1e-4"),
+     False),
+], ids=["rl", "trace", "datagen_fine_bins"])
+def test_streamed_run_keeps_the_lines_of_one_process(tmp_path, monkeypatch, command, text,
+                                                     json_events):
+    # the child writes the lines of the last overlapped run from the chunks
+    # handed over while it runs; they equal what one process writes
+    cfg = parse_config(write_config(tmp_path, text))
+    handed, real = [], harness._SequentialRuns._send
+
+    def send(self, trace, closing):
+        handed.append(len(trace.records))
+        real(self, trace, closing)
+
+    monkeypatch.setattr(harness._SequentialRuns, "_send", send)
+    out = tmp_path / "out"
+    command(cfg, out, json_events=json_events)
+    if command is cmd_rl:   # 4997 records: four chunks and the rest
+        assert len(handed) == 5 and handed[-1] == 4997
+    names = ["utilization.jsonl"] + ["events.jsonl"] * json_events
+    files = {name: open(out / name) for name in names}
+    try:
+        if json_events:
+            assert next(files["events.jsonl"]) == \
+                f'{{"meta":{{"command":"{command.__name__[4:]}","seed":0}}}}\n'
+        for run, trace in _one_process_runs(cfg, command):
+            samples = trace.utilization_samples(cfg.device.utilization_sample_dt)
+            want = {"utilization.jsonl": encode_utilization(samples, run),
+                    "events.jsonl": encode_events(trace.records, run)}
+            for name, f in files.items():
+                for line in want[name]:
+                    assert next(f) == line + "\n"
+        assert [next(f, None) for f in files.values()] == [None] * len(files)
+    finally:
+        for f in files.values():
+            f.close()
+    assert os.path.exists(out / "events.jsonl") == json_events
+
+
+def test_audit_failure_in_the_streamed_run_names_what_one_process_names(tmp_path,
+                                                                       monkeypatch):
+    cfg = parse_config(write_config(tmp_path))
+    metrics = run_datagen(EpisodeSpec(cfg.steps, 32, DatagenMode.PIPELINED), cfg.costs,
+                          cfg.device, env=cfg.env)
+    _repeat_last_semaphore(metrics.trace.records)
+    with pytest.raises(InvariantViolation) as want:
+        check_all(metrics.trace, "B32/pipelined")
+    _audit_fails_in_stream(monkeypatch)
+    with pytest.raises(InvariantViolation) as got:
+        cmd_datagen(cfg, tmp_path / "out", json_events=True)
+    assert (got.value.run, got.value.index, got.value.kind, str(got.value)) == \
+        (want.value.run, want.value.index, want.value.kind, str(want.value))
+    _assert_no_child_left()
 
 
 def test_child_that_exits_raises_its_exit_status(tmp_path, monkeypatch):
@@ -386,18 +558,7 @@ def test_batch_that_fails_only_in_the_child_is_rewritten_whole(tmp_path, monkeyp
 
 
 def test_audit_failure_in_a_child_run_names_run_index_and_kind(tmp_path, monkeypatch):
-    real = harness.run_datagen
-
-    def runner(spec, *args, **kwargs):
-        metrics = real(spec, *args, **kwargs)
-        if (spec.batch, spec.mode) == (32, DatagenMode.SEQUENTIAL):
-            # the last semaphore value of a stream seen once more: not rising
-            records = metrics.trace.records
-            records.append(next(r for r in reversed(records)
-                                if r[1] == "semaphore" and r[4] is not None))
-        return metrics
-
-    monkeypatch.setattr(harness, "run_datagen", runner)
+    _audit_fails_in(monkeypatch, "run_datagen", 32, DatagenMode.SEQUENTIAL)
     with pytest.raises(InvariantViolation) as info:
         cmd_datagen(parse_config(write_config(tmp_path)), tmp_path / "out")
     # what one process raised before the sequential runs moved to a child
