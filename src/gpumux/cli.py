@@ -5,7 +5,8 @@ cannot be read, such as a missing file or a directory, a submission ring too
 small for the workload and a VA window too small for what the command maps,
 such as ``graftbench``'s largest buffer count, both only found while the
 command runs) or an ``--out`` that cannot be written (such as the path of an
-existing file, found before the first run), 3 internal invariant violation.
+existing file, or one holding a directory named like an output, found before
+the first run), 3 internal invariant violation.
 """
 
 from __future__ import annotations

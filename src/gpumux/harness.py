@@ -17,18 +17,24 @@ failed command leaves the directory as it found it.
 A paired sweep (``datagen``, ``rl``, ``trace``) uses two processes, so it
 needs POSIX ``os.fork``: a forked child runs, audits and encodes the
 sequential runs into unnamed temporary files, with one pipe message per run,
-while this process runs the overlapped runs and copies each sequential run's
-lines in when its message arrives, in the order of one process. In the last
-batch the child, with no run left, encodes the overlapped run from chunks of
-records and segments that this process hands over while its engine runs;
-this process still audits the whole run and copies its lines in the same
-way. The memory of each process follows one run. A failure in a batch is
-reproduced by running that batch again in this process, as one process runs
-it, so the command raises the exception one process raises.
+while this process runs, audits and encodes the overlapped runs into unnamed
+files of its own. Once a batch's overlapped run is written, this process
+copies in the sequential run's lines when its message arrives and then its
+own, in the order of one process. If the child has sent its last sequential
+run while this process still runs the last overlapped run, the child encodes
+that run instead, from chunks of records and segments that this process
+hands over while its engine runs; this process still audits the whole run
+and copies its lines in the same way. The memory of each process follows one
+run. The cyclic garbage collector is paused for the sweep in both processes,
+since the runs make no reference cycles. A failure in a batch is reproduced
+by running that batch again in this process, as one process runs it, so the
+command raises the exception one process raises.
 """
 
 from __future__ import annotations
 
+import errno
+import gc
 import json
 import marshal
 import os
@@ -311,20 +317,30 @@ class _Outputs:
     ``utilization.jsonl``, and ``events.jsonl`` (which starts with the meta
     line) when ``json_events`` is set, are opened on entering the ``with``
     block, before the first run, and are in ``files`` by final name.
-    ``commit`` writes ``summary.csv`` and moves every file into place.
-    Leaving the block without a commit, as an exception does, deletes the
-    temporary files and the directories that this writer created, so a failed
-    command leaves ``out_dir`` as it found it.
+    Entering the block also checks that no target of the command, including
+    ``summary.csv`` and (with ``tables``) ``tables.json``, is a directory,
+    which ``os.replace`` could not replace. ``commit`` writes ``summary.csv``
+    and moves every file into place. Leaving the block without a commit, as
+    an exception does, deletes the temporary files that have not moved and
+    the directories that this writer created, so a failed command leaves
+    ``out_dir`` as it found it.
     """
 
-    def __init__(self, out_dir: Path, command: str, seed: int, json_events: bool):
+    def __init__(self, out_dir: Path, command: str, seed: int, json_events: bool,
+                 tables: bool = False):
         self.out_dir = out_dir
         self._meta = (json.dumps({"meta": {"command": command, "seed": seed}},
                                  separators=(",", ":")) + "\n" if json_events else None)
+        self._targets = (["utilization.jsonl", "summary.csv"] + ["events.jsonl"] * json_events
+                         + ["tables.json"] * tables)
         self.files = {}       # final name -> open temporary file
         self._created = []    # directories made by __enter__, deepest first
 
     def __enter__(self) -> _Outputs:
+        for name in self._targets:
+            if (self.out_dir / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, "an output is a directory",
+                                        str(self.out_dir / name))
         missing = list(takewhile(lambda d: not d.exists(),
                                  (self.out_dir, *self.out_dir.parents)))
         try:
@@ -368,30 +384,38 @@ class _Outputs:
         """Write ``summary.csv`` and move every file into place."""
         self.add("summary.csv", _csv(header, rows))
         self._created = []
-        for name in list(self.files):
-            self.files.pop(name).close()
+        for name, f in list(self.files.items()):
+            f.close()
             os.replace(self._temp(name), self.out_dir / name)
+            del self.files[name]
 
 
 _WORKLOAD_HEADER = ["env", "mode", "K", "B", "G", "makespan", "throughput",
                     "speedup_vs_sequential"]
 
 
-def _collect(metrics: Metrics, run: str, speedup: float, cfg: ExperimentConfig,
-             files: dict, child: _SequentialRuns | None = None) -> dict:
-    """Audit a run, write its lines to the open JSONL ``files`` by name, return
-    its row. A run streamed to ``child`` has its lines copied in from there."""
+def _write_run(metrics: Metrics, run: str, cfg: ExperimentConfig, files: dict):
+    """Audit a run and write its lines to the open JSONL ``files`` by name."""
     check_all(metrics.trace, run)
-    if child:
-        child.receive(files)
-    else:
-        if "events.jsonl" in files:
-            _write(files["events.jsonl"], encode_events(metrics.trace.records, run))
-        samples = metrics.trace.utilization_samples(cfg.device.utilization_sample_dt)
-        _write(files["utilization.jsonl"], encode_utilization(samples, run))
+    if "events.jsonl" in files:
+        _write(files["events.jsonl"], encode_events(metrics.trace.records, run))
+    samples = metrics.trace.utilization_samples(cfg.device.utilization_sample_dt)
+    _write(files["utilization.jsonl"], encode_utilization(samples, run))
+
+
+def _row(metrics: Metrics, speedup: float) -> dict:
+    """The summary row of a run."""
     return {"env": metrics.env, "mode": metrics.mode, "K": metrics.steps,
             "B": metrics.batch, "G": metrics.groups, "makespan": metrics.makespan,
             "throughput": metrics.throughput, "speedup_vs_sequential": speedup}
+
+
+def _copy(dst, src: int, pos: int, end: int):
+    """Append bytes ``pos`` to ``end`` of the file ``src`` to the open text
+    file ``dst``, after what was written to it before."""
+    dst.flush()
+    while pos < end:
+        pos += dst.buffer.write(os.pread(src, min(_COPY, end - pos), pos))
 
 
 # ----------------------------------------------------------------------
@@ -400,39 +424,58 @@ def _collect(metrics: Metrics, run: str, speedup: float, cfg: ExperimentConfig,
 _HANDOFF = 1024   # new records of the streamed run per chunk handed to the child
 
 
+def _child_idle(fd: int) -> bool:
+    """Whether the sweep child's next message, or the end of its pipe, is
+    waiting on ``fd``, without waiting for it. In the last batch the next
+    message is that of the child's last sequential run: once it is there,
+    the child has no run left."""
+    from select import select
+    return bool(select([fd], [], [], 0)[0])
+
+
 class _SequentialRuns:
     """A forked child that runs the sequential run of each batch of a paired
     sweep, audits it and writes its lines to an unnamed temporary file per
-    output in ``names``, opened before the fork. Then, idle, it writes the
-    lines of the last batch's overlapped run to the same files while this
-    process runs it.
+    output in ``names``, opened before the fork. If it runs out of
+    sequential runs while this process still runs the last batch's
+    overlapped run, it writes that run's lines to the same files instead.
 
     After each run the child sends one ``marshal`` message through a pipe,
     ``(summary row, mean compute utilization, end offset of each file)``, or
-    None if the run raised: the parent runs the batch again to raise it. The
-    processes share each file's offset, so this one reads with ``os.pread``
-    and never seeks. The child leaves only through ``os._exit``, since
-    returning into the caller would run the clean-up of the parent's ``_Outputs``.
+    None if the run raised: the parent runs the batch again to raise it.
+    Each message follows its 4-byte length, and this process reads exactly
+    that many bytes, so it reads nothing ahead: an empty pipe means that the
+    next message has not come. The processes share each file's offset, so
+    this one reads with ``os.pread`` and never seeks. The child leaves only
+    through ``os._exit``, since returning into the caller would run the
+    clean-up of the parent's ``_Outputs``.
 
-    The overlapped run is handed over in chunks, through one more unnamed
-    file and a second pipe. ``hand_over``, called after each window of the
-    run, ``os.pwrite``s a ``marshal`` chunk of the new records (only with an
-    ``events.jsonl``) and segments once ``_HANDOFF`` records have built up,
-    and sends the chunk's 8-byte end offset through the pipe. ``end_stream``
-    sends the rest with the closing segment and closes the pipe. The child's
-    message for that run carries no row, which this process builds from its
-    own whole trace.
+    ``own`` holds one more unnamed file per output, for this process: it
+    writes each overlapped run that it does not stream there, then copies
+    the lines in after the child's (``copy_own``).
+
+    The last overlapped run is handed over in chunks, through one more
+    unnamed file and a second pipe. ``hand_over``, called after each window
+    of the run, ``os.pwrite``s a ``marshal`` chunk of the new records (only
+    with an ``events.jsonl``) and segments once ``_HANDOFF`` records have
+    built up and the child has sent its last sequential run
+    (``_child_idle``), and sends the chunk's 8-byte end offset through the
+    pipe; until then the records are kept. ``end_stream`` closes the pipe,
+    after the rest and the closing segment if a chunk went. The child's
+    message for a streamed run carries no row, which this process builds
+    from its own whole trace; a pipe closed with no chunk gets no message.
     """
 
     def __init__(self, cfg: ExperimentConfig, batches: list[int], label: str, run,
                  modes: tuple, names: Iterable[str]):
         fds = []
-        self.pid, self._files, self._handoff = 0, {}, None
+        self.pid, self._files, self.own, self._handoff = 0, {}, {}, None
         try:
             fds += os.pipe()   # the results
             fds += os.pipe()   # the end offsets of the streamed run's chunks
             for name in names:
                 self._files[name] = tempfile.TemporaryFile("w+")
+                self.own[name] = tempfile.TemporaryFile("w+")
             self._handoff = tempfile.TemporaryFile()
             self.pid = os.fork()
         except OSError as exc:   # not an --out error, which is what cli.main takes it for
@@ -447,13 +490,12 @@ class _SequentialRuns:
                 os.close(r)
                 os.close(chunks_w)
                 self._chunks = chunks_r
-                with open(w, "wb") as pipe:
-                    self._send_runs(cfg, batches, label, run, modes, pipe)
+                self._send_runs(cfg, batches, label, run, modes, w)
             finally:
                 os._exit(0)
         os.close(w)
         os.close(chunks_r)
-        self._pipe = open(r, "rb")
+        self._results = r
         self._chunks = chunks_w   # None once closed
         self._sent = (0, 0)   # records and segments of the streamed run handed over
         self._at = 0          # end of the hand-off file
@@ -461,34 +503,53 @@ class _SequentialRuns:
     def receive(self, files: dict) -> tuple[dict, float]:
         """Copy the next run's lines into the open output ``files``; return its
         summary row and mean compute utilization."""
-        try:
-            result = marshal.load(self._pipe)
-        except EOFError:
+        size = int.from_bytes(self._read_exactly(4), "little")
+        message = self._read_exactly(size)
+        if not size or len(message) < size:
             code = self.close(kill=False)
             raise RuntimeError(f"the process of the sequential runs ended with exit "
-                               f"status {code} before sending its result") from None
+                               f"status {code} before sending its result")
+        result = marshal.loads(message)
         if result is None:
             raise RuntimeError("a run raised in the child")
         row, util, ends = result
         for (name, src), pos, end in zip(self._files.items(), self._ends, ends):
-            dst = files[name]
-            dst.flush()   # the text written before goes first
-            while pos < end:
-                pos += dst.buffer.write(os.pread(src.fileno(), min(_COPY, end - pos), pos))
+            _copy(files[name], src.fileno(), pos, end)
         self._ends = ends
         return row, util
 
+    def _read_exactly(self, n: int) -> bytes:
+        """``n`` bytes of the result pipe, or fewer if it ends first."""
+        data = b""
+        while len(data) < n and (part := os.read(self._results, n - len(data))):
+            data += part
+        return data
+
+    def copy_own(self, files: dict):
+        """Copy the lines written to ``own`` into the open output ``files``,
+        and empty ``own``."""
+        for name, src in self.own.items():
+            _copy(files[name], src.fileno(), 0, src.tell())   # tell() flushes
+            src.seek(0)
+            src.truncate()
+
     def hand_over(self, trace: MetricsTrace):
         """Hand the child the new records and segments of the streamed run
-        once ``_HANDOFF`` records have built up (``Engine.run``'s ``on_window``)."""
-        if len(trace.records) - self._sent[0] >= _HANDOFF:
+        once ``_HANDOFF`` records have built up and the child is idle
+        (``Engine.run``'s ``on_window``)."""
+        sent = self._sent[0]   # not 0 once a chunk went
+        if len(trace.records) - sent >= _HANDOFF and (sent or _child_idle(self._results)):
             self._send(trace, [])
 
-    def end_stream(self, trace: MetricsTrace, sample_dt: float):
-        """Hand the child the rest of the streamed run and its closing segment,
-        and close the pipe, which ends the run for the child."""
-        self._send(trace, [trace.closing_segment(sample_dt)])
+    def end_stream(self, trace: MetricsTrace, sample_dt: float) -> bool:
+        """Close the pipe, which ends the run for the child, after handing it
+        the rest of the run and its closing segment if a chunk went before.
+        Returns whether the child writes the run's lines."""
+        streamed = self._sent[0] > 0
+        if streamed:
+            self._send(trace, [trace.closing_segment(sample_dt)])
         self._close_chunks()
+        return streamed
 
     def _send(self, trace: MetricsTrace, closing: list):
         if self._chunks is None:
@@ -513,13 +574,13 @@ class _SequentialRuns:
         """Close the files and reap the child, killing it first if ``kill``;
         returns its exit status (minus the signal number if a signal ended
         it), or None if it was reaped before."""
-        for f in (*self._files.values(), self._handoff):
+        for f in (*self._files.values(), *self.own.values(), self._handoff):
             if f is not None:
                 f.close()
         if not self.pid:
             return None
         pid, self.pid = self.pid, 0
-        self._pipe.close()
+        os.close(self._results)
         self._close_chunks()
         if kill:
             from signal import SIGKILL
@@ -529,38 +590,45 @@ class _SequentialRuns:
     # the child's side
 
     def _send_runs(self, cfg: ExperimentConfig, batches: list[int], label: str, run,
-                   modes: tuple, pipe):
-        """Run, audit and write each sequential run, then write the streamed
-        run, each followed by its message."""
+                   modes: tuple, pipe: int):
+        """Run, audit and write each sequential run, then the streamed run if
+        the parent streams it, each followed by its message on ``pipe``."""
         files = self._files.values()
         for batch in (*batches, None):   # None: the last batch's overlapped run
             metrics = None   # free the last run's trace before this one runs
             try:
                 if batch is None:
-                    self._write_stream(label.format(batches[-1]) + modes[1].value,
-                                       cfg.device.utilization_sample_dt)
+                    if not self._write_stream(label.format(batches[-1]) + modes[1].value,
+                                              cfg.device.utilization_sample_dt):
+                        return   # the parent writes that run
                     row = util = None
                 else:
                     metrics = run(batch, modes[0])
-                    row = _collect(metrics, label.format(batch) + metrics.mode, 1.0, cfg,
-                                   self._files)
-                    util = metrics.trace.mean_compute_util()
+                    _write_run(metrics, label.format(batch) + metrics.mode, cfg, self._files)
+                    row, util = _row(metrics, 1.0), metrics.trace.mean_compute_util()
                 # tell() flushes: each file holds the run's lines up to its offset
                 result = (row, util, [f.tell() for f in files])
             except Exception:
-                marshal.dump(None, pipe)
+                result = None
+            message = marshal.dumps(result)
+            message = len(message).to_bytes(4, "little") + message
+            while message:
+                message = message[os.write(pipe, message):]
+            if result is None:
                 return
-            marshal.dump(result, pipe)
-            pipe.flush()
 
-    def _write_stream(self, run: str, sample_dt: float):
+    def _write_stream(self, run: str, sample_dt: float) -> bool:
         """Write the lines of the run that the parent hands over, chunk by
-        chunk as they arrive, until it closes the pipe."""
+        chunk as they arrive, until it closes the pipe; False, with nothing
+        written, if it closes the pipe before the first chunk."""
         events = self._files.get("events.jsonl")
+        msg = os.read(self._chunks, 8)
+        if not msg:
+            return False
 
-        def segments():
+        def segments(msg):
             pos = 0
-            while msg := os.read(self._chunks, 8):
+            while msg:
                 end = int.from_bytes(msg, "little")
                 records, chunk = marshal.loads(os.pread(self._handoff.fileno(), end - pos,
                                                         pos))
@@ -568,33 +636,43 @@ class _SequentialRuns:
                 if events is not None:
                     _write(events, encode_events(records, run))
                 yield from chunk
+                msg = os.read(self._chunks, 8)
 
-        samples = utilization_bins(segments(), sample_dt)
+        samples = utilization_bins(segments(msg), sample_dt)
         _write(self._files["utilization.jsonl"], encode_utilization(samples, run))
+        return True
 
 
 def _pair(cfg: ExperimentConfig, batch: int, label: str, run, modes: tuple,
           files: dict, child: _SequentialRuns | None, last: bool
           ) -> tuple[list[dict], tuple[float, float]]:
     """One batch of ``_paired_sweep``: both summary rows, and both mean
-    compute utilizations. The sequential run comes from ``child``, and in the
-    ``last`` batch the overlapped run is streamed to it, which writes its
-    lines; without a child, both run here, in the order and with the calls
-    of one process."""
+    compute utilizations. With a ``child``, the sequential run comes from
+    it, and this process audits the overlapped run and writes its lines to
+    ``child.own`` before it takes the child's lines, then copies its own in
+    after them. In the ``last`` batch the overlapped run may instead be
+    streamed to the child, if it is idle in time, which writes its lines.
+    Without a child, both run here, in the order and with the calls of one
+    process."""
     seq = None if child else run(batch, modes[0])
     stream = child if child and last else None
     over = run(batch, modes[1], on_window=stream and stream.hand_over)
-    if stream:
-        stream.end_stream(over.trace, cfg.device.utilization_sample_dt)
+    over_run = label.format(batch) + over.mode
     if child:
+        streamed = stream is not None and stream.end_stream(
+            over.trace, cfg.device.utilization_sample_dt)
+        if streamed:
+            check_all(over.trace, over_run)
+        else:
+            _write_run(over, over_run, cfg, child.own)
         seq_row, seq_util = child.receive(files)
+        (child.receive if streamed else child.copy_own)(files)
     else:
-        seq_row = _collect(seq, label.format(batch) + seq.mode, 1.0, cfg, files)
-        seq_util = seq.trace.mean_compute_util()
+        _write_run(seq, label.format(batch) + seq.mode, cfg, files)
+        seq_row, seq_util = _row(seq, 1.0), seq.trace.mean_compute_util()
+        _write_run(over, over_run, cfg, files)
     speedup = seq_row["makespan"] / over.makespan if over.makespan > 0 else 1.0
-    over_row = _collect(over, label.format(batch) + over.mode, speedup, cfg, files,
-                        stream)
-    return [seq_row, over_row], (seq_util, over.trace.mean_compute_util())
+    return [seq_row, _row(over, speedup)], (seq_util, over.trace.mean_compute_util())
 
 
 def _paired_sweep(cfg: ExperimentConfig, batches: list[int], label: str, run,
@@ -606,35 +684,48 @@ def _paired_sweep(cfg: ExperimentConfig, batches: list[int], label: str, run,
     the speedup) and the mean compute utilizations of the last pair. Run
     labels are ``label.format(batch)`` followed by the mode.
 
-    A forked child runs the sequential runs while this process runs the
-    overlapped ones, and writes the lines of the last overlapped run while
-    this process runs it; the lines go to ``out`` in the order one process
-    writes them. If anything in a batch fails, the child is killed, the
-    batch's lines are cut off, and that batch and the rest run here, so the
-    command raises what one process raises. A child that ends without
-    sending its run raises a RuntimeError naming its exit status."""
+    A forked child runs, audits and encodes the sequential runs while this
+    process runs, audits and encodes the overlapped ones; if the child has
+    sent its last sequential run while this process still runs the last
+    overlapped run, it writes that run's lines instead. The lines go to
+    ``out`` in the order one process writes them. If anything in a batch
+    fails, the child is killed, the batch's lines are cut off, and that
+    batch and the rest run here, so the command raises what one process
+    raises. A child that ends without sending its run raises a RuntimeError
+    naming its exit status.
+
+    The cyclic garbage collector is paused for the sweep, in both processes,
+    and the caller's setting comes back on every path: the runs make no
+    reference cycles, so reference counting frees all they allocate."""
     rows = []
     marks = out.tell()   # this flushes the files: the child inherits no unwritten text
-    child = _SequentialRuns(cfg, batches, label, run, modes, out.files)
+    collecting = gc.isenabled()
+    gc.disable()   # before the fork, so the child inherits the pause
     try:
-        for i, batch in enumerate(batches, 1):
-            if child.pid:
-                try:
-                    pair, utils = _pair(cfg, batch, label, run, modes, out.files, child,
-                                        i == len(batches))
-                except Exception:
-                    if not child.pid:   # it ended without sending its run
-                        raise
-                    child.close(kill=True)
-                    out.rewind(marks)
-            if not child.pid:
-                pair, utils = _pair(cfg, batch, label, run, modes, out.files, None, False)
-            rows += pair
-            marks = out.tell()
-    except BaseException:
-        child.close(kill=True)
-        raise
-    child.close(kill=False)
+        child = _SequentialRuns(cfg, batches, label, run, modes, out.files)
+        try:
+            for i, batch in enumerate(batches, 1):
+                if child.pid:
+                    try:
+                        pair, utils = _pair(cfg, batch, label, run, modes, out.files,
+                                            child, i == len(batches))
+                    except Exception:
+                        if not child.pid:   # it ended without sending its run
+                            raise
+                        child.close(kill=True)
+                        out.rewind(marks)
+                if not child.pid:
+                    pair, utils = _pair(cfg, batch, label, run, modes, out.files, None,
+                                        False)
+                rows += pair
+                marks = out.tell()
+        except BaseException:
+            child.close(kill=True)
+            raise
+        child.close(kill=False)
+    finally:
+        if collecting:
+            gc.enable()
     return rows, utils
 
 
@@ -719,7 +810,7 @@ def graft_sweep(cfg: ExperimentConfig, counts: list[int],
 def cmd_graftbench(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
                    json_events: bool = False, dump_tables: bool = False) -> list[dict]:
     """Scaling of memory-sharing cost with the number of shared 2 MiB buffers."""
-    with _Outputs(out_dir, "graftbench", seed, json_events) as out:
+    with _Outputs(out_dir, "graftbench", seed, json_events, dump_tables) as out:
         rows = graft_sweep(cfg, cfg.buffer_counts, dump_tables)
         tables = rows[-1].pop("tables", None)
         if json_events:

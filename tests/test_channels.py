@@ -3,10 +3,11 @@
 import pytest
 
 from gpumux.audits import check_all
-from gpumux.channels import AlreadyBound, ContextKind, NotBound, PoolExhausted, RingFull
+from gpumux.channels import (AlreadyBound, ComputeConfig, ContextKind, NotBound,
+                             PoolExhausted, RingFull)
 from gpumux.commands import graphics_draw, kernel_dispatch
 from gpumux.config import DeviceConfig
-from gpumux.engine import Engine, EngineError
+from gpumux.engine import Engine, EngineError, TimeReached
 from gpumux.vm import PageFault, SizeClass
 
 
@@ -415,3 +416,71 @@ def test_local_memory_shrink_does_not_rebootstrap():
     e.set_local_memory(compute, compute.compute_state.local_memory_bytes // 2)
     after = sum(1 for ev in e.trace.events if ev["event"] == "bootstrap")
     assert after == before
+
+
+# ----------------------------------------------------------------------
+# argument checks of the control plane: each raises its message before any
+# change
+
+def control_state(e, stream):
+    space_state = [(list(s.subscribers), e.memory.table_shape(s))
+                   for s in e.memory.spaces.values()]
+    return (e.clock, len(e.trace.records), len(e.trace.segments),
+            [(ch.userd.get, ch.userd.put, ch.compute_config, ch.token) for ch in e.channels],
+            [(c.compute_state, list(c.forward_pool), set(c.bound_stream_ids))
+             for c in e.contexts],
+            (stream.bound, stream.channel_id, stream.saved_snapshot), space_state)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda e, compute, graphics, stream: e.bootstrap(e.channels[compute.channels[0]],
+                                                      ComputeConfig(1 << 20)),
+     "bootstrap targets channels in the graphics group"),
+    (lambda e, compute, graphics, stream: e.set_local_memory(graphics, 1 << 20),
+     "only compute contexts carry a scratch pool"),
+    (lambda e, compute, graphics, stream: e.bind(stream, compute),
+     "streams bind to graphics contexts"),
+], ids=["bootstrap_of_a_compute_channel", "local_memory_of_a_graphics_context",
+        "bind_into_a_compute_context"])
+def test_control_plane_argument_check_raises_and_changes_nothing(call, message):
+    e, compute, graphics, (stream,) = build()
+    e.submit(stream, [kernel_dispatch(1.0, 0.1)])   # a drain would run it
+    before = control_state(e, stream)
+    with pytest.raises(ValueError) as info:
+        call(e, compute, graphics, stream)
+    assert str(info.value) == message
+    assert control_state(e, stream) == before
+
+
+@pytest.mark.parametrize("call, message", [
+    ("bind", "bind is a control-plane call, not valid mid-run"),
+    ("unbind", "unbind is a control-plane call, not valid mid-run"),
+    ("run", "run is not reentrant"),
+])
+def test_control_plane_call_from_a_running_driver_raises_and_changes_nothing(call, message):
+    e, _, graphics, (stream,) = build()
+    if call == "unbind":
+        e.bind(stream, graphics)
+    e.submit(stream, [kernel_dispatch(1.0, 0.1)])
+    calls = {"bind": lambda: e.bind(stream, graphics), "unbind": lambda: e.unbind(stream),
+             "run": e.run}
+    seen = []
+
+    def driver():
+        yield TimeReached(0.5)
+        before = control_state(e, stream)
+        with pytest.raises(EngineError) as info:
+            calls[call]()
+        seen.append((str(info.value), control_state(e, stream) == before))
+
+    e.spawn(driver())
+    e.run()
+    assert seen == [(message, True)]
+    # the run went on: the kernel finished, and the engine takes calls again
+    assert e.stream_semaphore(stream) == 1 and e.clock == 1.0
+    check_all(e.trace)
+    if call == "unbind":
+        e.unbind(stream)
+    else:
+        e.bind(stream, graphics)
+    assert stream.bound == (call != "unbind")

@@ -1,5 +1,6 @@
 """Config validation, experiment outputs, determinism, and the CLI surface."""
 
+import errno
 import gc
 import json
 import os
@@ -242,6 +243,12 @@ def _snapshot(path):
     return {p.name: p.read_bytes() for p in path.iterdir()}
 
 
+def _tree(path):
+    """Every file under ``path`` with its bytes, and every directory (None)."""
+    return {p.relative_to(path): None if p.is_dir() else p.read_bytes()
+            for p in path.rglob("*")}
+
+
 def _ring_full_at(monkeypatch, name, batch, mode):
     # the run of one (batch, mode) raises, in whichever process runs it
     real = getattr(harness, name)
@@ -280,11 +287,19 @@ def _audit_fails_in(monkeypatch, name, batch, mode):
 
 
 # The last batch's overlapped run (B32/pipelined in GOOD's datagen) is handed
-# to the child while it runs; these fail in that batch. Chunks of 8 records
-# make the child get several before the failure.
+# to the child while it runs, once the child has sent its last sequential
+# run; these fail in that batch. ``_force_child`` fixes whether the child
+# counts as idle: idle, it gets the chunks at once, as if its last
+# sequential run were done; busy, it gets none and this process writes the
+# run. Chunks of 8 records make an idle child get several before the failure.
 
-def _ring_full_mid_stream(monkeypatch):
+def _force_child(monkeypatch, idle):
+    monkeypatch.setattr(harness, "_child_idle", lambda fd: idle)
+
+
+def _ring_full_mid_stream(monkeypatch, idle=True):
     # the streamed run raises at its 4th window, in whichever process runs it
+    _force_child(monkeypatch, idle)
     monkeypatch.setattr(harness, "_HANDOFF", 8)
     real = harness.run_datagen
 
@@ -305,14 +320,17 @@ def _ring_full_mid_stream(monkeypatch):
     monkeypatch.setattr(harness, "run_datagen", runner)
 
 
-def _child_exits_mid_stream(monkeypatch):
-    # the child exits on the first chunk of the streamed run; this process
-    # waits for that, without reaping it, and then hands over more chunks
+def _child_exits_mid_stream(monkeypatch, idle=True):
+    # the child exits on the first chunk of the streamed run (busy: while it
+    # writes its last sequential run); this process waits for that, without
+    # reaping it, and then hands over more chunks (busy: writes the run)
+    _force_child(monkeypatch, idle)
     monkeypatch.setattr(harness, "_HANDOFF", 1)   # a chunk after every window
     parent, real_encode, real_run = os.getpid(), harness.encode_events, harness.run_datagen
+    exit_in = "B32/pipelined" if idle else "B32/sequential"
 
     def encode(records, run=None):
-        if os.getpid() != parent and run == "B32/pipelined":
+        if os.getpid() != parent and run == exit_in:
             os._exit(7)
         return real_encode(records, run)
 
@@ -331,9 +349,14 @@ def _child_exits_mid_stream(monkeypatch):
     monkeypatch.setattr(harness, "run_datagen", runner)
 
 
-def _audit_fails_in_stream(monkeypatch):
+def _audit_fails_in_stream(monkeypatch, idle=True):
+    _force_child(monkeypatch, idle)
     monkeypatch.setattr(harness, "_HANDOFF", 8)
     _audit_fails_in(monkeypatch, "run_datagen", 32, DatagenMode.PIPELINED)
+
+
+def _busy(sabotage):
+    return lambda monkeypatch: sabotage(monkeypatch, idle=False)
 
 
 # (sabotage, error, message pattern), by id; not an OSError, which the CLI
@@ -344,31 +367,40 @@ _STREAM_FAILURES = {
     "audit_fails_in_stream": (_audit_fails_in_stream, InvariantViolation,
                               "^run B32/pipelined: "),
 }
+_STREAM_FAILURES |= {f"{name}_busy": (_busy(sabotage), error, message)
+                     for name, (sabotage, error, message) in _STREAM_FAILURES.items()}
+
+
+def _summary_csv_is_a_directory(monkeypatch, out):
+    # os.replace cannot move a file onto a directory
+    (out / "summary.csv").unlink(missing_ok=True)
+    (out / "summary.csv").mkdir(parents=True)
 
 
 # batch 16 is written before batch 32 fails: in datagen its sequential run
-# (the child's), in rl its interleaved run (the parent's)
+# (the child's), in rl its interleaved run (the parent's). A target that is a
+# directory fails before the first run.
 @pytest.mark.parametrize("command, error, sabotage", [
     (cmd_datagen, RingFull,
-     lambda mp: _ring_full_at(mp, "run_datagen", 32, DatagenMode.SEQUENTIAL)),
+     lambda mp, out: _ring_full_at(mp, "run_datagen", 32, DatagenMode.SEQUENTIAL)),
     (cmd_rl, RingFull,
-     lambda mp: _ring_full_at(mp, "run_rl_rollout", 32, RolloutMode.INTERLEAVED)),
-    (cmd_trace, InvariantViolation, _break_trace_check),
-    *((cmd_datagen, error, sabotage) for sabotage, error, _ in _STREAM_FAILURES.values()),
-], ids=["datagen", "rl", "trace", *_STREAM_FAILURES])
+     lambda mp, out: _ring_full_at(mp, "run_rl_rollout", 32, RolloutMode.INTERLEAVED)),
+    (cmd_trace, InvariantViolation, lambda mp, out: _break_trace_check(mp)),
+    *((cmd_datagen, error, lambda mp, out, sabotage=sabotage: sabotage(mp))
+      for sabotage, error, _ in _STREAM_FAILURES.values()),
+    (cmd_datagen, IsADirectoryError, _summary_csv_is_a_directory),
+], ids=["datagen", "rl", "trace", *_STREAM_FAILURES, "summary_csv_is_a_directory"])
 def test_failed_command_leaves_out_as_it_found_it(tmp_path, monkeypatch, command, error,
                                                   sabotage):
     cfg = parse_config(write_config(tmp_path))
-    previous = tmp_path / "previous"
-    command(cfg, previous, json_events=True)
-    before = _snapshot(previous)
-    for out in (previous, tmp_path / "fresh" / "out"):
+    command(cfg, tmp_path / "previous", json_events=True)
+    for out in (tmp_path / "previous", tmp_path / "fresh" / "out"):
         with monkeypatch.context() as mp:
-            sabotage(mp)
+            sabotage(mp, out)
+            before = _tree(tmp_path)
             with pytest.raises(error):
                 command(cfg, out, json_events=True)
-    assert _snapshot(previous) == before
-    assert not (tmp_path / "fresh").exists()
+        assert _tree(tmp_path) == before
 
 
 def _assert_no_child_left():
@@ -381,12 +413,21 @@ def _open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
+def _fork_fails(monkeypatch):
+    # after the pipes and the unnamed files are open
+    def fork():
+        raise OSError(errno.EAGAIN, "engineered failure")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
 @pytest.mark.parametrize("sabotage, error, message", [
     (None, None, None),
     *((lambda mp, mode=mode: _ring_full_at(mp, "run_datagen", 32, mode), RingFull,
        "^engineered failure$") for mode in (DatagenMode.SEQUENTIAL, DatagenMode.PIPELINED)),
     *_STREAM_FAILURES.values(),
-], ids=["success", "child_run_fails", "parent_run_fails", *_STREAM_FAILURES])
+    (_fork_fails, RuntimeError, "^cannot start the sequential runs: .*engineered failure"),
+], ids=["success", "child_run_fails", "parent_run_fails", *_STREAM_FAILURES, "fork_fails"])
 def test_paired_sweep_leaves_no_child(tmp_path, monkeypatch, sabotage, error, message):
     # nor an open descriptor, nor a named file in the temporary directory
     cfg = parse_config(write_config(tmp_path))
@@ -406,6 +447,74 @@ def test_paired_sweep_leaves_no_child(tmp_path, monkeypatch, sabotage, error, me
     _assert_no_child_left()
     assert _open_fds() == fds
     assert os.listdir(tmp_path / "tmp") == []
+
+
+@pytest.mark.parametrize("json_events", [False, True], ids=["no_events", "events"])
+@pytest.mark.parametrize("command", [cmd_datagen, cmd_rl, cmd_trace])
+def test_sweeps_make_no_reference_cycles(tmp_path, command, json_events):
+    # the sweep pauses the cyclic collector, so all that its runs allocate
+    # must be freed by reference counting: in this process, the command and
+    # every run of its sweep (the child's included) leave nothing to collect
+    cfg = parse_config(write_config(tmp_path))
+    gc.collect()
+    gc.disable()
+    try:
+        command(cfg, tmp_path / "out", json_events=json_events)
+        for run, trace in _one_process_runs(cfg, command):
+            check_all(trace, run)
+            "".join(encode_events(trace.records, run))
+            "".join(encode_utilization(trace.utilization_samples(0.5), run))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _child_exits(monkeypatch):
+    parent, real = os.getpid(), harness.run_datagen
+
+    def runner(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(7)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_datagen", runner)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("sabotage, error, message", [
+    (None, None, None),
+    (_child_exits, RuntimeError, "exit status 7 "),
+    (lambda mp: _ring_full_at(mp, "run_datagen", 32, DatagenMode.PIPELINED), RingFull,
+     "^engineered failure$"),
+], ids=["success", "child_fails", "parent_run_fails"])
+def test_paired_sweep_restores_the_collector_setting(tmp_path, monkeypatch, enabled,
+                                                      sabotage, error, message):
+    # paused during every run, in both processes (a child that finds the
+    # collector on exits with status 3), and as the caller left it after
+    cfg = parse_config(write_config(tmp_path))
+    if sabotage is not None:
+        sabotage(monkeypatch)
+    parent, real, paused = os.getpid(), harness.run_datagen, []
+
+    def runner(*args, **kwargs):
+        if gc.isenabled() and os.getpid() != parent:
+            os._exit(3)
+        paused.append(not gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_datagen", runner)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            cmd_datagen(cfg, tmp_path / "out")
+        else:
+            with pytest.raises(error, match=message):
+                cmd_datagen(cfg, tmp_path / "out")
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert paused and all(paused)
+    _assert_no_child_left()
 
 
 def test_child_runs_larger_than_a_pipe_keep_the_order_of_one_process(tmp_path):
@@ -456,18 +565,25 @@ def _one_process_runs(cfg, command):
             yield label.format(batch) + metrics.mode, metrics.trace
 
 
-@pytest.mark.parametrize("command, text, json_events", [
-    (cmd_rl, GOOD.replace("steps = 6", "steps = 24").replace("groups = 2", "groups = 16"),
-     True),
-    (cmd_trace, GOOD, True),
-    (cmd_datagen, GOOD.replace("[device]", "[device]\nutilization_sample_dt = 1e-4"),
-     False),
-], ids=["rl", "trace", "datagen_fine_bins"])
+_STREAMED_SWEEPS = {
+    "rl": (cmd_rl, GOOD.replace("steps = 6", "steps = 24").replace("groups = 2", "groups = 16"),
+           True),
+    "trace": (cmd_trace, GOOD, True),
+    "datagen_fine_bins": (
+        cmd_datagen, GOOD.replace("[device]", "[device]\nutilization_sample_dt = 1e-4"), False),
+}
+
+
+@pytest.mark.parametrize("command, text, json_events, idle", [
+    *(pytest.param(*case, idle, id=name + ("" if idle else "_busy"))
+      for idle in (True, False) for name, case in _STREAMED_SWEEPS.items())])
 def test_streamed_run_keeps_the_lines_of_one_process(tmp_path, monkeypatch, command, text,
-                                                     json_events):
-    # the child writes the lines of the last overlapped run from the chunks
-    # handed over while it runs; they equal what one process writes
+                                                     json_events, idle):
+    # an idle child writes the lines of the last overlapped run from the
+    # chunks handed over while it runs; a busy one gets none, and this
+    # process writes them; either way they equal what one process writes
     cfg = parse_config(write_config(tmp_path, text))
+    _force_child(monkeypatch, idle)
     handed, real = [], harness._SequentialRuns._send
 
     def send(self, trace, closing):
@@ -477,7 +593,9 @@ def test_streamed_run_keeps_the_lines_of_one_process(tmp_path, monkeypatch, comm
     monkeypatch.setattr(harness._SequentialRuns, "_send", send)
     out = tmp_path / "out"
     command(cfg, out, json_events=json_events)
-    if command is cmd_rl:   # 4997 records: four chunks and the rest
+    if not idle:
+        assert handed == []
+    elif command is cmd_rl:   # 4997 records: four chunks and the rest
         assert len(handed) == 5 and handed[-1] == 4997
     names = ["utilization.jsonl"] + ["events.jsonl"] * json_events
     files = {name: open(out / name) for name in names}
@@ -787,6 +905,25 @@ def test_cli_out_naming_a_file_exits_2_before_any_run(tmp_path, monkeypatch, cap
                      "--out", str(out)]) == 2
     assert "cannot write outputs to --out" in capsys.readouterr().err
     assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["datagen"], "summary.csv"),
+    (["datagen", "--json-events"], "events.jsonl"),
+    (["graftbench", "--dump-tables"], "tables.json"),
+], ids=["summary_csv", "events_jsonl", "tables_json"])
+def test_cli_out_holding_a_directory_named_like_an_output_exits_2_before_any_run(
+        tmp_path, monkeypatch, capsys, argv, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started for an --out that cannot be written")
+
+    monkeypatch.setattr(harness, "run_datagen", refuse)
+    monkeypatch.setattr(harness, "graft_sweep", refuse)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert cli.main([*argv, "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+    assert "cannot write outputs to --out" in capsys.readouterr().err
+    assert os.listdir(out) == [name] and os.listdir(out / name) == []
 
 
 @pytest.mark.parametrize("groups, rc", [(8, 2), (3, 0)])

@@ -927,3 +927,79 @@ def test_interval_set_under_the_allocator_pattern():
                 covered -= set(range(lo, hi))
             qlo = rng.randrange(cursor + 8)
             check_interval_set(ivals, covered, qlo, qlo + rng.randint(1, 12))
+
+
+# ----------------------------------------------------------------------
+# argument checks: each raises its message before any change
+
+def _vm_snapshot(mem):
+    spaces = list(mem.spaces.values())
+    return (len(spaces), [mem.table_shape(s) for s in spaces], [list(s.mapped) for s in spaces],
+            [(s.alloc_cursor, s.conflicts_resolved) for s in spaces], len(mem.nodes),
+            (mem.copy_log.reads, mem.copy_log.writes))
+
+
+# (name, call builder, message); a builder takes (mem, high, low) and does its
+# own allocation before the call it returns, so only the call is checked
+_VM_ARGUMENT_CHECKS = {
+    "create_space_unaligned_base": (
+        lambda mem, high, low: lambda: mem.create_space(AllocPolicy.HIGH_RANGE, base=H + 8),
+        "policy base must be page aligned"),
+    "create_space_base_at_limit": (
+        lambda mem, high, low: lambda: mem.create_space(AllocPolicy.LOW_RANGE, base=H, limit=H),
+        "policy window must lie inside the VA width"),
+    "create_space_past_the_va_width": (
+        lambda mem, high, low: lambda: mem.create_space(
+            AllocPolicy.HIGH_RANGE, limit=mem.geometry.va_limit + SMALL.nbytes),
+        "policy window must lie inside the VA width"),
+    "allocate_no_pages": (
+        lambda mem, high, low: lambda: mem.allocate(high, 0, SMALL),
+        "n_pages must be >= 1"),
+    "allocate_misaligned_hint": (
+        lambda mem, high, low: lambda: mem.allocate(high, 1, BIG, hint=H + 2 * BIG.nbytes
+                                                    + SMALL.nbytes),
+        "hint must be aligned to the page size"),
+    "allocate_hint_below_the_window": (
+        lambda mem, high, low: lambda: mem.allocate(high, 1, SMALL, hint=H - SMALL.nbytes),
+        "hint outside the policy window"),
+    "allocate_hint_past_the_window": (
+        lambda mem, high, low: lambda: mem.allocate(low, 2, SMALL, hint=H - SMALL.nbytes),
+        "hint outside the policy window"),
+    "map_range_no_pages": (
+        lambda mem, high, low: lambda: mem.map_range(high, H + BIG.nbytes, []),
+        "no pages to map"),
+    "map_range_mixed_page_sizes": (
+        lambda mem, high, low: (lambda pages=mem.alloc_phys(BIG) + mem.alloc_phys(SMALL):
+                                mem.map_range(high, H + 2 * BIG.nbytes, pages)),
+        "mixed page sizes in one map call"),
+    "map_range_misaligned_vaddr": (
+        lambda mem, high, low: (lambda pages=mem.alloc_phys(BIG):
+                                mem.map_range(high, H + 2 * BIG.nbytes + SMALL.nbytes, pages)),
+        "vaddr must be aligned to the page size"),
+    "map_range_past_the_va_width": (
+        lambda mem, high, low: (lambda pages=mem.alloc_phys(SMALL, 2):
+                                mem.map_range(high, mem.geometry.va_limit - SMALL.nbytes,
+                                              pages)),
+        "range outside the VA width"),
+    "map_range_below_zero": (
+        lambda mem, high, low: (lambda pages=mem.alloc_phys(SMALL):
+                                mem.map_range(low, -SMALL.nbytes, pages)),
+        "range outside the VA width"),
+}
+
+
+@pytest.mark.parametrize("build, message", _VM_ARGUMENT_CHECKS.values(),
+                         ids=list(_VM_ARGUMENT_CHECKS))
+def test_argument_check_raises_and_changes_nothing(build, message):
+    mem, high, low = fresh_pair()
+    map_new(mem, high, 2, BIG)
+    map_new(mem, low, 3)
+    mem.graft(high, low)
+    call = build(mem, high, low)
+    before = _vm_snapshot(mem)
+    next_page = mem.alloc_phys(SMALL)[0].id + 1
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+    assert _vm_snapshot(mem) == before
+    assert mem.alloc_phys(SMALL)[0].id == next_page

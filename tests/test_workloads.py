@@ -49,6 +49,31 @@ def test_render_before_step_completion_rejected():
         s.render_async(0)
 
 
+def test_second_render_before_the_first_is_waited_rejected():
+    s = SimSession(BALANCED, batch=8)
+    s.wait_step(s.step_async(0))
+    s.wait_step(s.step_async(1))
+    first = s.render_async(0)
+    stream, records = s.render_stream, s.engine.trace.records
+    before = stream.next_semaphore_value, len(records)
+    with pytest.raises(RuntimeError) as info:
+        s.render_async(1)
+    assert str(info.value) == "previous render not waited"
+    assert (stream.next_semaphore_value, len(records)) == before
+    s.wait_render(first)   # still the open render
+    s.render_async(1)
+
+
+def test_session_whose_groups_do_not_divide_the_batch_rejected(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an engine built for a rejected session")
+
+    monkeypatch.setattr(workloads, "Engine", refuse)
+    with pytest.raises(ValueError) as info:
+        SimSession(BALANCED, batch=6, groups=4)
+    assert str(info.value) == "groups must divide the batch"
+
+
 def test_handle_waited_at_most_once():
     s = SimSession(BALANCED, batch=8)
     h = s.step_async(0)

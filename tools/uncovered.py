@@ -1,0 +1,83 @@
+"""Lines of ``src/gpumux`` that the tier-1 tests never execute.
+
+    python tools/uncovered.py [pytest arguments]
+
+Runs the tier-1 suite (``pytest -q`` over the ``testpaths`` of
+``pyproject.toml``, plus any arguments given) in this process under a
+``sys.settrace`` line tracer, then prints each executable line of
+``src/gpumux`` that no test reached, as ``path:line: source``, and a count
+per module. Standard library only: it needs no ``coverage`` package.
+
+It cannot see the lines that only a forked child runs, such as the
+sequential runs of a paired sweep: the child's tracer records them in the
+child's memory, which is gone when it exits. A line listed here may still
+run there. Tracing slows the suite several times over.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gpumux"
+
+
+def executable_lines(path: Path) -> set[int]:
+    """The line numbers that carry bytecode, in the module and every
+    function and class body it defines."""
+    lines, codes = set(), [compile(path.read_text(), str(path), "exec")]
+    while codes:
+        code = codes.pop()
+        lines.update(line for _, _, line in code.co_lines() if line is not None)
+        codes.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    return lines
+
+
+def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """Run pytest with ``args`` under the tracer; its exit code and the
+    lines executed per file of the package."""
+    import pytest
+
+    prefix = str(PACKAGE) + "/"
+    seen: dict[str, set[int]] = {}
+
+    def local(frame, event, arg):
+        seen[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def call(frame, event, arg):
+        filename = frame.f_code.co_filename
+        if not filename.startswith(prefix):
+            return None
+        seen.setdefault(filename, set()).add(frame.f_lineno)
+        return local
+
+    if any(name == "gpumux" or name.startswith("gpumux.") for name in sys.modules):
+        raise SystemExit("gpumux is already imported: its module-level lines would be missed")
+    sys.settrace(call)
+    try:
+        code = pytest.main(["-q", "-p", "no:cacheprovider", f"--rootdir={ROOT}", *args])
+    finally:
+        sys.settrace(None)
+    return int(code), seen
+
+
+def main(argv: list[str]) -> int:
+    code, seen = traced_run(argv)
+    total = 0
+    counts = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text().splitlines()
+        missed = sorted(executable_lines(path) - seen.get(str(path), set()))
+        for line in missed:
+            print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
+        counts.append(f"{path.name} {len(missed)}")
+        total += len(missed)
+    print(f"{total} unexecuted lines ({', '.join(counts)}); pytest exit code {code}; "
+          "lines run only in a forked child are not seen")
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
