@@ -40,18 +40,18 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json-events", action="store_true",
                         help="also write events.jsonl")
-        sp.add_argument("--dump-tables", action="store_true",
-                        help="dump final page tables as JSON (graftbench)")
-    args = parser.parse_args(argv)
-    command = _COMMANDS[args.command][0]
+        if name == "graftbench":
+            sp.add_argument("--dump-tables", action="store_true",
+                            help="dump final page tables as JSON")
+    args = vars(parser.parse_args(argv))   # the rest are keywords of the command
+    command = _COMMANDS[args.pop("command")][0]
     try:
-        cfg = parse_config(args.config)
+        cfg = parse_config(args.pop("config"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        command(cfg, Path(args.out), seed=args.seed, json_events=args.json_events,
-                dump_tables=args.dump_tables)
+        command(cfg, Path(args.pop("out")), **args)
     except OSError as exc:   # a command reads no file: this is writing --out
         print(f"cannot write outputs to --out: {exc}", file=sys.stderr)
         return 2

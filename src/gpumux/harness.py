@@ -15,20 +15,19 @@ directory, and every file moves into place only when the command succeeds: a
 failed command leaves the directory as it found it.
 
 A paired sweep (``datagen``, ``rl``, ``trace``) uses two processes, so it
-needs POSIX ``os.fork``: a forked child runs, audits and encodes the
-sequential runs into unnamed temporary files, with one pipe message per run,
-while this process runs, audits and encodes the overlapped runs into unnamed
-files of its own. Once a batch's overlapped run is written, this process
-copies in the sequential run's lines when its message arrives and then its
-own, in the order of one process. If the child has sent its last sequential
-run while this process still runs the last overlapped run, the child encodes
-that run instead, from chunks of records and segments that this process
-hands over while its engine runs; this process still audits the whole run
-and copies its lines in the same way. The memory of each process follows one
-run. The cyclic garbage collector is paused for the sweep in both processes,
-since the runs make no reference cycles. A failure in a batch is reproduced
-by running that batch again in this process, as one process runs it, so the
-command raises the exception one process raises.
+needs POSIX ``os.fork``: this process runs, audits and writes each batch's
+sequential run straight into the outputs, while a forked child runs, audits
+and encodes the overlapped runs into unnamed temporary files, with one pipe
+message per run. After each sequential run this process copies in the
+overlapped run's lines when its message arrives, in the order of one
+process. If this process waits for the last overlapped run while the child
+still runs it, the child hands the run over on the same pipe, in chunks of
+records and segments, and this process encodes them straight into the
+outputs. The memory of each process follows one run. The cyclic garbage
+collector is paused for the sweep in both processes, since the runs make no
+reference cycles. A failure in this process is the exception one process
+raises; a run that raises in the child is run again in this process, as one
+process runs it, so the command raises that exception too.
 """
 
 from __future__ import annotations
@@ -403,11 +402,11 @@ def _write_run(metrics: Metrics, run: str, cfg: ExperimentConfig, files: dict):
     _write(files["utilization.jsonl"], encode_utilization(samples, run))
 
 
-def _row(metrics: Metrics, speedup: float) -> dict:
-    """The summary row of a run."""
+def _row(metrics: Metrics) -> dict:
+    """The summary row of a run, with a speedup of 1.0."""
     return {"env": metrics.env, "mode": metrics.mode, "K": metrics.steps,
             "B": metrics.batch, "G": metrics.groups, "makespan": metrics.makespan,
-            "throughput": metrics.throughput, "speedup_vs_sequential": speedup}
+            "throughput": metrics.throughput, "speedup_vs_sequential": 1.0}
 
 
 def _copy(dst, src: int, pos: int, end: int):
@@ -421,167 +420,138 @@ def _copy(dst, src: int, pos: int, end: int):
 # ----------------------------------------------------------------------
 # commands
 
-_HANDOFF = 1024   # new records of the streamed run per chunk handed to the child
+_HANDOFF = 1024   # new records of the streamed run per chunk handed over
 
 
-def _child_idle(fd: int) -> bool:
-    """Whether the sweep child's next message, or the end of its pipe, is
-    waiting on ``fd``, without waiting for it. In the last batch the next
-    message is that of the child's last sequential run: once it is there,
-    the child has no run left."""
+def _parent_idle(fd: int) -> bool:
+    """Whether the command's process has closed the write end of the pipe
+    whose read end is ``fd``, without waiting: it does so once it waits for
+    the last overlapped run."""
     from select import select
     return bool(select([fd], [], [], 0)[0])
 
 
-class _SequentialRuns:
-    """A forked child that runs the sequential run of each batch of a paired
+class _OverlappedRuns:
+    """A forked child that runs the overlapped run of each batch of a paired
     sweep, audits it and writes its lines to an unnamed temporary file per
-    output in ``names``, opened before the fork. If it runs out of
-    sequential runs while this process still runs the last batch's
-    overlapped run, it writes that run's lines to the same files instead.
+    output in ``names``, opened before the fork.
 
     After each run the child sends one ``marshal`` message through a pipe,
     ``(summary row, mean compute utilization, end offset of each file)``, or
-    None if the run raised: the parent runs the batch again to raise it.
-    Each message follows its 4-byte length, and this process reads exactly
-    that many bytes, so it reads nothing ahead: an empty pipe means that the
-    next message has not come. The processes share each file's offset, so
-    this one reads with ``os.pread`` and never seeks. The child leaves only
-    through ``os._exit``, since returning into the caller would run the
-    clean-up of the parent's ``_Outputs``.
+    None if the run raised: the parent then runs it again to raise it. Each
+    message follows its 4-byte length. The processes share each file's
+    offset, so this one reads with ``os.pread`` and never seeks. The child
+    leaves only through ``os._exit``, since returning into the caller would
+    run the clean-up of the parent's ``_Outputs``.
 
-    ``own`` holds one more unnamed file per output, for this process: it
-    writes each overlapped run that it does not stream there, then copies
-    the lines in after the child's (``copy_own``).
-
-    The last overlapped run is handed over in chunks, through one more
-    unnamed file and a second pipe. ``hand_over``, called after each window
-    of the run, ``os.pwrite``s a ``marshal`` chunk of the new records (only
-    with an ``events.jsonl``) and segments once ``_HANDOFF`` records have
-    built up and the child has sent its last sequential run
-    (``_child_idle``), and sends the chunk's 8-byte end offset through the
-    pipe; until then the records are kept. ``end_stream`` closes the pipe,
-    after the rest and the closing segment if a chunk went. The child's
-    message for a streamed run carries no row, which this process builds
-    from its own whole trace; a pipe closed with no chunk gets no message.
+    The last run is handed over instead if the parent waits for it while the
+    child still runs it. The parent closes a second pipe, which carries no
+    data, when it starts to wait. After each window of the run, once
+    ``_HANDOFF`` new records have built up, the child checks for that
+    (``_parent_idle``); from then on it sends the new records (only with an
+    ``events.jsonl``) and segments as chunk messages ``(records or None,
+    segments)`` on the result pipe, the last one with the closing segment,
+    and then the run's result with None for the offsets. The parent encodes
+    the chunks straight into the outputs as they arrive.
     """
 
-    def __init__(self, cfg: ExperimentConfig, batches: list[int], label: str, run,
-                 modes: tuple, names: Iterable[str]):
+    def __init__(self, cfg: ExperimentConfig, batches: list[int], label: str, run, mode,
+                 names: Iterable[str]):
         fds = []
-        self.pid, self._files, self.own, self._handoff = 0, {}, {}, None
+        self.pid, self._files = 0, {}
         try:
-            fds += os.pipe()   # the results
-            fds += os.pipe()   # the end offsets of the streamed run's chunks
+            fds += os.pipe()   # the results, and the chunks of the streamed run
+            fds += os.pipe()   # closed by the parent once it waits for the last run
             for name in names:
                 self._files[name] = tempfile.TemporaryFile("w+")
-                self.own[name] = tempfile.TemporaryFile("w+")
-            self._handoff = tempfile.TemporaryFile()
             self.pid = os.fork()
         except OSError as exc:   # not an --out error, which is what cli.main takes it for
             for fd in fds:
                 os.close(fd)
             self.close(kill=False)
-            raise RuntimeError(f"cannot start the sequential runs: {exc}") from None
-        r, w, chunks_r, chunks_w = fds
-        self._ends = [0] * len(self._files)   # offsets of the last run copied in
+            raise RuntimeError(f"cannot start the overlapped runs: {exc}") from None
+        r, w, idle_r, idle_w = fds
         if self.pid == 0:
             try:
                 os.close(r)
-                os.close(chunks_w)
-                self._chunks = chunks_r
-                self._send_runs(cfg, batches, label, run, modes, w)
+                os.close(idle_w)
+                self._send_runs(cfg, batches, label, run, mode, w, idle_r)
             finally:
                 os._exit(0)
         os.close(w)
-        os.close(chunks_r)
-        self._results = r
-        self._chunks = chunks_w   # None once closed
-        self._sent = (0, 0)   # records and segments of the streamed run handed over
-        self._at = 0          # end of the hand-off file
+        os.close(idle_r)
+        self._results = open(r, "rb")
+        self._idle = idle_w   # None once closed
+        self._left = len(batches)   # runs not yet received
+        self._stream = label.format(batches[-1]) + mode.value, cfg.device.utilization_sample_dt
+        self._ends = [0] * len(self._files)   # offsets of the last run copied in
 
-    def receive(self, files: dict) -> tuple[dict, float]:
-        """Copy the next run's lines into the open output ``files``; return its
-        summary row and mean compute utilization."""
-        size = int.from_bytes(self._read_exactly(4), "little")
-        message = self._read_exactly(size)
-        if not size or len(message) < size:
-            code = self.close(kill=False)
-            raise RuntimeError(f"the process of the sequential runs ended with exit "
-                               f"status {code} before sending its result")
-        result = marshal.loads(message)
+    def receive(self, files: dict) -> tuple[dict, float] | None:
+        """Copy the next run's lines into the open output ``files``, or encode
+        them there from its chunks; return its summary row and mean compute
+        utilization, or None if it raised in the child, after any chunks it
+        handed over were written."""
+        self._left -= 1
+        if not self._left:   # the last run: the child may hand it over from now on
+            os.close(self._idle)
+            self._idle = None
+        result = self._message()
+        if result is not None and len(result) == 2:
+            result = self._write_stream(result, files)
         if result is None:
-            raise RuntimeError("a run raised in the child")
+            return None
         row, util, ends = result
-        for (name, src), pos, end in zip(self._files.items(), self._ends, ends):
-            _copy(files[name], src.fileno(), pos, end)
-        self._ends = ends
+        if ends is not None:
+            for (name, src), pos, end in zip(self._files.items(), self._ends, ends):
+                _copy(files[name], src.fileno(), pos, end)
+            self._ends = ends
         return row, util
 
-    def _read_exactly(self, n: int) -> bytes:
-        """``n`` bytes of the result pipe, or fewer if it ends first."""
-        data = b""
-        while len(data) < n and (part := os.read(self._results, n - len(data))):
-            data += part
-        return data
+    def _message(self):
+        """The child's next message; a RuntimeError naming its exit status
+        if it ended before sending one."""
+        size = int.from_bytes(self._results.read(4), "little")
+        message = self._results.read(size)
+        if not size or len(message) < size:
+            code = self.close(kill=False)
+            raise RuntimeError(f"the process of the overlapped runs ended with exit "
+                               f"status {code} before sending its result")
+        return marshal.loads(message)
 
-    def copy_own(self, files: dict):
-        """Copy the lines written to ``own`` into the open output ``files``,
-        and empty ``own``."""
-        for name, src in self.own.items():
-            _copy(files[name], src.fileno(), 0, src.tell())   # tell() flushes
-            src.seek(0)
-            src.truncate()
+    def _write_stream(self, chunk: tuple, files: dict):
+        """Encode the lines of the streamed run into the open output
+        ``files`` from ``chunk`` and the chunks after it, as they arrive;
+        returns the message that follows the last chunk."""
+        run, sample_dt = self._stream
+        events = files.get("events.jsonl")
+        message = chunk
 
-    def hand_over(self, trace: MetricsTrace):
-        """Hand the child the new records and segments of the streamed run
-        once ``_HANDOFF`` records have built up and the child is idle
-        (``Engine.run``'s ``on_window``)."""
-        sent = self._sent[0]   # not 0 once a chunk went
-        if len(trace.records) - sent >= _HANDOFF and (sent or _child_idle(self._results)):
-            self._send(trace, [])
+        def segments():
+            nonlocal message
+            while message is not None and len(message) == 2:
+                records, part = message
+                if events is not None:
+                    _write(events, encode_events(records, run))
+                yield from part
+                message = self._message()
 
-    def end_stream(self, trace: MetricsTrace, sample_dt: float) -> bool:
-        """Close the pipe, which ends the run for the child, after handing it
-        the rest of the run and its closing segment if a chunk went before.
-        Returns whether the child writes the run's lines."""
-        streamed = self._sent[0] > 0
-        if streamed:
-            self._send(trace, [trace.closing_segment(sample_dt)])
-        self._close_chunks()
-        return streamed
-
-    def _send(self, trace: MetricsTrace, closing: list):
-        if self._chunks is None:
-            return
-        r, s = self._sent
-        records, segments = trace.records, trace.segments
-        self._sent = len(records), len(segments)
-        chunk = marshal.dumps((records[r:] if "events.jsonl" in self._files else None,
-                               segments[s:] + closing))
-        self._at += os.pwrite(self._handoff.fileno(), chunk, self._at)
-        try:
-            os.write(self._chunks, self._at.to_bytes(8, "little"))
-        except BrokenPipeError:   # the child ended: receive reports its exit status
-            self._close_chunks()
-
-    def _close_chunks(self):
-        if self._chunks is not None:
-            os.close(self._chunks)
-            self._chunks = None
+        _write(files["utilization.jsonl"],
+               encode_utilization(utilization_bins(segments(), sample_dt), run))
+        return message
 
     def close(self, kill: bool):
         """Close the files and reap the child, killing it first if ``kill``;
         returns its exit status (minus the signal number if a signal ended
         it), or None if it was reaped before."""
-        for f in (*self._files.values(), *self.own.values(), self._handoff):
-            if f is not None:
-                f.close()
+        for f in self._files.values():
+            f.close()
         if not self.pid:
             return None
         pid, self.pid = self.pid, 0
-        os.close(self._results)
-        self._close_chunks()
+        self._results.close()
+        if self._idle is not None:
+            os.close(self._idle)
+            self._idle = None
         if kill:
             from signal import SIGKILL
             os.kill(pid, SIGKILL)
@@ -589,90 +559,79 @@ class _SequentialRuns:
 
     # the child's side
 
-    def _send_runs(self, cfg: ExperimentConfig, batches: list[int], label: str, run,
-                   modes: tuple, pipe: int):
-        """Run, audit and write each sequential run, then the streamed run if
-        the parent streams it, each followed by its message on ``pipe``."""
-        files = self._files.values()
-        for batch in (*batches, None):   # None: the last batch's overlapped run
+    def _send_runs(self, cfg: ExperimentConfig, batches: list[int], label: str, run, mode,
+                   pipe: int, idle: int):
+        """Run, audit and write each overlapped run, or hand the last one
+        over, each followed by its result on ``pipe``; ``idle`` is the read
+        end of the pipe that the parent closes."""
+        self._pipe, self._idle = pipe, idle
+        self._sent = (0, 0)   # records and segments of the last run handed over
+        for i, batch in enumerate(batches, 1):
             metrics = None   # free the last run's trace before this one runs
             try:
-                if batch is None:
-                    if not self._write_stream(label.format(batches[-1]) + modes[1].value,
-                                              cfg.device.utilization_sample_dt):
-                        return   # the parent writes that run
-                    row = util = None
+                metrics = run(batch, mode,
+                              on_window=self._hand_over if i == len(batches) else None)
+                trace, name = metrics.trace, label.format(batch) + metrics.mode
+                if self._sent[0]:   # the parent writes the lines
+                    self._send_chunk(trace, [trace.closing_segment(
+                        cfg.device.utilization_sample_dt)])
+                    check_all(trace, name)
+                    ends = None
                 else:
-                    metrics = run(batch, modes[0])
-                    _write_run(metrics, label.format(batch) + metrics.mode, cfg, self._files)
-                    row, util = _row(metrics, 1.0), metrics.trace.mean_compute_util()
-                # tell() flushes: each file holds the run's lines up to its offset
-                result = (row, util, [f.tell() for f in files])
+                    _write_run(metrics, name, cfg, self._files)
+                    # tell() flushes: each file holds the run's lines up to its offset
+                    ends = [f.tell() for f in self._files.values()]
+                result = (_row(metrics), trace.mean_compute_util(), ends)
             except Exception:
                 result = None
-            message = marshal.dumps(result)
-            message = len(message).to_bytes(4, "little") + message
-            while message:
-                message = message[os.write(pipe, message):]
+            self._send(result)
             if result is None:
                 return
 
-    def _write_stream(self, run: str, sample_dt: float) -> bool:
-        """Write the lines of the run that the parent hands over, chunk by
-        chunk as they arrive, until it closes the pipe; False, with nothing
-        written, if it closes the pipe before the first chunk."""
-        events = self._files.get("events.jsonl")
-        msg = os.read(self._chunks, 8)
-        if not msg:
-            return False
+    def _hand_over(self, trace: MetricsTrace):
+        """Hand the parent the new records and segments of the last run once
+        ``_HANDOFF`` records have built up and the parent is idle
+        (``Engine.run``'s ``on_window``)."""
+        sent = self._sent[0]   # not 0 once a chunk went
+        if len(trace.records) - sent >= _HANDOFF and (sent or _parent_idle(self._idle)):
+            self._send_chunk(trace, [])
 
-        def segments(msg):
-            pos = 0
-            while msg:
-                end = int.from_bytes(msg, "little")
-                records, chunk = marshal.loads(os.pread(self._handoff.fileno(), end - pos,
-                                                        pos))
-                pos = end
-                if events is not None:
-                    _write(events, encode_events(records, run))
-                yield from chunk
-                msg = os.read(self._chunks, 8)
+    def _send_chunk(self, trace: MetricsTrace, closing: list):
+        r, s = self._sent
+        records, segments = trace.records, trace.segments
+        self._sent = len(records), len(segments)
+        self._send((records[r:] if "events.jsonl" in self._files else None,
+                    segments[s:] + closing))
 
-        samples = utilization_bins(segments(msg), sample_dt)
-        _write(self._files["utilization.jsonl"], encode_utilization(samples, run))
-        return True
+    def _send(self, message):
+        message = marshal.dumps(message)
+        message = len(message).to_bytes(4, "little") + message
+        while message:
+            message = message[os.write(self._pipe, message):]
 
 
 def _pair(cfg: ExperimentConfig, batch: int, label: str, run, modes: tuple,
-          files: dict, child: _SequentialRuns | None, last: bool
+          out: _Outputs, child: _OverlappedRuns
           ) -> tuple[list[dict], tuple[float, float]]:
     """One batch of ``_paired_sweep``: both summary rows, and both mean
-    compute utilizations. With a ``child``, the sequential run comes from
-    it, and this process audits the overlapped run and writes its lines to
-    ``child.own`` before it takes the child's lines, then copies its own in
-    after them. In the ``last`` batch the overlapped run may instead be
-    streamed to the child, if it is idle in time, which writes its lines.
-    Without a child, both run here, in the order and with the calls of one
-    process."""
-    seq = None if child else run(batch, modes[0])
-    stream = child if child and last else None
-    over = run(batch, modes[1], on_window=stream and stream.hand_over)
-    over_run = label.format(batch) + over.mode
-    if child:
-        streamed = stream is not None and stream.end_stream(
-            over.trace, cfg.device.utilization_sample_dt)
-        if streamed:
-            check_all(over.trace, over_run)
-        else:
-            _write_run(over, over_run, cfg, child.own)
-        seq_row, seq_util = child.receive(files)
-        (child.receive if streamed else child.copy_own)(files)
-    else:
-        _write_run(seq, label.format(batch) + seq.mode, cfg, files)
-        seq_row, seq_util = _row(seq, 1.0), seq.trace.mean_compute_util()
-        _write_run(over, over_run, cfg, files)
-    speedup = seq_row["makespan"] / over.makespan if over.makespan > 0 else 1.0
-    return [seq_row, _row(over, speedup)], (seq_util, over.trace.mean_compute_util())
+    compute utilizations. The sequential run is run, audited and written
+    here, then the overlapped run's lines come from ``child``. If that run
+    raised in the child, or the child is gone, the child is killed, any of
+    the run's lines that came in are cut off, and the run runs here."""
+    seq = run(batch, modes[0])
+    _write_run(seq, label.format(batch) + seq.mode, cfg, out.files)
+    marks = out.tell()
+    over = child.pid and child.receive(out.files)
+    if not over:
+        child.close(kill=True)
+        out.rewind(marks)
+        metrics = run(batch, modes[1])
+        _write_run(metrics, label.format(batch) + metrics.mode, cfg, out.files)
+        over = _row(metrics), metrics.trace.mean_compute_util()
+    row, util = over
+    if row["makespan"] > 0:
+        row["speedup_vs_sequential"] = seq.makespan / row["makespan"]
+    return [_row(seq), row], (seq.trace.mean_compute_util(), util)
 
 
 def _paired_sweep(cfg: ExperimentConfig, batches: list[int], label: str, run,
@@ -684,41 +643,28 @@ def _paired_sweep(cfg: ExperimentConfig, batches: list[int], label: str, run,
     the speedup) and the mean compute utilizations of the last pair. Run
     labels are ``label.format(batch)`` followed by the mode.
 
-    A forked child runs, audits and encodes the sequential runs while this
-    process runs, audits and encodes the overlapped ones; if the child has
-    sent its last sequential run while this process still runs the last
-    overlapped run, it writes that run's lines instead. The lines go to
-    ``out`` in the order one process writes them. If anything in a batch
-    fails, the child is killed, the batch's lines are cut off, and that
-    batch and the rest run here, so the command raises what one process
-    raises. A child that ends without sending its run raises a RuntimeError
-    naming its exit status.
+    This process runs, audits and writes the sequential runs while a forked
+    child runs, audits and encodes the overlapped ones; if this process
+    waits for the last overlapped run while the child still runs it, the
+    child hands it over and this process encodes it. The lines go to
+    ``out`` in the order one process writes them. A failure in this process
+    raises as one process raises it. If an overlapped run raises in the
+    child, the child is killed, and that run and the rest of the sweep run
+    here, so the command raises what one process raises. A child that ends
+    without sending its run raises a RuntimeError naming its exit status.
 
     The cyclic garbage collector is paused for the sweep, in both processes,
     and the caller's setting comes back on every path: the runs make no
     reference cycles, so reference counting frees all they allocate."""
     rows = []
-    marks = out.tell()   # this flushes the files: the child inherits no unwritten text
     collecting = gc.isenabled()
     gc.disable()   # before the fork, so the child inherits the pause
     try:
-        child = _SequentialRuns(cfg, batches, label, run, modes, out.files)
+        child = _OverlappedRuns(cfg, batches, label, run, modes[1], out.files)
         try:
-            for i, batch in enumerate(batches, 1):
-                if child.pid:
-                    try:
-                        pair, utils = _pair(cfg, batch, label, run, modes, out.files,
-                                            child, i == len(batches))
-                    except Exception:
-                        if not child.pid:   # it ended without sending its run
-                            raise
-                        child.close(kill=True)
-                        out.rewind(marks)
-                if not child.pid:
-                    pair, utils = _pair(cfg, batch, label, run, modes, out.files, None,
-                                        False)
+            for batch in batches:
+                pair, utils = _pair(cfg, batch, label, run, modes, out, child)
                 rows += pair
-                marks = out.tell()
         except BaseException:
             child.close(kill=True)
             raise
@@ -739,7 +685,7 @@ _DATAGEN_MODES = (DatagenMode.SEQUENTIAL, DatagenMode.PIPELINED)
 
 
 def cmd_datagen(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
-                json_events: bool = False, dump_tables: bool = False) -> list[dict]:
+                json_events: bool = False) -> list[dict]:
     """Sequential vs pipelined data generation across the batch sweep."""
     with _Outputs(out_dir, "datagen", seed, json_events) as out:
         rows, _ = _paired_sweep(cfg, cfg.batches, "B{}/", _run_datagen(cfg),
@@ -749,7 +695,7 @@ def cmd_datagen(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
 
 
 def cmd_rl(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
-           json_events: bool = False, dump_tables: bool = False) -> list[dict]:
+           json_events: bool = False) -> list[dict]:
     """Sequential vs interleaved rollout across the batch sweep."""
     def run(batch, mode, on_window=None):
         return run_rl_rollout(RolloutSpec(cfg.steps, batch, cfg.groups, mode),
@@ -826,7 +772,7 @@ def cmd_graftbench(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
 
 
 def cmd_trace(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
-              json_events: bool = False, dump_tables: bool = False) -> list[dict]:
+              json_events: bool = False) -> list[dict]:
     """Paired utilization traces of one workload, sequential vs pipelined.
 
     Fails with an invariant violation if overlap lowers the mean compute

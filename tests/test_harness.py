@@ -5,7 +5,6 @@ import gc
 import json
 import os
 import tempfile
-import time
 import tracemalloc
 
 import pytest
@@ -287,14 +286,15 @@ def _audit_fails_in(monkeypatch, name, batch, mode):
 
 
 # The last batch's overlapped run (B32/pipelined in GOOD's datagen) is handed
-# to the child while it runs, once the child has sent its last sequential
-# run; these fail in that batch. ``_force_child`` fixes whether the child
-# counts as idle: idle, it gets the chunks at once, as if its last
-# sequential run were done; busy, it gets none and this process writes the
-# run. Chunks of 8 records make an idle child get several before the failure.
+# over by the child while it runs, once this process waits for it; these fail
+# in that batch. ``_force_child`` fixes whether the child finds this process
+# idle: idle, the child hands the chunks over at once, as if this process
+# were done with its last sequential run; busy, it hands none over and writes
+# the run itself. Chunks of 8 records make an idle hand-over send several
+# before the failure.
 
 def _force_child(monkeypatch, idle):
-    monkeypatch.setattr(harness, "_child_idle", lambda fd: idle)
+    monkeypatch.setattr(harness, "_parent_idle", lambda fd: idle)
 
 
 def _ring_full_mid_stream(monkeypatch, idle=True):
@@ -321,32 +321,25 @@ def _ring_full_mid_stream(monkeypatch, idle=True):
 
 
 def _child_exits_mid_stream(monkeypatch, idle=True):
-    # the child exits on the first chunk of the streamed run (busy: while it
-    # writes its last sequential run); this process waits for that, without
-    # reaping it, and then hands over more chunks (busy: writes the run)
+    # the child exits after it hands over the first chunk of the streamed
+    # run, which this process then encodes (busy: in the child's own encode
+    # of that run, since it hands over no chunk)
     _force_child(monkeypatch, idle)
     monkeypatch.setattr(harness, "_HANDOFF", 1)   # a chunk after every window
-    parent, real_encode, real_run = os.getpid(), harness.encode_events, harness.run_datagen
-    exit_in = "B32/pipelined" if idle else "B32/sequential"
+    parent, real_encode, real_send = (os.getpid(), harness.encode_events,
+                                      harness._OverlappedRuns._send_chunk)
 
     def encode(records, run=None):
-        if os.getpid() != parent and run == exit_in:
+        if os.getpid() != parent and run == "B32/pipelined":
             os._exit(7)
         return real_encode(records, run)
 
-    def runner(spec, *args, on_window=None, **kwargs):
-        def window(trace):
-            on_window(trace)
-            deadline = time.monotonic() + 30
-            while os.waitid(os.P_PID, on_window.__self__.pid,
-                            os.WEXITED | os.WNOWAIT | os.WNOHANG) is None:
-                assert time.monotonic() < deadline, "the child did not exit"
-                time.sleep(0.001)
-
-        return real_run(spec, *args, on_window=on_window and window, **kwargs)
+    def send_chunk(self, trace, closing):
+        real_send(self, trace, closing)
+        os._exit(7)
 
     monkeypatch.setattr(harness, "encode_events", encode)
-    monkeypatch.setattr(harness, "run_datagen", runner)
+    monkeypatch.setattr(harness._OverlappedRuns, "_send_chunk", send_chunk)
 
 
 def _audit_fails_in_stream(monkeypatch, idle=True):
@@ -378,8 +371,8 @@ def _summary_csv_is_a_directory(monkeypatch, out):
 
 
 # batch 16 is written before batch 32 fails: in datagen its sequential run
-# (the child's), in rl its interleaved run (the parent's). A target that is a
-# directory fails before the first run.
+# (this process's), in rl its interleaved run (the child's). A target that is
+# a directory fails before the first run.
 @pytest.mark.parametrize("command, error, sabotage", [
     (cmd_datagen, RingFull,
      lambda mp, out: _ring_full_at(mp, "run_datagen", 32, DatagenMode.SEQUENTIAL)),
@@ -424,9 +417,9 @@ def _fork_fails(monkeypatch):
 @pytest.mark.parametrize("sabotage, error, message", [
     (None, None, None),
     *((lambda mp, mode=mode: _ring_full_at(mp, "run_datagen", 32, mode), RingFull,
-       "^engineered failure$") for mode in (DatagenMode.SEQUENTIAL, DatagenMode.PIPELINED)),
+       "^engineered failure$") for mode in (DatagenMode.PIPELINED, DatagenMode.SEQUENTIAL)),
     *_STREAM_FAILURES.values(),
-    (_fork_fails, RuntimeError, "^cannot start the sequential runs: .*engineered failure"),
+    (_fork_fails, RuntimeError, "^cannot start the overlapped runs: .*engineered failure"),
 ], ids=["success", "child_run_fails", "parent_run_fails", *_STREAM_FAILURES, "fork_fails"])
 def test_paired_sweep_leaves_no_child(tmp_path, monkeypatch, sabotage, error, message):
     # nor an open descriptor, nor a named file in the temporary directory
@@ -484,7 +477,7 @@ def _child_exits(monkeypatch):
 @pytest.mark.parametrize("sabotage, error, message", [
     (None, None, None),
     (_child_exits, RuntimeError, "exit status 7 "),
-    (lambda mp: _ring_full_at(mp, "run_datagen", 32, DatagenMode.PIPELINED), RingFull,
+    (lambda mp: _ring_full_at(mp, "run_datagen", 32, DatagenMode.SEQUENTIAL), RingFull,
      "^engineered failure$"),
 ], ids=["success", "child_fails", "parent_run_fails"])
 def test_paired_sweep_restores_the_collector_setting(tmp_path, monkeypatch, enabled,
@@ -518,9 +511,9 @@ def test_paired_sweep_restores_the_collector_setting(tmp_path, monkeypatch, enab
 
 
 def test_child_runs_larger_than_a_pipe_keep_the_order_of_one_process(tmp_path):
-    # each sequential run writes more than the 1 MiB that the sweep's pipe
-    # once held; the files still hold, per batch, the sequential run's lines
-    # and then the overlapped run's, as one process writes them
+    # each run writes more than the 1 MiB that the sweep's pipe once held;
+    # the files still hold, per batch, the sequential run's lines and then
+    # the overlapped run's, as one process writes them
     text = GOOD.replace("[device]", "[device]\nutilization_sample_dt = 1e-4")
     cfg = parse_config(write_config(tmp_path, text))
     out = tmp_path / "out"
@@ -543,7 +536,7 @@ def test_child_runs_larger_than_a_pipe_keep_the_order_of_one_process(tmp_path):
         assert next(events, None) is None and next(util, None) is None
     assert list(sizes) == ["B16/sequential", "B16/pipelined", "B32/sequential",
                            "B32/pipelined"]
-    assert min(sizes["B16/sequential"], sizes["B32/sequential"]) > 1 << 20
+    assert min(sizes.values()) > 1 << 20
 
 
 def _one_process_runs(cfg, command):
@@ -579,24 +572,26 @@ _STREAMED_SWEEPS = {
       for idle in (True, False) for name, case in _STREAMED_SWEEPS.items())])
 def test_streamed_run_keeps_the_lines_of_one_process(tmp_path, monkeypatch, command, text,
                                                      json_events, idle):
-    # an idle child writes the lines of the last overlapped run from the
-    # chunks handed over while it runs; a busy one gets none, and this
-    # process writes them; either way they equal what one process writes
+    # this process, once idle, writes the lines of the last overlapped run
+    # from the chunks the child hands over while it runs; busy, it gets none,
+    # and the child writes them; either way they equal what one process writes
     cfg = parse_config(write_config(tmp_path, text))
     _force_child(monkeypatch, idle)
-    handed, real = [], harness._SequentialRuns._send
+    handed, real = [], harness._OverlappedRuns._message
 
-    def send(self, trace, closing):
-        handed.append(len(trace.records))
-        real(self, trace, closing)
+    def message(self):
+        result = real(self)
+        if result is not None and len(result) == 2:   # a chunk, received here
+            handed.append(len(result[0] or ()))
+        return result
 
-    monkeypatch.setattr(harness._SequentialRuns, "_send", send)
+    monkeypatch.setattr(harness._OverlappedRuns, "_message", message)
     out = tmp_path / "out"
     command(cfg, out, json_events=json_events)
     if not idle:
         assert handed == []
     elif command is cmd_rl:   # 4997 records: four chunks and the rest
-        assert len(handed) == 5 and handed[-1] == 4997
+        assert len(handed) == 5 and sum(handed) == 4997
     names = ["utilization.jsonl"] + ["events.jsonl"] * json_events
     files = {name: open(out / name) for name in names}
     try:
@@ -658,14 +653,15 @@ def test_child_that_exits_raises_its_exit_status(tmp_path, monkeypatch):
 
 
 def test_batch_that_fails_only_in_the_child_is_rewritten_whole(tmp_path, monkeypatch):
-    # the child sends batch 32's events, then fails; the parent cuts those
-    # lines off and runs the batch itself, so no line is written twice
+    # the child encodes B32/pipelined's events into its own files, then
+    # fails; this process runs that run itself, so no line is written twice
     cfg = parse_config(write_config(tmp_path))
     cmd_datagen(cfg, tmp_path / "want", json_events=True)
+    _force_child(monkeypatch, idle=False)   # the child encodes the run itself
     parent, real = os.getpid(), harness.encode_utilization
 
     def encode(samples, run=None):
-        if os.getpid() != parent and run == "B32/sequential":
+        if os.getpid() != parent and run == "B32/pipelined":
             raise MemoryError("engineered failure")
         return real(samples, run)
 
@@ -675,14 +671,36 @@ def test_batch_that_fails_only_in_the_child_is_rewritten_whole(tmp_path, monkeyp
     _assert_no_child_left()
 
 
+def test_child_failure_after_a_handed_over_chunk_is_rewritten_here(tmp_path, monkeypatch):
+    # the child hands over the first chunk of B32/pipelined, whose lines this
+    # process writes, and then fails; this process cuts those lines off and
+    # runs the overlapped run itself, so no line is written twice
+    cfg = parse_config(write_config(tmp_path))
+    cmd_datagen(cfg, tmp_path / "want", json_events=True)
+    _force_child(monkeypatch, idle=True)
+    monkeypatch.setattr(harness, "_HANDOFF", 8)
+    real = harness._OverlappedRuns._send_chunk   # called only in the child
+
+    def send_chunk(self, trace, closing):
+        real(self, trace, closing)
+        raise MemoryError("engineered failure")
+
+    monkeypatch.setattr(harness._OverlappedRuns, "_send_chunk", send_chunk)
+    cmd_datagen(cfg, tmp_path / "got", json_events=True)
+    assert _snapshot(tmp_path / "got") == _snapshot(tmp_path / "want")
+    _assert_no_child_left()
+
+
 def test_audit_failure_in_a_child_run_names_run_index_and_kind(tmp_path, monkeypatch):
-    _audit_fails_in(monkeypatch, "run_datagen", 32, DatagenMode.SEQUENTIAL)
+    # B16/pipelined, the child's run of a batch before the last, is never
+    # handed over
+    _audit_fails_in(monkeypatch, "run_datagen", 16, DatagenMode.PIPELINED)
     with pytest.raises(InvariantViolation) as info:
         cmd_datagen(parse_config(write_config(tmp_path)), tmp_path / "out")
-    # what one process raised before the sequential runs moved to a child
+    # what one process raises
     assert (info.value.run, info.value.index, info.value.kind) == \
-        ("B32/sequential", 72, "semaphores_monotonic")
-    assert str(info.value) == "run B32/sequential: event 72: stream 1 semaphore went 6 -> 6"
+        ("B16/pipelined", 77, "semaphores_monotonic")
+    assert str(info.value) == "run B16/pipelined: event 77: stream 1 semaphore went 6 -> 6"
     _assert_no_child_left()
 
 
@@ -1003,6 +1021,20 @@ def test_cli_seed_changes_only_metadata(tmp_path):
               "--seed", "1", "--json-events"])
     assert (tmp_path / "s0" / "summary.csv").read_bytes() == \
         (tmp_path / "s1" / "summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["datagen", "rl", "trace"])
+def test_cli_dump_tables_outside_graftbench_exits_2(tmp_path, capsys, command):
+    # an unknown option to argparse: it exits before any output is written
+    path = write_config(tmp_path)
+    cli.main([command, "--config", str(path), "--out", str(tmp_path / "previous")])
+    before = _tree(tmp_path)
+    for out in (tmp_path / "previous", tmp_path / "fresh"):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--config", str(path), "--out", str(out), "--dump-tables"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --dump-tables" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
 
 
 # ----------------------------------------------------------------------

@@ -8,15 +8,22 @@ Runs the tier-1 suite (``pytest -q`` over the ``testpaths`` of
 ``src/gpumux`` that no test reached, as ``path:line: source``, and a count
 per module. Standard library only: it needs no ``coverage`` package.
 
-It cannot see the lines that only a forked child runs, such as the
-sequential runs of a paired sweep: the child's tracer records them in the
-child's memory, which is gone when it exits. A line listed here may still
-run there. Tracing slows the suite several times over.
+A forked child, such as the one that runs the overlapped runs of a paired
+sweep, inherits the tracer, and its lines count too: while the suite runs,
+``os._exit`` is wrapped so that any process other than this one first
+writes the lines it has seen (``marshal``) into a directory made before
+pytest starts, and they are merged afterwards. A child killed by a signal,
+before or while it writes, adds nothing, so a line that only such a child
+runs is listed. Tracing slows the suite several times over.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,7 +43,8 @@ def executable_lines(path: Path) -> set[int]:
 
 def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     """Run pytest with ``args`` under the tracer; its exit code and the
-    lines executed per file of the package."""
+    lines executed per file of the package, in this process and in every
+    child that leaves through ``os._exit``."""
     import pytest
 
     prefix = str(PACKAGE) + "/"
@@ -55,11 +63,35 @@ def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
     if any(name == "gpumux" or name.startswith("gpumux.") for name in sys.modules):
         raise SystemExit("gpumux is already imported: its module-level lines would be missed")
-    sys.settrace(call)
+    tool, real_exit = os.getpid(), os._exit
+    # a path fixed now: the tests point tempfile at directories of their own
+    children = tempfile.mkdtemp(prefix="uncovered-")
+
+    def exit_with_lines(status):
+        if os.getpid() != tool:
+            # renamed once whole: a child killed while it writes leaves a .part
+            path = os.path.join(children, str(os.getpid()))
+            with open(path + ".part", "wb") as f:
+                marshal.dump(seen, f)
+            os.replace(path + ".part", path)
+        real_exit(status)
+
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", f"--rootdir={ROOT}", *args])
+        os._exit = exit_with_lines
+        sys.settrace(call)
+        try:
+            code = pytest.main(["-q", "-p", "no:cacheprovider", f"--rootdir={ROOT}", *args])
+        finally:
+            sys.settrace(None)
+            os._exit = real_exit
+        for name in os.listdir(children):
+            if name.endswith(".part"):
+                continue
+            with open(os.path.join(children, name), "rb") as f:
+                for filename, lines in marshal.load(f).items():
+                    seen.setdefault(filename, set()).update(lines)
     finally:
-        sys.settrace(None)
+        shutil.rmtree(children)
     return int(code), seen
 
 
@@ -74,8 +106,7 @@ def main(argv: list[str]) -> int:
             print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
         counts.append(f"{path.name} {len(missed)}")
         total += len(missed)
-    print(f"{total} unexecuted lines ({', '.join(counts)}); pytest exit code {code}; "
-          "lines run only in a forked child are not seen")
+    print(f"{total} unexecuted lines ({', '.join(counts)}); pytest exit code {code}")
     return code
 
 
