@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 config error (including a ``--config`` path that
-cannot be read, such as a missing file or a directory, a submission ring too
-small for the workload and a VA window too small for what the command maps,
-such as ``graftbench``'s largest buffer count, both only found while the
-command runs) or an ``--out`` that cannot be written (such as the path of an
+cannot be read, such as a missing file or a directory, ``rl``'s
+``[workload] groups`` not dividing a batch, a submission ring too small for
+the workload and a VA window too small for what the command maps, such as
+``graftbench``'s largest buffer count, both only found while the command
+runs) or an ``--out`` that cannot be written (such as the path of an
 existing file, or one holding a directory named like an output, found before
 the first run), 3 internal invariant violation.
 """
@@ -46,13 +47,11 @@ def main(argv: list[str] | None = None) -> int:
     args = vars(parser.parse_args(argv))   # the rest are keywords of the command
     command = _COMMANDS[args.pop("command")][0]
     try:
-        cfg = parse_config(args.pop("config"))
+        command(parse_config(args.pop("config")), Path(args.pop("out")), **args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        command(cfg, Path(args.pop("out")), **args)
-    except OSError as exc:   # a command reads no file: this is writing --out
+    except OSError as exc:   # parse_config raises only ConfigError: this is writing --out
         print(f"cannot write outputs to --out: {exc}", file=sys.stderr)
         return 2
     except RingFull as exc:

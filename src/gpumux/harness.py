@@ -26,8 +26,9 @@ records and segments, and this process encodes them straight into the
 outputs. The memory of each process follows one run. The cyclic garbage
 collector is paused for the sweep in both processes, since the runs make no
 reference cycles. A failure in this process is the exception one process
-raises; a run that raises in the child is run again in this process, as one
-process runs it, so the command raises that exception too.
+raises. If the child cannot start, or ends before it sends a run for any
+cause (a run that raises, an exit, a signal), this process runs that run
+and the rest as one process does, so the command writes or raises the same.
 """
 
 from __future__ import annotations
@@ -63,47 +64,29 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(tok, 0) for tok in text.replace(",", " ").split()]
 
 
-_SCHEMA = {
-    "device": {
-        "quantum": float,
-        "context_switch_penalty": float,
-        "hw_max_queues": _parse_int,
-        "ring_capacity": _parse_int,
-        "compute_capacity": float,
-        "graphics_capacity": float,
-        "utilization_sample_dt": float,
-        "page_levels": _parse_int,
-        "page_bits_per_level": _parse_int,
-        "big_page_level": _parse_int,
-        "va_width": _parse_int,
-        "high_base": _parse_int,
-        "low_base": _parse_int,
-    },
-    "costs": {
-        "preset": str,
-        "sim_base": float,
-        "sim_per_env": float,
-        "render_base": float,
-        "render_per_env": float,
-        "inference_base": float,
-        "inference_per_env": float,
-        "sim_compute_frac": float,
-        "render_compute_frac": float,
-        "render_graphics_frac": float,
-    },
-    "workload": {
-        "env": str,
-        "steps": _parse_int,
-        "batches": _parse_int_list,
-        "groups": _parse_int,
-    },
-    "graftbench": {
-        "buffer_counts": _parse_int_list,
-    },
-}
+def _parse_env(text: str) -> str:
+    if "," in text or '"' in text:   # summary.csv writes each value unquoted
+        raise ValueError(f"{text!r}: summary.csv cannot hold ',' or '\"'")
+    return text
+
+
+def _keys(cls) -> dict:
+    """The parser of each constructor argument of ``cls`` but ``geometry``, by name."""
+    return {name: {"int": _parse_int, "float": float}[kind]
+            for name, kind in cls.__init__.__annotations__.items() if name != "geometry"}
+
 
 _GEOMETRY_KEYS = {"page_levels": "levels", "page_bits_per_level": "bits_per_level",
                   "big_page_level": "big_page_level", "va_width": "va_width"}
+
+_SCHEMA = {
+    "device": _keys(DeviceConfig) | {key: _keys(PageGeometry)[name]
+                                     for key, name in _GEOMETRY_KEYS.items()},
+    "costs": {"preset": str} | _keys(PhaseCost),
+    "workload": {"env": _parse_env, "steps": _parse_int, "batches": _parse_int_list,
+                 "groups": _parse_int},
+    "graftbench": {"buffer_counts": _parse_int_list},
+}
 
 
 class ExperimentConfig(_SlotValue):
@@ -196,9 +179,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("[workload]: batches must be positive")
     if groups < 1:
         raise ConfigError("[workload]: groups must be >= 1")
-    for b in batches:
-        if b % groups:
-            raise ConfigError(f"[workload]: groups={groups} does not divide batch {b}")
 
     counts = section_dict("graftbench").get(
         "buffer_counts", [4 << i for i in range(12)])  # 4 .. 8192
@@ -437,12 +417,14 @@ class _OverlappedRuns:
     output in ``names``, opened before the fork.
 
     After each run the child sends one ``marshal`` message through a pipe,
-    ``(summary row, mean compute utilization, end offset of each file)``, or
-    None if the run raised: the parent then runs it again to raise it. Each
-    message follows its 4-byte length. The processes share each file's
-    offset, so this one reads with ``os.pread`` and never seeks. The child
-    leaves only through ``os._exit``, since returning into the caller would
-    run the clean-up of the parent's ``_Outputs``.
+    ``(summary row, mean compute utilization, end offset of each file)``,
+    after its 4-byte length. A run that raises ends the child: the end of
+    the pipe before a result is the one sign of a lost child, whatever the
+    cause. ``pid`` is 0 if the pipes, the files or the fork failed. The
+    processes share each file's offset, so this one reads with ``os.pread``
+    and never seeks. The child leaves only through ``os._exit``, since
+    returning into the caller would run the clean-up of the parent's
+    ``_Outputs``.
 
     The last run is handed over instead if the parent waits for it while the
     child still runs it. The parent closes a second pipe, which carries no
@@ -465,11 +447,11 @@ class _OverlappedRuns:
             for name in names:
                 self._files[name] = tempfile.TemporaryFile("w+")
             self.pid = os.fork()
-        except OSError as exc:   # not an --out error, which is what cli.main takes it for
+        except OSError:   # no child: every run of the sweep runs in this process
             for fd in fds:
                 os.close(fd)
             self.close(kill=False)
-            raise RuntimeError(f"cannot start the overlapped runs: {exc}") from None
+            return
         r, w, idle_r, idle_w = fds
         if self.pid == 0:
             try:
@@ -489,8 +471,8 @@ class _OverlappedRuns:
     def receive(self, files: dict) -> tuple[dict, float] | None:
         """Copy the next run's lines into the open output ``files``, or encode
         them there from its chunks; return its summary row and mean compute
-        utilization, or None if it raised in the child, after any chunks it
-        handed over were written."""
+        utilization, or None if the child ended before sending it, after any
+        chunks it handed over were written."""
         self._left -= 1
         if not self._left:   # the last run: the child may hand it over from now on
             os.close(self._idle)
@@ -508,15 +490,10 @@ class _OverlappedRuns:
         return row, util
 
     def _message(self):
-        """The child's next message; a RuntimeError naming its exit status
-        if it ended before sending one."""
+        """The child's next message, or None if it ended before sending one."""
         size = int.from_bytes(self._results.read(4), "little")
         message = self._results.read(size)
-        if not size or len(message) < size:
-            code = self.close(kill=False)
-            raise RuntimeError(f"the process of the overlapped runs ended with exit "
-                               f"status {code} before sending its result")
-        return marshal.loads(message)
+        return marshal.loads(message) if size and len(message) == size else None
 
     def _write_stream(self, chunk: tuple, files: dict):
         """Encode the lines of the streamed run into the open output
@@ -540,13 +517,11 @@ class _OverlappedRuns:
         return message
 
     def close(self, kill: bool):
-        """Close the files and reap the child, killing it first if ``kill``;
-        returns its exit status (minus the signal number if a signal ended
-        it), or None if it was reaped before."""
+        """Close the files and reap the child, killing it first if ``kill``."""
         for f in self._files.values():
             f.close()
         if not self.pid:
-            return None
+            return
         pid, self.pid = self.pid, 0
         self._results.close()
         if self._idle is not None:
@@ -555,7 +530,7 @@ class _OverlappedRuns:
         if kill:
             from signal import SIGKILL
             os.kill(pid, SIGKILL)
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        os.waitpid(pid, 0)
 
     # the child's side
 
@@ -563,30 +538,25 @@ class _OverlappedRuns:
                    pipe: int, idle: int):
         """Run, audit and write each overlapped run, or hand the last one
         over, each followed by its result on ``pipe``; ``idle`` is the read
-        end of the pipe that the parent closes."""
+        end of the pipe that the parent closes. An exception ends the child
+        through the caller's ``os._exit``."""
         self._pipe, self._idle = pipe, idle
         self._sent = (0, 0)   # records and segments of the last run handed over
         for i, batch in enumerate(batches, 1):
             metrics = None   # free the last run's trace before this one runs
-            try:
-                metrics = run(batch, mode,
-                              on_window=self._hand_over if i == len(batches) else None)
-                trace, name = metrics.trace, label.format(batch) + metrics.mode
-                if self._sent[0]:   # the parent writes the lines
-                    self._send_chunk(trace, [trace.closing_segment(
-                        cfg.device.utilization_sample_dt)])
-                    check_all(trace, name)
-                    ends = None
-                else:
-                    _write_run(metrics, name, cfg, self._files)
-                    # tell() flushes: each file holds the run's lines up to its offset
-                    ends = [f.tell() for f in self._files.values()]
-                result = (_row(metrics), trace.mean_compute_util(), ends)
-            except Exception:
-                result = None
-            self._send(result)
-            if result is None:
-                return
+            metrics = run(batch, mode,
+                          on_window=self._hand_over if i == len(batches) else None)
+            trace, name = metrics.trace, label.format(batch) + metrics.mode
+            if self._sent[0]:   # the parent writes the lines
+                self._send_chunk(trace, [trace.closing_segment(
+                    cfg.device.utilization_sample_dt)])
+                check_all(trace, name)
+                ends = None
+            else:
+                _write_run(metrics, name, cfg, self._files)
+                # tell() flushes: each file holds the run's lines up to its offset
+                ends = [f.tell() for f in self._files.values()]
+            self._send((_row(metrics), trace.mean_compute_util(), ends))
 
     def _hand_over(self, trace: MetricsTrace):
         """Hand the parent the new records and segments of the last run once
@@ -615,9 +585,10 @@ def _pair(cfg: ExperimentConfig, batch: int, label: str, run, modes: tuple,
           ) -> tuple[list[dict], tuple[float, float]]:
     """One batch of ``_paired_sweep``: both summary rows, and both mean
     compute utilizations. The sequential run is run, audited and written
-    here, then the overlapped run's lines come from ``child``. If that run
-    raised in the child, or the child is gone, the child is killed, any of
-    the run's lines that came in are cut off, and the run runs here."""
+    here, then the overlapped run's lines come from ``child``. If the child
+    ended before it sent that run, or never started, it is killed and
+    reaped, any of the run's lines that came in are cut off, and the run
+    runs here."""
     seq = run(batch, modes[0])
     _write_run(seq, label.format(batch) + seq.mode, cfg, out.files)
     marks = out.tell()
@@ -648,10 +619,10 @@ def _paired_sweep(cfg: ExperimentConfig, batches: list[int], label: str, run,
     waits for the last overlapped run while the child still runs it, the
     child hands it over and this process encodes it. The lines go to
     ``out`` in the order one process writes them. A failure in this process
-    raises as one process raises it. If an overlapped run raises in the
-    child, the child is killed, and that run and the rest of the sweep run
-    here, so the command raises what one process raises. A child that ends
-    without sending its run raises a RuntimeError naming its exit status.
+    raises as one process raises it. If the child ends before it sends an
+    overlapped run, for whatever cause, that run and the rest of the sweep
+    run here, and if it cannot start, the whole sweep does; so the sweep
+    writes, or raises, what one process writes or raises.
 
     The cyclic garbage collector is paused for the sweep, in both processes,
     and the caller's setting comes back on every path: the runs make no
@@ -697,6 +668,10 @@ def cmd_datagen(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
 def cmd_rl(cfg: ExperimentConfig, out_dir: Path, seed: int = 0,
            json_events: bool = False) -> list[dict]:
     """Sequential vs interleaved rollout across the batch sweep."""
+    for b in cfg.batches:
+        if b % cfg.groups:
+            raise ConfigError(f"[workload]: groups={cfg.groups} does not divide batch {b}")
+
     def run(batch, mode, on_window=None):
         return run_rl_rollout(RolloutSpec(cfg.steps, batch, cfg.groups, mode),
                               cfg.costs, cfg.device, env=cfg.env, on_window=on_window)

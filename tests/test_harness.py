@@ -1,9 +1,11 @@
 """Config validation, experiment outputs, determinism, and the CLI surface."""
 
+import contextlib
 import errno
 import gc
 import json
 import os
+import signal
 import tempfile
 import tracemalloc
 
@@ -112,10 +114,18 @@ def test_unknown_preset_rejected(tmp_path):
     assert "WarpDrive" in str(exc.value)
 
 
-def test_groups_must_divide_batches(tmp_path):
-    bad = GOOD.replace("batches = 16 32", "batches = 16 33")
-    with pytest.raises(ConfigError):
-        parse_config(write_config(tmp_path, bad))
+def test_groups_must_divide_batches(tmp_path, capsys):
+    # only rl reads the groups: it exits 2 before its first run, the rest run
+    path = write_config(tmp_path, GOOD.replace("batches = 16 32", "batches = 16 33"))
+    out = tmp_path / "rl"
+    assert cli.main(["rl", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: [workload]: groups=2 does not divide batch 33\n"
+    assert not out.exists()
+    for command in ("datagen", "trace", "graftbench"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "summary.csv").exists()
 
 
 def test_hex_bases_accepted(tmp_path):
@@ -143,8 +153,12 @@ def test_every_device_field_is_a_config_key():
     (GOOD.replace("groups = 2", "groups = 0"), "[workload]: groups must be >= 1"),
     (GOOD.replace("buffer_counts = 4 16 64", "buffer_counts = 0"),
      "[graftbench]: buffer_counts must be positive"),
+    # summary.csv writes each value unquoted: csv would shift the row's columns
+    *((GOOD.replace("env = StackCube", f"env = {env}"),
+       f"line 12: bad value for 'env': {env!r}: summary.csv cannot hold ',' or '\"'")
+      for env in ("Stack,Cube", 'Stack"Cube')),
 ], ids=["no_equals", "outside_section", "bad_cost", "negative_steps", "zero_batch",
-        "zero_groups", "zero_buffer_count"])
+        "zero_groups", "zero_buffer_count", "comma_in_env", "quote_in_env"])
 def test_cli_config_error_paths_exit_2(tmp_path, capsys, text, message):
     out = tmp_path / "out"
     assert cli.main(["datagen", "--config", str(write_config(tmp_path, text)),
@@ -322,23 +336,30 @@ def _ring_full_mid_stream(monkeypatch, idle=True):
 
 def _child_exits_mid_stream(monkeypatch, idle=True):
     # the child exits after it hands over the first chunk of the streamed
-    # run, which this process then encodes (busy: in the child's own encode
-    # of that run, since it hands over no chunk)
+    # run, the last of any command's sweep, which this process then encodes;
+    # busy, the child hands no chunk over and exits as it starts to write
+    # that run itself
     _force_child(monkeypatch, idle)
     monkeypatch.setattr(harness, "_HANDOFF", 1)   # a chunk after every window
-    parent, real_encode, real_send = (os.getpid(), harness.encode_events,
-                                      harness._OverlappedRuns._send_chunk)
+    streamed, real_write, real_hand_over, real_send = ([], harness._write_run,
+                                                      harness._OverlappedRuns._hand_over,
+                                                      harness._OverlappedRuns._send_chunk)
 
-    def encode(records, run=None):
-        if os.getpid() != parent and run == "B32/pipelined":
+    def hand_over(self, trace):   # called only in the child, in the streamed run
+        streamed.append(True)
+        real_hand_over(self, trace)
+
+    def write_run(*args):
+        if streamed:
             os._exit(7)
-        return real_encode(records, run)
+        real_write(*args)
 
     def send_chunk(self, trace, closing):
         real_send(self, trace, closing)
         os._exit(7)
 
-    monkeypatch.setattr(harness, "encode_events", encode)
+    monkeypatch.setattr(harness._OverlappedRuns, "_hand_over", hand_over)
+    monkeypatch.setattr(harness, "_write_run", write_run)
     monkeypatch.setattr(harness._OverlappedRuns, "_send_chunk", send_chunk)
 
 
@@ -356,7 +377,6 @@ def _busy(sabotage):
 # would report as an unwritable --out
 _STREAM_FAILURES = {
     "ring_full_mid_stream": (_ring_full_mid_stream, RingFull, "^engineered failure$"),
-    "child_exits_mid_stream": (_child_exits_mid_stream, RuntimeError, "exit status 7 "),
     "audit_fails_in_stream": (_audit_fails_in_stream, InvariantViolation,
                               "^run B32/pipelined: "),
 }
@@ -406,6 +426,20 @@ def _open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
+@contextlib.contextmanager
+def _leaves_nothing_behind(tmp_path, monkeypatch):
+    """Asserts that the block leaves no child, no open descriptor and no
+    named file in the temporary directory."""
+    _assert_no_child_left()
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    fds = _open_fds()
+    yield
+    _assert_no_child_left()
+    assert _open_fds() == fds
+    assert os.listdir(tmp_path / "tmp") == []
+
+
 def _fork_fails(monkeypatch):
     # after the pipes and the unnamed files are open
     def fork():
@@ -414,32 +448,56 @@ def _fork_fails(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
 
 
+def _child_ends(monkeypatch, end):
+    # the child calls ``end`` instead of sending its first result
+    monkeypatch.setattr(harness._OverlappedRuns, "_send", lambda self, message: end())
+
+
+# sabotage by id: the child is lost, and the sweep runs on in this process
+_LOST_CHILDREN = {
+    "child_exits": lambda mp: _child_ends(mp, lambda: os._exit(7)),
+    "child_killed": lambda mp: _child_ends(mp, lambda: os.kill(os.getpid(), signal.SIGKILL)),
+    "child_exits_mid_stream": _child_exits_mid_stream,
+    "child_exits_mid_stream_busy": _busy(_child_exits_mid_stream),
+    "fork_fails": _fork_fails,
+}
+
+
 @pytest.mark.parametrize("sabotage, error, message", [
     (None, None, None),
+    *((sabotage, None, None) for sabotage in _LOST_CHILDREN.values()),
     *((lambda mp, mode=mode: _ring_full_at(mp, "run_datagen", 32, mode), RingFull,
        "^engineered failure$") for mode in (DatagenMode.PIPELINED, DatagenMode.SEQUENTIAL)),
     *_STREAM_FAILURES.values(),
-    (_fork_fails, RuntimeError, "^cannot start the overlapped runs: .*engineered failure"),
-], ids=["success", "child_run_fails", "parent_run_fails", *_STREAM_FAILURES, "fork_fails"])
+], ids=["success", *_LOST_CHILDREN, "child_run_fails", "parent_run_fails", *_STREAM_FAILURES])
 def test_paired_sweep_leaves_no_child(tmp_path, monkeypatch, sabotage, error, message):
-    # nor an open descriptor, nor a named file in the temporary directory
+    # nor an open descriptor, nor a named file in the temporary directory;
+    # a lost child leaves the outputs of one process
     cfg = parse_config(write_config(tmp_path))
     want = cmd_datagen(cfg, tmp_path / "want", json_events=True)
-    _assert_no_child_left()
-    (tmp_path / "tmp").mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-    fds = _open_fds()
-    if sabotage is None:
-        assert cmd_datagen(cfg, tmp_path / "got", json_events=True) == want
-        assert _snapshot(tmp_path / "got") == _snapshot(tmp_path / "want")
-    else:
+    with _leaves_nothing_behind(tmp_path, monkeypatch):
+        if sabotage is not None:
+            sabotage(monkeypatch)
+        if error is None:
+            assert cmd_datagen(cfg, tmp_path / "got", json_events=True) == want
+            assert _snapshot(tmp_path / "got") == _snapshot(tmp_path / "want")
+        else:
+            with pytest.raises(error, match=message):
+                cmd_datagen(cfg, tmp_path / "got", json_events=True)
+            assert not (tmp_path / "got").exists()
+
+
+@pytest.mark.parametrize("sabotage", _LOST_CHILDREN.values(), ids=list(_LOST_CHILDREN))
+@pytest.mark.parametrize("command", ["datagen", "rl", "trace"])
+def test_cli_sweep_without_its_child_exits_0_with_the_outputs_of_one_process(
+        tmp_path, monkeypatch, command, sabotage):
+    path = write_config(tmp_path)
+    argv = [command, "--config", str(path), "--json-events", "--out"]
+    assert cli.main([*argv, str(tmp_path / "want")]) == 0
+    with _leaves_nothing_behind(tmp_path, monkeypatch):
         sabotage(monkeypatch)
-        with pytest.raises(error, match=message):
-            cmd_datagen(cfg, tmp_path / "got", json_events=True)
-        assert not (tmp_path / "got").exists()
-    _assert_no_child_left()
-    assert _open_fds() == fds
-    assert os.listdir(tmp_path / "tmp") == []
+        assert cli.main([*argv, str(tmp_path / "got")]) == 0
+    assert _snapshot(tmp_path / "got") == _snapshot(tmp_path / "want")
 
 
 @pytest.mark.parametrize("json_events", [False, True], ids=["no_events", "events"])
@@ -462,37 +520,30 @@ def test_sweeps_make_no_reference_cycles(tmp_path, command, json_events):
         gc.enable()
 
 
-def _child_exits(monkeypatch):
-    parent, real = os.getpid(), harness.run_datagen
-
-    def runner(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(7)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "run_datagen", runner)
-
-
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-@pytest.mark.parametrize("sabotage, error, message", [
-    (None, None, None),
-    (_child_exits, RuntimeError, "exit status 7 "),
+@pytest.mark.parametrize("sabotage, error, message, child_runs", [
+    (None, None, None, 2),
+    (_LOST_CHILDREN["child_exits"], None, None, 1),
     (lambda mp: _ring_full_at(mp, "run_datagen", 32, DatagenMode.SEQUENTIAL), RingFull,
-     "^engineered failure$"),
+     "^engineered failure$", None),   # up to 2, as far as the child gets
 ], ids=["success", "child_fails", "parent_run_fails"])
 def test_paired_sweep_restores_the_collector_setting(tmp_path, monkeypatch, enabled,
-                                                      sabotage, error, message):
-    # paused during every run, in both processes (a child that finds the
-    # collector on exits with status 3), and as the caller left it after
+                                                      sabotage, error, message, child_runs):
+    # paused during every run, in both processes (the child notes each of its
+    # runs in a file), and as the caller left it after
     cfg = parse_config(write_config(tmp_path))
     if sabotage is not None:
         sabotage(monkeypatch)
     parent, real, paused = os.getpid(), harness.run_datagen, []
+    notes = tmp_path / "child_runs"
+    notes.touch()
 
     def runner(*args, **kwargs):
-        if gc.isenabled() and os.getpid() != parent:
-            os._exit(3)
-        paused.append(not gc.isenabled())
+        if os.getpid() == parent:
+            paused.append(not gc.isenabled())
+        else:
+            with open(notes, "a") as f:
+                f.write("collecting\n" if gc.isenabled() else "paused\n")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run_datagen", runner)
@@ -508,6 +559,9 @@ def test_paired_sweep_restores_the_collector_setting(tmp_path, monkeypatch, enab
         gc.enable()
     assert paused and all(paused)
     _assert_no_child_left()
+    child = notes.read_text().splitlines()
+    assert set(child) <= {"paused"}
+    assert len(child) == child_runs if child_runs is not None else len(child) <= 2
 
 
 def test_child_runs_larger_than_a_pipe_keep_the_order_of_one_process(tmp_path):
@@ -628,28 +682,19 @@ def test_audit_failure_in_the_streamed_run_names_what_one_process_names(tmp_path
     _assert_no_child_left()
 
 
-def test_child_that_exits_raises_its_exit_status(tmp_path, monkeypatch):
+def test_child_that_exits_leaves_the_outputs_of_one_process(tmp_path, monkeypatch):
+    # the child exits before its first result: this process runs every
+    # overlapped run, over the outputs of an earlier run or into a new --out
     cfg = parse_config(write_config(tmp_path))
     previous = tmp_path / "previous"
     cmd_datagen(cfg, previous, json_events=True)
-    before = _snapshot(previous)
-    parent, real = os.getpid(), harness.run_datagen
-
-    def runner(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(7)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "run_datagen", runner)
-    for out in (previous, tmp_path / "fresh" / "out"):
-        # not an OSError, which the CLI would report as an unwritable --out
-        with pytest.raises(RuntimeError, match="exit status 7 ") as info:
-            cli.main(["datagen", "--config", str(write_config(tmp_path)), "--out",
-                      str(out), "--json-events"])
-        assert not isinstance(info.value, OSError)
-        _assert_no_child_left()
-    assert _snapshot(previous) == before
-    assert not (tmp_path / "fresh").exists()
+    want = _snapshot(previous)
+    with _leaves_nothing_behind(tmp_path, monkeypatch):
+        _LOST_CHILDREN["child_exits"](monkeypatch)
+        for out in (previous, tmp_path / "fresh" / "out"):
+            assert cli.main(["datagen", "--config", str(write_config(tmp_path)), "--out",
+                             str(out), "--json-events"]) == 0
+            assert _snapshot(out) == want
 
 
 def test_batch_that_fails_only_in_the_child_is_rewritten_whole(tmp_path, monkeypatch):
