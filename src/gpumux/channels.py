@@ -5,8 +5,9 @@ control block with free-running GET/PUT cursors, and a doorbell token that
 identifies the channel to the device. Channels belong to a timeslice group
 fixed at creation. Streams are the client-facing handles; a stream normally
 submits through its own channel, but its channel's ring/cursors/token fields
-can be swapped for a forwarding channel's (and later restored from a saved
+can be swapped for a forwarding channel's (and later swapped back from a saved
 snapshot), which is how compute work is redirected into the graphics group.
+Each context is one timeslice group, whose id is the context's.
 """
 
 from __future__ import annotations
@@ -85,11 +86,11 @@ class Ring:
 
 
 class Channel:
-    def __init__(self, channel_id: int, context_id: int, tsg_id: int, ring: Ring,
-                 token: int, cmdbuf_base: int, visible_to_app: bool):
+    def __init__(self, channel_id: int, context_id: int, ring: Ring, token: int,
+                 cmdbuf_base: int, visible_to_app: bool):
         self.id = channel_id
         self.context_id = context_id
-        self.tsg_id = tsg_id  # fixed at creation
+        self.tsg_id = context_id  # the context's group, fixed at creation
         self.ring = ring
         self.userd = UserD()
         self.token = token
@@ -104,29 +105,26 @@ class Channel:
 
 
 class Context:
-    def __init__(self, context_id: int, kind: ContextKind, space_id: int, tsg_id: int):
+    def __init__(self, context_id: int, kind: ContextKind, space_id: int):
         self.id = context_id
         self.kind = kind
         self.space_id = space_id
-        self.tsg_id = tsg_id
-        self.channels: list[int] = []
+        self.tsg_id = context_id
+        self.channels: list[int] = []   # the group's channels, in creation order
         self.compute_state = ComputeConfig()
         self.forward_pool: list[int] = []   # free forwarding channels, ascending id
-        self.bound_stream_ids: set[int] = set()
 
 
 class Snapshot(_SlotValue):
     """Pre-swap submission state of a stream's channel; restoring it must be exact."""
 
-    __slots__ = ("ring", "userd", "token", "get", "put")
+    __slots__ = ("ring", "userd", "token")
     __hash__ = None   # a mutable record
 
-    def __init__(self, ring: Ring, userd: UserD, token: int, get: int, put: int):
+    def __init__(self, ring: Ring, userd: UserD, token: int):
         self.ring = ring
         self.userd = userd
         self.token = token
-        self.get = get
-        self.put = put
 
 
 class StreamHandle:
@@ -146,19 +144,9 @@ class StreamHandle:
         return self.saved_snapshot is not None
 
 
-def take_snapshot(channel: Channel) -> Snapshot:
-    return Snapshot(ring=channel.ring, userd=channel.userd, token=channel.token,
-                    get=channel.userd.get, put=channel.userd.put)
-
-
-def swap_submission_state(channel: Channel, forwarding: Channel):
-    """Point the channel's submission fields at the forwarding channel's."""
-    channel.ring = forwarding.ring
-    channel.userd = forwarding.userd
-    channel.token = forwarding.token
-
-
-def restore_snapshot(channel: Channel, snapshot: Snapshot):
-    channel.ring = snapshot.ring
-    channel.userd = snapshot.userd
-    channel.token = snapshot.token
+def swap_submission_state(channel: Channel, source: Channel | Snapshot):
+    """Point the channel's submission fields at the source's: a forwarding
+    channel's at bind, the saved snapshot's at unbind."""
+    channel.ring = source.ring
+    channel.userd = source.userd
+    channel.token = source.token

@@ -54,8 +54,7 @@ from itertools import chain
 
 from .channels import (AlreadyBound, Channel, ComputeConfig, Context,
                        ContextKind, GpFifoEntry, NotBound, PoolExhausted, Ring,
-                       RingFull, StreamHandle, restore_snapshot,
-                       swap_submission_state, take_snapshot)
+                       RingFull, Snapshot, StreamHandle, swap_submission_state)
 from .commands import CommandKind, GpuCommand, init_compute, semaphore_write
 from .config import TICKS_PER_S, DeviceConfig, ticks
 from .vm import AllocPolicy, MemorySystem, PageFault, SizeClass, _SlotValue
@@ -244,11 +243,11 @@ class Engine:
         self.memory = MemorySystem(self.config.geometry)
         self.now = 0   # ticks
         # registries indexed by id: ids are dense, taken as len() at creation
-        # and never reused; a timeslice group is the list of its channel ids
+        # and never reused; each context is one timeslice group, with the
+        # context's id and channels
         self.contexts: list[Context] = []
         self.channels: list[Channel] = []
         self.streams: list[StreamHandle] = []
-        self.tsgs: list[list[int]] = []
         self.trace = MetricsTrace()
         self.phys_mem: dict[tuple[int, int], int] = {}
         self.processes: list[_Process] = []
@@ -291,8 +290,7 @@ class Engine:
         else:
             space = mem.create_space(AllocPolicy.LOW_RANGE, base=self.config.low_base,
                                      limit=self.config.high_base)
-        ctx = Context(len(self.contexts), kind, space.id, len(self.tsgs))
-        self.tsgs.append([])
+        ctx = Context(len(self.contexts), kind, space.id)
         self.contexts.append(ctx)
         # small always-present footprint standing in for runtime-internal state
         va = mem.allocate(space, 1, SizeClass.SMALL)
@@ -311,11 +309,10 @@ class Engine:
         mem.map_range(space, cmdbuf_base, mem.alloc_phys(SizeClass.SMALL, cap))
         channel_id = len(self.channels)
         token = 0x1000 + channel_id
-        channel = Channel(channel_id, ctx.id, ctx.tsg_id, Ring(cap), token,
-                          cmdbuf_base, visible_to_app)
+        channel = Channel(channel_id, ctx.id, Ring(cap), token, cmdbuf_base,
+                          visible_to_app)
         self.channels.append(channel)
         ctx.channels.append(channel_id)
-        self.tsgs[ctx.tsg_id].append(channel_id)
         self._token_owner[token] = channel_id
         return channel
 
@@ -417,8 +414,8 @@ class Engine:
             raise ValueError("only compute contexts carry a scratch pool")
         fwds = []
         if nbytes > ctx.compute_state.local_memory_bytes:
-            fwds = [self.channels[self.streams[sid].bound_channel_id]
-                    for sid in sorted(ctx.bound_stream_ids)]
+            fwds = [self.channels[s.bound_channel_id] for s in self.streams
+                    if s.context_id == ctx.id and s.bound]
         for fwd in fwds:
             self._check_room(fwd)
         ctx.compute_state = ComputeConfig(nbytes)
@@ -431,12 +428,13 @@ class Engine:
     def bind(self, stream: StreamHandle, graphics_ctx: Context):
         """Snapshot-and-swap the stream onto a forwarding channel.
 
-        Drains the stream, makes sure the context pair's tables are grafted,
-        bootstraps the forwarding channel if it has never run compute, then
-        swaps ring/cursors/token. Control-plane call: not valid from inside a
-        running driver process. If the stream's channel is faulted (checked
-        before the drain too), it still holds the stream's work: EngineError
-        before the graft, and the stream stays unbound.
+        Drains the stream's own channel (``_drain``), makes sure the context
+        pair's tables are grafted, bootstraps the forwarding channel if it has
+        never run compute, then swaps ring/cursors/token. Control-plane call:
+        not valid from inside a running driver process. If the stream's
+        channel is faulted (checked before the drain too), it still holds the
+        stream's work: EngineError before the graft, and the stream stays
+        unbound.
         """
         if self._running:
             raise EngineError("bind is a control-plane call, not valid mid-run")
@@ -450,50 +448,48 @@ class Engine:
         if not graphics_ctx.forward_pool:
             raise PoolExhausted("no forwarding channels available")
         ch = self.channels[stream.channel_id]
-        if ch.faulted or not self._drain_stream(stream):
+        if ch.faulted or not self._drain(ch):
             raise EngineError(f"channel {ch.id} faulted with stream {stream.id}'s work; "
-                              "reset it and run before bind")
+                              "reset the stream and run before bind")
         src = self.memory.spaces[ctx.space_id]
         if graphics_ctx.space_id not in src.subscribers:
             self.memory.graft(src, self.memory.spaces[graphics_ctx.space_id])
         fwd = self.channels[graphics_ctx.forward_pool.pop(0)]
         if fwd.compute_config is None:
             self.bootstrap(fwd, ctx.compute_state)
-        stream.saved_snapshot = take_snapshot(ch)
+        stream.saved_snapshot = Snapshot(ch.ring, ch.userd, ch.token)
         swap_submission_state(ch, fwd)
         stream.bound_channel_id = fwd.id
-        ctx.bound_stream_ids.add(stream.id)
         self._log("bind", ch.id, graphics_ctx.tsg_id, stream.id, fwd.id)
 
     def unbind(self, stream: StreamHandle):
-        """Drain, restore the saved snapshot, and return the forwarding channel.
-        If the channel is faulted (checked before the drain too), it still holds
-        the stream's work: EngineError, and the stream stays bound."""
+        """Drain the forwarding channel (``_drain``), restore the saved
+        snapshot, and return the channel, empty, to its pool. If the channel
+        is faulted (checked before the drain too), it still holds the
+        stream's work: EngineError, and the stream stays bound."""
         if self._running:
             raise EngineError("unbind is a control-plane call, not valid mid-run")
         if not stream.bound:
             raise NotBound(f"stream {stream.id} is not bound")
         fwd = self.channels[stream.bound_channel_id]
-        if fwd.faulted or not self._drain_stream(stream):
+        if fwd.faulted or not self._drain(fwd):
             raise EngineError(f"forwarding channel {fwd.id} faulted with stream "
-                              f"{stream.id}'s work; reset it and run before unbind")
+                              f"{stream.id}'s work; reset the stream and run before unbind")
         ch = self.channels[stream.channel_id]
-        restore_snapshot(ch, stream.saved_snapshot)
-        ctx = self.contexts[stream.context_id]
+        swap_submission_state(ch, stream.saved_snapshot)
         insort(self.contexts[fwd.context_id].forward_pool, fwd.id)
         stream.saved_snapshot = None
         stream.bound_channel_id = None
-        ctx.bound_stream_ids.discard(stream.id)
-        self._log("unbind", ch.id, ctx.tsg_id, stream.id, fwd.id)
+        self._log("unbind", ch.id, ch.tsg_id, stream.id, fwd.id)
 
-    def _drain_stream(self, stream: StreamHandle) -> bool:
-        """Run until the stream's semaphore holds its last buffer's value;
-        returns whether it does (not if the stream's channel faulted)."""
-        target = stream.next_semaphore_value
-        if target and self.stream_semaphore(stream) < target:
-            self.run(until=lambda e: e.stream_semaphore(stream) >= target)
-            return self.stream_semaphore(stream) >= target
-        return True
+    def _drain(self, ch: Channel) -> bool:
+        """Run until the channel holds no entry; returns whether it got there
+        (not if it faulted). Drivers go on submitting meanwhile, so on True
+        every buffer submitted to the channel before or during the drain has
+        completed, and its ring can be swapped."""
+        if ch.pending:
+            self.run(until=lambda e: not ch.pending)
+        return not ch.pending
 
     # ------------------------------------------------------------------
     # semaphores and processes
@@ -649,14 +645,14 @@ class Engine:
 
     def _tsg_runnable(self, tsg_id: int) -> bool:
         channels = self.channels
-        for cid in self.tsgs[tsg_id]:
+        for cid in self.contexts[tsg_id].channels:
             ch = channels[cid]
             if ch.pending and not ch.faulted:
                 return True
         return False
 
     def _next_runnable_tsg(self) -> int | None:
-        n = len(self.tsgs)
+        n = len(self.contexts)
         for step in range(1, n + 1):
             tsg_id = (self._last_tsg + step) % n
             if self._tsg_runnable(tsg_id):
@@ -749,9 +745,10 @@ class Engine:
         """Start head commands on every pending channel of the active group.
         Loops because zero-duration completions can wake drivers that submit
         more work eligible to start at the same instant."""
+        group = self.contexts[tsg].channels
         while True:
             progressed = False
-            for cid in self.tsgs[tsg]:
+            for cid in group:
                 ch = self.channels[cid]
                 if ch.faulted or cid in inflight or not ch.pending:
                     continue
@@ -865,12 +862,16 @@ class Engine:
         elif kind is _INIT:
             ch.compute_config = cmd.config
 
-    def reset_channel(self, ch: Channel):
-        """Clear a fault, discard the faulting buffer, resume at the next entry."""
+    def reset(self, stream: StreamHandle):
+        """Clear the fault of the channel now serving the stream (its
+        forwarding channel while bound), discard the faulting buffer and
+        resume at the next entry. EngineError before any change unless that
+        channel is faulted."""
+        ch = self.channels[stream.bound_channel_id if stream.bound else stream.channel_id]
+        if not ch.faulted:
+            raise EngineError(f"channel {ch.id} of stream {stream.id} is not faulted")
         ch.faulted = False
-        if ch.active_entry is not None:
-            ch.userd.get += 1
-            ch.active_entry = None
-            ch.active_index = 0
+        ch.userd.get += 1
+        ch.active_entry = None
+        ch.active_index = 0
         ch.pending = ch.userd.get < ch.userd.put
-

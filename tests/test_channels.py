@@ -199,6 +199,7 @@ def test_pool_exhaustion_on_second_stream():
 
 def test_submit_after_bind_lands_in_forwarding_ring():
     e, _, graphics, (stream,) = build()
+    own_put = e.channels[stream.channel_id].userd.put
     e.bind(stream, graphics)
     snap = stream.saved_snapshot
     fwd = e.channels[stream.bound_channel_id]
@@ -206,7 +207,7 @@ def test_submit_after_bind_lands_in_forwarding_ring():
     e.submit(stream, [kernel_dispatch(1.0, 0.1)])
     assert fwd.userd.put == put_before + 1
     # the original ring saw nothing
-    assert snap.put == snap.userd.put
+    assert snap.userd.put == own_put
     assert all(s is None for s in snap.ring.slots)
 
 
@@ -216,7 +217,7 @@ def test_unbind_restores_snapshot_exactly():
     before = (ch.ring, ch.userd, ch.token, ch.userd.get, ch.userd.put)
     e.bind(stream, graphics)
     snap = stream.saved_snapshot
-    assert (snap.ring, snap.userd, snap.token, snap.get, snap.put) == before
+    assert (snap.ring, snap.userd, snap.token, snap.userd.get, snap.userd.put) == before
     e.unbind(stream)
     assert (ch.ring, ch.userd, ch.token) == before[:3]
     assert (ch.userd.get, ch.userd.put) == before[3:]
@@ -287,7 +288,7 @@ def test_unbind_of_a_faulted_forwarding_channel_raises_and_keeps_the_binding():
         e.unbind(stream)
     assert (e.clock, len(e.trace.records), fwd.userd.get, fwd.userd.put) == before
     assert (stream.bound_channel_id, graphics.forward_pool) == (fwd.id, [])
-    e.reset_channel(fwd)
+    e.reset(stream)
     e.run()
     assert e.stream_semaphore(stream) == 2
     e.unbind(stream)
@@ -301,7 +302,7 @@ def test_second_stream_never_runs_the_work_of_a_failed_unbind():
         e.unbind(stream)
     with pytest.raises(PoolExhausted):   # the channel did not go back to the pool
         e.bind(second, graphics)
-    e.reset_channel(fwd)
+    e.reset(stream)
     e.run()
     e.unbind(stream)
     e.bind(second, graphics)
@@ -334,7 +335,7 @@ def test_bind_of_a_faulted_stream_raises_and_changes_nothing():
     assert (stream.bound, stream.channel_id, stream.saved_snapshot) == (False, native.id,
                                                                          None)
     assert native.token == 0x1000 + native.id
-    e.reset_channel(native)
+    e.reset(stream)
     e.run()
     assert e.stream_semaphore(stream) == 2
     e.bind(stream, graphics)
@@ -426,27 +427,52 @@ def control_state(e, stream):
     space_state = [(list(s.subscribers), e.memory.table_shape(s))
                    for s in e.memory.spaces.values()]
     return (e.clock, len(e.trace.records), len(e.trace.segments),
-            [(ch.userd.get, ch.userd.put, ch.compute_config, ch.token) for ch in e.channels],
-            [(c.compute_state, list(c.forward_pool), set(c.bound_stream_ids))
-             for c in e.contexts],
+            [(ch.userd.get, ch.userd.put, ch.compute_config, ch.token, ch.pending,
+              ch.faulted) for ch in e.channels],
+            [(c.compute_state, list(c.forward_pool)) for c in e.contexts],
+            [(s.bound, s.bound_channel_id) for s in e.streams],
             (stream.bound, stream.channel_id, stream.saved_snapshot), space_state)
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda e, compute, graphics, stream: e.bootstrap(e.channels[compute.channels[0]],
-                                                      ComputeConfig(1 << 20)),
-     "bootstrap targets channels in the graphics group"),
-    (lambda e, compute, graphics, stream: e.set_local_memory(graphics, 1 << 20),
-     "only compute contexts carry a scratch pool"),
-    (lambda e, compute, graphics, stream: e.bind(stream, compute),
-     "streams bind to graphics contexts"),
-], ids=["bootstrap_of_a_compute_channel", "local_memory_of_a_graphics_context",
-        "bind_into_a_compute_context"])
-def test_control_plane_argument_check_raises_and_changes_nothing(call, message):
-    e, compute, graphics, (stream,) = build()
+def pending_kernel(e, graphics, stream):
     e.submit(stream, [kernel_dispatch(1.0, 0.1)])   # a drain would run it
+
+
+def mid_buffer(bound):
+    """Leave the stream inside a buffer of three 0.2 s kernels, at 0.2 s;
+    bind it first if ``bound``. Then its own channel is 3 and its forwarding
+    channel is 2."""
+    def setup(e, graphics, stream):
+        if bound:
+            e.bind(stream, graphics)
+        e.submit(stream, [kernel_dispatch(0.2, 0.1)] * 3)
+        e.run(until=lambda e: e.clock >= 0.1)
+    return setup
+
+
+@pytest.mark.parametrize("setup, call, error, message", [
+    (pending_kernel,
+     lambda e, compute, graphics, stream: e.bootstrap(e.channels[compute.channels[0]],
+                                                      ComputeConfig(1 << 20)),
+     ValueError, "bootstrap targets channels in the graphics group"),
+    (pending_kernel,
+     lambda e, compute, graphics, stream: e.set_local_memory(graphics, 1 << 20),
+     ValueError, "only compute contexts carry a scratch pool"),
+    (pending_kernel, lambda e, compute, graphics, stream: e.bind(stream, compute),
+     ValueError, "streams bind to graphics contexts"),
+    (mid_buffer(False), lambda e, compute, graphics, stream: e.reset(stream),
+     EngineError, "channel 3 of stream 0 is not faulted"),
+    (mid_buffer(True), lambda e, compute, graphics, stream: e.reset(stream),
+     EngineError, "channel 2 of stream 0 is not faulted"),
+], ids=["bootstrap_of_a_compute_channel", "local_memory_of_a_graphics_context",
+        "bind_into_a_compute_context", "reset_of_an_unbound_stream_mid_buffer",
+        "reset_of_a_bound_stream_mid_buffer"])
+def test_control_plane_argument_check_raises_and_changes_nothing(setup, call, error,
+                                                                 message):
+    e, compute, graphics, (stream,) = build()
+    setup(e, graphics, stream)
     before = control_state(e, stream)
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(error) as info:
         call(e, compute, graphics, stream)
     assert str(info.value) == message
     assert control_state(e, stream) == before
@@ -484,3 +510,83 @@ def test_control_plane_call_from_a_running_driver_raises_and_changes_nothing(cal
     else:
         e.bind(stream, graphics)
     assert stream.bound == (call != "unbind")
+
+
+# ----------------------------------------------------------------------
+# the control plane decides on what the channels hold
+
+def chained(e, stream, n=4):
+    """A driver that submits ``n`` 0.2 s kernels, each once the one before it
+    has completed."""
+    for _ in range(n):
+        e.submit(stream, [kernel_dispatch(0.2, 0.1)])
+        yield e.stream_condition(stream, stream.next_semaphore_value)
+
+
+def test_reset_of_a_bound_stream_that_is_not_faulted_runs_each_kernel_once():
+    # resetting the bound stream's own channel 3 made channels 2 and 3 both
+    # work through the buffer: 6 exec_starts for 3 kernels, and check_all
+    # raised "stream 0 semaphore went 1 -> 1"
+    e, _, graphics, (stream,) = build()
+    mid_buffer(True)(e, graphics, stream)
+    assert (e.clock, stream.channel_id, stream.bound_channel_id) == (0.2, 3, 2)
+    with pytest.raises(EngineError, match="^channel 2 of stream 0 is not faulted$"):
+        e.reset(stream)
+    trace = e.run()
+    assert [r[2] for r in trace.records if r[1] == "exec_start"] == [2, 2, 2]
+    assert e.stream_semaphore(stream) == 1
+    check_all(trace)
+
+
+def grow_local_memory(e, compute, graphics, stream):
+    e.bind(stream, graphics)
+    e.submit(stream, [kernel_dispatch(0.2, 0.1)])
+    e.run()
+    e.set_local_memory(compute, 4 << 20)
+
+
+def driver_submitting(e, compute, graphics, stream):
+    e.bind(stream, graphics)
+    e.spawn(chained(e, stream))
+    e.run(until=lambda e: e.clock >= 0.1)
+
+
+@pytest.mark.parametrize("setup", [
+    lambda e, compute, graphics, stream: e.bind(stream, graphics),
+    grow_local_memory,
+    driver_submitting,
+], ids=["nothing_submitted", "local_memory_grown", "driver_submitting"])
+def test_unbind_pools_an_empty_channel(setup):
+    # the drain waited for the stream's semaphore only: the forwarding
+    # channel went back to the pool at get/put 0/1, 2/3 and 3/4 in turn, and
+    # the submitting driver's third buffer then ran on the pooled channel
+    e, compute, graphics, (stream,) = build()
+    setup(e, compute, graphics, stream)
+    fwd = e.channels[stream.bound_channel_id]
+    e.unbind(stream)
+    assert graphics.forward_pool == [fwd.id]
+    assert (fwd.userd.get == fwd.userd.put, fwd.pending, fwd.active_entry) == (True, False,
+                                                                                None)
+    trace = e.run()
+    assert trace.stalled == []
+    assert all(r[2] == fwd.id for r in trace.records if r[1] == "exec_start")
+    assert e.stream_semaphore(stream) == stream.next_semaphore_value
+    check_all(trace)
+
+
+def test_bind_while_a_driver_submits_strands_no_buffer():
+    # the drain stopped at the semaphore value it saw first, 2, at 0.4 s; the
+    # driver's third buffer stayed on the swapped-out ring at get/put 2/3,
+    # and the next run stalled at semaphore 2 of 3
+    e, _, graphics, (stream,) = build()
+    e.spawn(chained(e, stream))
+    e.run(until=lambda e: e.clock >= 0.1)
+    e.bind(stream, graphics)
+    snap = stream.saved_snapshot
+    assert (e.clock, snap.userd.get, snap.userd.put) == (0.8, 4, 4)
+    trace = e.run()
+    assert trace.stalled == []
+    assert len(trace.exec_intervals(kind="kernel_dispatch")) == 4
+    assert e.stream_semaphore(stream) == 4
+    check_all(trace)
+

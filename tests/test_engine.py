@@ -221,8 +221,7 @@ def test_unmapped_touch_page_faults_and_halts_channel():
     assert fault["kind"] == "page_fault" and fault["vaddr"] == bad
     # the channel halted: the second buffer never ran
     assert not trace.exec_intervals(kind="kernel_dispatch")
-    ch = e.channels[s.channel_id]
-    e.reset_channel(ch)
+    e.reset(s)
     trace = e.run()
     assert len(trace.exec_intervals(kind="kernel_dispatch")) == 1
     assert len(faults(trace)) == 1
@@ -240,7 +239,7 @@ def test_touch_outside_the_va_width_page_faults_and_halts_channel():
         (s.channel_id, "page_fault", far, "walk stopped at level 0")]
     ch = e.channels[s.channel_id]
     assert ch.faulted and not trace.exec_intervals(kind="kernel_dispatch")
-    e.reset_channel(ch)
+    e.reset(s)
     trace = e.run()
     assert len(trace.exec_intervals(kind="kernel_dispatch")) == 1
     assert (trace.makespan, e.stream_semaphore(s), len(faults(trace))) == (1.0, 2, 1)
@@ -261,7 +260,7 @@ def test_zero_duration_write_faults_and_halts_channel(write_first):
     assert [(f["kind"], f["vaddr"]) for f in faults(trace)] == [("page_fault", bad)]
     completed = [ev["seq"] for ev in trace.events if ev["event"] == "buffer_complete"]
     assert faulting not in completed and following not in completed
-    e.reset_channel(e.channels[s.channel_id])
+    e.reset(s)
     trace = e.run()
     completed = [ev["seq"] for ev in trace.events if ev["event"] == "buffer_complete"]
     assert completed == [following]
@@ -591,14 +590,14 @@ ENGINE_RUNS = {
 
 
 def test_translates_per_buffer_are_pinned(monkeypatch):
-    """Exact ``MemorySystem.translate`` calls per run, with the values of the
-    commit that made the semaphore write translate its address once and woke
-    semaphore waiters without translating. Each submitted buffer costs five:
+    """Exact ``MemorySystem.translate`` calls per run. The semaphore write
+    translates its address once and semaphore waiters wake without
+    translating, so each submitted buffer costs five:
     the command-buffer write, the kernel's or draw's touched page, the
     semaphore write's check (whose translation the write reuses), the
     ``satisfied`` check of the condition its driver yields and the waiter's
-    key. A bound stream adds two: the bind's bootstrap buffer and the
-    unbind's drain read. The golden digests cannot see host work, so this is
+    key. A bound stream adds one, the bind's bootstrap buffer: a drain
+    reads no semaphore. The golden digests cannot see host work, so this is
     the test that catches a translation come back."""
     calls = Counter()
     count_calls(monkeypatch, calls, MemorySystem, "translate")
@@ -609,8 +608,8 @@ def test_translates_per_buffer_are_pinned(monkeypatch):
         assert metrics.trace.stalled == []
         submits = sum(1 for r in metrics.trace.records if r[1] == "submit")
         counts[name] = (submits, calls["translate"])
-    assert counts == {"rl": (1280, 6402), "datagen_sequential": (400, 2000),
-                      "datagen_pipelined": (400, 2002)}
+    assert counts == {"rl": (1280, 6401), "datagen_sequential": (400, 2000),
+                      "datagen_pipelined": (400, 2001)}
 
 
 def test_condition_checks_equal_condition_yields(monkeypatch):

@@ -1194,7 +1194,7 @@ def test_fault_events_write_as_json_dumps_and_round_trip():
     e.submit(stream, [kernel_dispatch(1.0, 0.1, touched=(bad,))])
     e.submit(stream, [graphics_draw(1.0, 0.2, 0.5)])
     trace = e.run()
-    e.reset_channel(e.channels[stream.channel_id])
+    e.reset(stream)
     trace = e.run()
     faults = [ev for ev in trace.events if ev["event"] == "fault"]
     assert [(ev["kind"], ev["vaddr"]) for ev in faults] == [("page_fault", bad),

@@ -40,8 +40,7 @@ MUTABLE = [
     (CopyEngineLog, ("reads", "writes"), (3, 4), {"writes": 5}),
     (GraftReport, ("pdes_copied", "max_depth_descended", "entry_writes",
                    "tlb_invalidations"), (1, 2, 3, 4), {"entry_writes": 0}),
-    (Snapshot, ("ring", "userd", "token", "get", "put"), (_RING, _USERD, 7, 1, 2),
-     {"put": 3}),
+    (Snapshot, ("ring", "userd", "token"), (_RING, _USERD, 7), {"token": 8}),
     (Metrics, ("env", "mode", "steps", "batch", "groups", "makespan", "throughput",
                "trace"),
      ("PickCube", "pipelined", 5, 16, 2, 4.5, 17.7, _TRACE), {"makespan": 4.25}),
