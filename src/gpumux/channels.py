@@ -1,13 +1,16 @@
-"""Submission-side structures: contexts, channels, streams, snapshots.
+"""Submission-side structures: contexts, channels, streams.
 
-A channel is the hardware submission primitive: a ring of work entries, a
-control block with free-running GET/PUT cursors, and a doorbell token that
-identifies the channel to the device. Channels belong to a timeslice group
-fixed at creation. Streams are the client-facing handles; a stream normally
-submits through its own channel, but its channel's ring/cursors/token fields
-can be swapped for a forwarding channel's (and later swapped back from a saved
-snapshot), which is how compute work is redirected into the graphics group.
-Each context is one timeslice group, whose id is the context's.
+A channel is the hardware submission primitive. Its submission state is one
+``Ring``: the work entries, the free-running GET/PUT cursors and the doorbell
+token that identifies the channel to the device. A channel also has its own
+command-buffer pages, one per ring slot, in its context's memory. Channels
+belong to a timeslice group fixed at creation. Streams are the client-facing
+handles; a stream normally submits through its own channel, but that
+channel's ring can be swapped whole for a forwarding channel's (and the saved
+ring put back later), which is how compute work is redirected into the
+graphics group. The command buffers are still written into the stream's own
+channel's pages, in compute memory. Each context is one timeslice group,
+whose id is the context's.
 """
 
 from __future__ import annotations
@@ -53,16 +56,6 @@ class ComputeConfig(_SlotValue):
         self.local_memory_bytes = local_memory_bytes
 
 
-class UserD:
-    """Free-running producer/consumer cursors shared with the device."""
-
-    __slots__ = ("get", "put")
-
-    def __init__(self):
-        self.get = 0
-        self.put = 0
-
-
 class GpFifoEntry(_SlotValue):
     """One ring entry: a submitted buffer of commands, its sequence number and
     the submitting stream (None for a bootstrap). Nothing writes an entry after
@@ -78,22 +71,27 @@ class GpFifoEntry(_SlotValue):
 
 
 class Ring:
-    __slots__ = ("capacity", "slots")
+    """A channel's submission state: ``capacity`` entry slots, the free-running
+    producer/consumer cursors shared with the device, and the doorbell token.
+    Swapping a channel's ring swaps all of it at once."""
 
-    def __init__(self, capacity: int):
+    __slots__ = ("capacity", "slots", "get", "put", "token")
+
+    def __init__(self, capacity: int, token: int):
         self.capacity = capacity
         self.slots: list = [None] * capacity
+        self.get = 0
+        self.put = 0
+        self.token = token
 
 
 class Channel:
-    def __init__(self, channel_id: int, context_id: int, ring: Ring, token: int,
-                 cmdbuf_base: int, visible_to_app: bool):
+    def __init__(self, channel_id: int, context_id: int, ring: Ring, cmdbuf_base: int,
+                 visible_to_app: bool):
         self.id = channel_id
         self.context_id = context_id
         self.tsg_id = context_id  # the context's group, fixed at creation
         self.ring = ring
-        self.userd = UserD()
-        self.token = token
         self.cmdbuf_base = cmdbuf_base
         self.visible_to_app = visible_to_app
         self.compute_config: ComputeConfig | None = None
@@ -115,38 +113,18 @@ class Context:
         self.forward_pool: list[int] = []   # free forwarding channels, ascending id
 
 
-class Snapshot(_SlotValue):
-    """Pre-swap submission state of a stream's channel; restoring it must be exact."""
-
-    __slots__ = ("ring", "userd", "token")
-    __hash__ = None   # a mutable record
-
-    def __init__(self, ring: Ring, userd: UserD, token: int):
-        self.ring = ring
-        self.userd = userd
-        self.token = token
-
-
 class StreamHandle:
     def __init__(self, stream_id: int, context_id: int, channel_id: int,
-                 sync_vaddr: int, cmdbuf_base: int):
+                 sync_vaddr: int):
         self.id = stream_id
         self.context_id = context_id
         self.channel_id = channel_id
         self.sync_vaddr = sync_vaddr      # semaphore region in the owning space
-        self.cmdbuf_base = cmdbuf_base
         self.next_semaphore_value = 0
-        self.saved_snapshot: Snapshot | None = None
+        self.saved_snapshot: Ring | None = None   # the channel's own ring while bound
         self.bound_channel_id: int | None = None
 
     @property
     def bound(self) -> bool:
         return self.saved_snapshot is not None
 
-
-def swap_submission_state(channel: Channel, source: Channel | Snapshot):
-    """Point the channel's submission fields at the source's: a forwarding
-    channel's at bind, the saved snapshot's at unbind."""
-    channel.ring = source.ring
-    channel.userd = source.userd
-    channel.token = source.token

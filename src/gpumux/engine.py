@@ -52,9 +52,8 @@ from collections.abc import Iterable, Iterator
 from heapq import heappop, heappush
 from itertools import chain
 
-from .channels import (AlreadyBound, Channel, ComputeConfig, Context,
-                       ContextKind, GpFifoEntry, NotBound, PoolExhausted, Ring,
-                       RingFull, Snapshot, StreamHandle, swap_submission_state)
+from .channels import (AlreadyBound, Channel, ComputeConfig, Context, ContextKind, GpFifoEntry,
+                       NotBound, PoolExhausted, Ring, RingFull, StreamHandle)
 from .commands import CommandKind, GpuCommand, init_compute, semaphore_write
 from .config import TICKS_PER_S, DeviceConfig, ticks
 from .vm import AllocPolicy, MemorySystem, PageFault, SizeClass, _SlotValue
@@ -309,8 +308,7 @@ class Engine:
         mem.map_range(space, cmdbuf_base, mem.alloc_phys(SizeClass.SMALL, cap))
         channel_id = len(self.channels)
         token = 0x1000 + channel_id
-        channel = Channel(channel_id, ctx.id, Ring(cap), token, cmdbuf_base,
-                          visible_to_app)
+        channel = Channel(channel_id, ctx.id, Ring(cap, token), cmdbuf_base, visible_to_app)
         self.channels.append(channel)
         ctx.channels.append(channel_id)
         self._token_owner[token] = channel_id
@@ -327,11 +325,7 @@ class Engine:
             channel = self.channels[ctx.channels[0]]
         sync_vaddr = mem.allocate(space, 1, SizeClass.SMALL)
         mem.map_range(space, sync_vaddr, mem.alloc_phys(SizeClass.SMALL))
-        cap = self.config.ring_capacity
-        cmdbuf_base = mem.allocate(space, cap, SizeClass.SMALL)
-        mem.map_range(space, cmdbuf_base, mem.alloc_phys(SizeClass.SMALL, cap))
-        stream = StreamHandle(len(self.streams), ctx.id, channel.id, sync_vaddr,
-                              cmdbuf_base)
+        stream = StreamHandle(len(self.streams), ctx.id, channel.id, sync_vaddr)
         self.streams.append(stream)
         return stream
 
@@ -356,9 +350,7 @@ class Engine:
         A failed submit (RingFull, PageFault) changes nothing."""
         value = stream.next_semaphore_value + 1
         buf = tuple(commands) + (semaphore_write(stream.sync_vaddr, value),)
-        seq, owner, micro_ops = self._append(
-            self.channels[stream.channel_id], self.contexts[stream.context_id],
-            stream.cmdbuf_base, buf, stream.id)
+        seq, owner, micro_ops = self._append(self.channels[stream.channel_id], buf, stream.id)
         stream.next_semaphore_value = value
         self._log("submit", owner.id, owner.tsg_id, stream.id, seq, micro_ops)
         return seq
@@ -368,41 +360,45 @@ class Engine:
         ctx = self.contexts[channel.context_id]
         if ctx.kind is not ContextKind.GRAPHICS:
             raise ValueError("bootstrap targets channels in the graphics group")
-        self._append(channel, ctx, channel.cmdbuf_base, (init_compute(config),), None)
+        self._append(channel, (init_compute(config),), None)
         self._log("bootstrap", channel.id, channel.tsg_id, None,
                   config.local_memory_bytes)
 
     def _check_room(self, ch: Channel):
-        if ch.userd.put - ch.userd.get >= ch.ring.capacity:
+        ring = ch.ring
+        if ring.put - ring.get >= ring.capacity:
             raise RingFull(f"channel {ch.id} ring is full")
 
-    def _append(self, ch: Channel, ctx: Context, cmdbuf_base: int, buf: tuple,
+    def _append(self, ch: Channel, buf: tuple,
                 stream_id: int | None) -> tuple[int, Channel, int]:
-        """Four micro-ops: write the command buffer into ``ctx`` memory at
-        ``cmdbuf_base``, append a ring entry, advance PUT, ring the doorbell
-        with the channel's current token. Raises before the first write.
+        """Four micro-ops on the ring ``ch`` holds (a forwarding channel's while
+        its stream is bound): write the command buffer into ``ch``'s own page
+        for the slot at PUT, in its context's memory, append a ring entry,
+        advance PUT, ring the doorbell with the ring's token. Raises before
+        the first write.
 
         Returns the sequence number, the channel that owns the token, and
         the number of micro-ops."""
         self._check_room(ch)
-        put = ch.userd.put
-        slot = put % ch.ring.capacity
+        ring = ch.ring
+        put = ring.put
+        slot = put % ring.capacity
         # 1: command buffer written
-        self.memory.translate(self.memory.spaces[ctx.space_id],
-                              cmdbuf_base + slot * SizeClass.SMALL.nbytes)
+        self.memory.translate(self.memory.spaces[self.contexts[ch.context_id].space_id],
+                              ch.cmdbuf_base + slot * SizeClass.SMALL.nbytes)
         micro_ops = 1
         # 2: ring entry appended
         self._seq += 1
         seq = self._seq
-        ch.ring.slots[slot] = GpFifoEntry(len(buf), buf, seq, stream_id)
+        ring.slots[slot] = GpFifoEntry(len(buf), buf, seq, stream_id)
         micro_ops += 1
         # 3: PUT advanced
-        ch.userd.put = put + 1
+        ring.put = put + 1
         micro_ops += 1
         # 4: doorbell rung
-        owner = self.channels[self._token_owner[ch.token]]
+        owner = self.channels[self._token_owner[ring.token]]
         owner.pending = True
-        self._log("doorbell", owner.id, owner.tsg_id, stream_id, ch.token)
+        self._log("doorbell", owner.id, owner.tsg_id, stream_id, ring.token)
         micro_ops += 1
         return seq, owner, micro_ops
 
@@ -429,12 +425,13 @@ class Engine:
         """Snapshot-and-swap the stream onto a forwarding channel.
 
         Drains the stream's own channel (``_drain``), makes sure the context
-        pair's tables are grafted, bootstraps the forwarding channel if it has
-        never run compute, then swaps ring/cursors/token. Control-plane call:
-        not valid from inside a running driver process. If the stream's
-        channel is faulted (checked before the drain too), it still holds the
-        stream's work: EngineError before the graft, and the stream stays
-        unbound.
+        pair's tables are grafted, bootstraps the forwarding channel unless it
+        holds the context's compute state, then saves the channel's ring in
+        the stream and gives it the forwarding channel's ring (its buffers
+        still go into its own pages). Control-plane call: not valid from
+        inside a running driver process. If the stream's channel is faulted
+        (checked before the drain too), it still holds the stream's work:
+        EngineError before the graft, and the stream stays unbound.
         """
         if self._running:
             raise EngineError("bind is a control-plane call, not valid mid-run")
@@ -455,18 +452,18 @@ class Engine:
         if graphics_ctx.space_id not in src.subscribers:
             self.memory.graft(src, self.memory.spaces[graphics_ctx.space_id])
         fwd = self.channels[graphics_ctx.forward_pool.pop(0)]
-        if fwd.compute_config is None:
+        if fwd.compute_config != ctx.compute_state:
             self.bootstrap(fwd, ctx.compute_state)
-        stream.saved_snapshot = Snapshot(ch.ring, ch.userd, ch.token)
-        swap_submission_state(ch, fwd)
+        stream.saved_snapshot, ch.ring = ch.ring, fwd.ring
         stream.bound_channel_id = fwd.id
         self._log("bind", ch.id, graphics_ctx.tsg_id, stream.id, fwd.id)
 
     def unbind(self, stream: StreamHandle):
-        """Drain the forwarding channel (``_drain``), restore the saved
-        snapshot, and return the channel, empty, to its pool. If the channel
-        is faulted (checked before the drain too), it still holds the
-        stream's work: EngineError, and the stream stays bound."""
+        """Drain the forwarding channel (``_drain``), give the stream's channel
+        back the ring ``bind`` saved (the same object: the restore is exact)
+        and return the forwarding channel, empty, to its pool. If it is
+        faulted (checked before the drain too), it still holds the stream's
+        work: EngineError, and the stream stays bound."""
         if self._running:
             raise EngineError("unbind is a control-plane call, not valid mid-run")
         if not stream.bound:
@@ -476,7 +473,7 @@ class Engine:
             raise EngineError(f"forwarding channel {fwd.id} faulted with stream "
                               f"{stream.id}'s work; reset the stream and run before unbind")
         ch = self.channels[stream.channel_id]
-        swap_submission_state(ch, stream.saved_snapshot)
+        ch.ring = stream.saved_snapshot
         insort(self.contexts[fwd.context_id].forward_pool, fwd.id)
         stream.saved_snapshot = None
         stream.bound_channel_id = None
@@ -768,12 +765,13 @@ class Engine:
         """Advance the channel to its next timed command, executing
         zero-duration commands inline. Returns None when the channel has
         nothing runnable (drained, or just faulted)."""
+        ring = ch.ring
         while True:
             if ch.active_entry is None:
-                if ch.userd.get >= ch.userd.put:
+                if ring.get >= ring.put:
                     ch.pending = False
                     return None
-                ch.active_entry = ch.ring.slots[ch.userd.get % ch.ring.capacity]
+                ch.active_entry = ring.slots[ring.get % ring.capacity]
                 ch.active_index = 0
             if not self._flush_zero_duration(ch):
                 return None
@@ -805,10 +803,11 @@ class Engine:
                 return False
             self._apply_effects(ch, cmd, where)
             ch.active_index += 1
-        ch.userd.get += 1
+        ring = ch.ring
+        ring.get += 1
         ch.active_entry = None
         ch.active_index = 0
-        ch.pending = ch.userd.get < ch.userd.put
+        ch.pending = ring.get < ring.put
         self._log("buffer_complete", ch.id, ch.tsg_id, entry.stream_id, entry.seq)
         return True
 
@@ -871,7 +870,8 @@ class Engine:
         if not ch.faulted:
             raise EngineError(f"channel {ch.id} of stream {stream.id} is not faulted")
         ch.faulted = False
-        ch.userd.get += 1
+        ring = ch.ring
+        ring.get += 1
         ch.active_entry = None
         ch.active_index = 0
-        ch.pending = ch.userd.get < ch.userd.put
+        ch.pending = ring.get < ring.put

@@ -8,6 +8,7 @@ test.
 
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -92,8 +93,12 @@ def test_criterion_1_graft_oracle_equivalence():
         assert walked == oracle, f"seed {seed}: target walk != union"
         assert high.conflicts_resolved == 0 and low.conflicts_resolved == 0
     elapsed = time.monotonic() - t0
-    _report("criterion 1: graft oracle equivalence",
-            elapsed < 10.0, f"{seeds} seeds, {elapsed:.2f}s")
+    # a line tracer (tools/uncovered.py, a debugger) slows this loop several
+    # times over, so the time bound holds only for an untraced run
+    traced = sys.gettrace() is not None
+    _report("criterion 1: graft oracle equivalence", traced or elapsed < 10.0,
+            f"{seeds} seeds, {elapsed:.2f}s"
+            + (", traced: the 10 s bound was not checked" if traced else ""))
 
 
 def test_criterion_2_consistency_propagation():
@@ -158,9 +163,8 @@ def _redirection_engine():
 def test_criterion_4_redirection_end_to_end():
     e, compute, graphics, stream, state = _redirection_engine()
     native_channel = e.channels[stream.channel_id]
-    snapshot_fields = (native_channel.ring, native_channel.userd,
-                       native_channel.token, native_channel.userd.get,
-                       native_channel.userd.put)
+    ring = native_channel.ring
+    snapshot_fields = (ring, ring.token, ring.get, ring.put)
     e.bind(stream, graphics)
     e.submit(stream, [kernel_dispatch(1.0, 0.1, touched=(state,))])
     e.run()
@@ -175,9 +179,8 @@ def test_criterion_4_redirection_end_to_end():
     sem_ok = e.phys_mem[(page.id, off)] == 1
     micro_bound = [ev["micro_ops"] for ev in trace.events if ev["event"] == "submit"]
     e.unbind(stream)
-    restored = ((native_channel.ring, native_channel.userd, native_channel.token,
-                 native_channel.userd.get, native_channel.userd.put)
-                == snapshot_fields)
+    ring = native_channel.ring
+    restored = (ring, ring.token, ring.get, ring.put) == snapshot_fields
     e.submit(stream, [kernel_dispatch(1.0, 0.1, touched=(state,))])
     e.run()
     micro_unbound = [ev["micro_ops"] for ev in e.trace.events

@@ -103,9 +103,9 @@ def test_pool_rejected_on_compute_context():
 def test_first_submit_advances_put_and_marks_pending():
     e, _, _, (stream,) = build()
     ch = e.channels[stream.channel_id]
-    assert ch.userd.put == 0 and ch.pending is False
+    assert ch.ring.put == 0 and ch.pending is False
     e.submit(stream, [kernel_dispatch(1.0, 0.1)])
-    assert ch.userd.put == 1
+    assert ch.ring.put == 1
     assert ch.pending is True
     entry = ch.ring.slots[0]
     assert entry.length == 2  # command plus the trailing semaphore write
@@ -134,15 +134,15 @@ def test_failed_submit_changes_nothing():
     work = [kernel_dispatch(1.0, 0.1)]
 
     def state():
-        return (stream.next_semaphore_value, ch.userd.put, list(ch.ring.slots),
+        return (stream.next_semaphore_value, ch.ring.put, list(ch.ring.slots),
                 list(e.trace.events))
 
-    e.memory.unmap_range(space, stream.cmdbuf_base, 1)
+    e.memory.unmap_range(space, ch.cmdbuf_base, 1)
     before = state()
     with pytest.raises(PageFault):
         e.submit(stream, work)
     assert state() == before
-    e.memory.map_range(space, stream.cmdbuf_base, e.memory.alloc_phys(SizeClass.SMALL))
+    e.memory.map_range(space, ch.cmdbuf_base, e.memory.alloc_phys(SizeClass.SMALL))
     assert e.submit(stream, work) == 1
     e.submit(stream, work)
     before = state()
@@ -164,11 +164,11 @@ def test_doorbell_wakes_only_the_token_owner():
 def test_bind_swaps_token_and_grafts_once():
     e, compute, graphics, (stream,) = build()
     ch = e.channels[stream.channel_id]
-    original_token = ch.token
+    original_token = ch.ring.token
     e.bind(stream, graphics)
     fwd = e.channels[stream.bound_channel_id]
-    assert ch.token == fwd.token != original_token
-    assert ch.ring is fwd.ring and ch.userd is fwd.userd
+    assert ch.ring.token == fwd.ring.token != original_token
+    assert ch.ring is fwd.ring
     spaces = e.memory.spaces
     assert spaces[compute.space_id].subscribers == [graphics.space_id]
 
@@ -199,28 +199,28 @@ def test_pool_exhaustion_on_second_stream():
 
 def test_submit_after_bind_lands_in_forwarding_ring():
     e, _, graphics, (stream,) = build()
-    own_put = e.channels[stream.channel_id].userd.put
+    own_put = e.channels[stream.channel_id].ring.put
     e.bind(stream, graphics)
     snap = stream.saved_snapshot
     fwd = e.channels[stream.bound_channel_id]
-    put_before = fwd.userd.put  # bootstrap already queued one entry
+    put_before = fwd.ring.put  # bootstrap already queued one entry
     e.submit(stream, [kernel_dispatch(1.0, 0.1)])
-    assert fwd.userd.put == put_before + 1
+    assert fwd.ring.put == put_before + 1
     # the original ring saw nothing
-    assert snap.userd.put == own_put
-    assert all(s is None for s in snap.ring.slots)
+    assert snap.put == own_put
+    assert all(s is None for s in snap.slots)
 
 
 def test_unbind_restores_snapshot_exactly():
     e, _, graphics, (stream,) = build()
     ch = e.channels[stream.channel_id]
-    before = (ch.ring, ch.userd, ch.token, ch.userd.get, ch.userd.put)
+    before = (ch.ring, ch.ring.token, ch.ring.get, ch.ring.put)
     e.bind(stream, graphics)
     snap = stream.saved_snapshot
-    assert (snap.ring, snap.userd, snap.token, snap.userd.get, snap.userd.put) == before
+    assert (snap, snap.token, snap.get, snap.put) == before
     e.unbind(stream)
-    assert (ch.ring, ch.userd, ch.token) == before[:3]
-    assert (ch.userd.get, ch.userd.put) == before[3:]
+    assert (ch.ring, ch.ring.token) == before[:2]
+    assert (ch.ring.get, ch.ring.put) == before[2:]
     assert stream.saved_snapshot is None
 
 
@@ -283,17 +283,17 @@ def test_unbind_of_a_faulted_forwarding_channel_raises_and_keeps_the_binding():
         e.unbind(stream)
     assert fwd.faulted and e.stream_semaphore(stream) == 0
     # already faulted: raises before running anything
-    before = (e.clock, len(e.trace.records), fwd.userd.get, fwd.userd.put)
+    before = (e.clock, len(e.trace.records), fwd.ring.get, fwd.ring.put)
     with pytest.raises(EngineError, match=f"^forwarding channel {fwd.id} faulted"):
         e.unbind(stream)
-    assert (e.clock, len(e.trace.records), fwd.userd.get, fwd.userd.put) == before
+    assert (e.clock, len(e.trace.records), fwd.ring.get, fwd.ring.put) == before
     assert (stream.bound_channel_id, graphics.forward_pool) == (fwd.id, [])
     e.reset(stream)
     e.run()
     assert e.stream_semaphore(stream) == 2
     e.unbind(stream)
     assert graphics.forward_pool == [fwd.id]
-    assert not fwd.faulted and fwd.userd.get == fwd.userd.put
+    assert not fwd.faulted and fwd.ring.get == fwd.ring.put
 
 
 def test_second_stream_never_runs_the_work_of_a_failed_unbind():
@@ -327,14 +327,14 @@ def test_bind_of_a_faulted_stream_raises_and_changes_nothing():
     assert native.faulted and e.stream_semaphore(stream) == 0
     # already faulted: raises before running anything
     pool = list(graphics.forward_pool)
-    before = (e.clock, len(e.trace.records), native.userd.get, native.userd.put)
+    before = (e.clock, len(e.trace.records), native.ring.get, native.ring.put)
     with pytest.raises(EngineError, match=f"^channel {native.id} faulted"):
         e.bind(stream, graphics)
-    assert (e.clock, len(e.trace.records), native.userd.get, native.userd.put) == before
+    assert (e.clock, len(e.trace.records), native.ring.get, native.ring.put) == before
     assert (e.clock, graphics.forward_pool) == (0.0, pool)
     assert (stream.bound, stream.channel_id, stream.saved_snapshot) == (False, native.id,
                                                                          None)
-    assert native.token == 0x1000 + native.id
+    assert native.ring.token == 0x1000 + native.id
     e.reset(stream)
     e.run()
     assert e.stream_semaphore(stream) == 2
@@ -393,6 +393,30 @@ def test_local_memory_growth_rebootstraps_bound_channels():
     assert after == before + 2
 
 
+def test_bind_bootstraps_a_pooled_channel_whose_compute_state_is_stale():
+    # the pooled channel kept the 4 MiB it was grown to, and bind skipped
+    # the bootstrap because the channel had some compute state: the kernel
+    # ran on 4194304 bytes while the context held 65536
+    e, compute, graphics, (stream,) = build()
+    e.bind(stream, graphics)
+    e.submit(stream, [kernel_dispatch(1.0, 0.1)])
+    e.run()
+    e.set_local_memory(compute, 4 << 20)
+    e.run()
+    e.unbind(stream)
+    e.set_local_memory(compute, 64 << 10)
+    e.bind(stream, graphics)
+    e.submit(stream, [kernel_dispatch(1.0, 0.1)])
+    e.run()
+    fwd = e.channels[stream.bound_channel_id]
+    bootstraps = [ev["local_memory_bytes"] for ev in e.trace.events
+                  if ev["event"] == "bootstrap"]
+    assert bootstraps == [65536, 4194304, 65536]
+    assert fwd.compute_config == compute.compute_state == ComputeConfig(65536)
+    assert fault_details(e.trace) == []
+    check_all(e.trace)
+
+
 def test_local_memory_growth_with_a_full_ring_changes_nothing():
     e, compute, graphics, streams = build(DeviceConfig(ring_capacity=2), pool=2, streams=2)
     for s in streams:
@@ -400,12 +424,12 @@ def test_local_memory_growth_with_a_full_ring_changes_nothing():
     e.submit(streams[1], [kernel_dispatch(1.0, 0.1)])  # its ring is now full
     fwds = [e.channels[s.bound_channel_id] for s in streams]
     state = compute.compute_state
-    puts = [ch.userd.put for ch in fwds]
+    puts = [ch.ring.put for ch in fwds]
     n_events = len(e.trace.events)
     with pytest.raises(RingFull):
         e.set_local_memory(compute, state.local_memory_bytes * 2)
     assert compute.compute_state == state
-    assert [ch.userd.put for ch in fwds] == puts
+    assert [ch.ring.put for ch in fwds] == puts
     assert len(e.trace.events) == n_events
 
 
@@ -427,7 +451,7 @@ def control_state(e, stream):
     space_state = [(list(s.subscribers), e.memory.table_shape(s))
                    for s in e.memory.spaces.values()]
     return (e.clock, len(e.trace.records), len(e.trace.segments),
-            [(ch.userd.get, ch.userd.put, ch.compute_config, ch.token, ch.pending,
+            [(ch.ring.get, ch.ring.put, ch.compute_config, ch.ring.token, ch.pending,
               ch.faulted) for ch in e.channels],
             [(c.compute_state, list(c.forward_pool)) for c in e.contexts],
             [(s.bound, s.bound_channel_id) for s in e.streams],
@@ -565,7 +589,7 @@ def test_unbind_pools_an_empty_channel(setup):
     fwd = e.channels[stream.bound_channel_id]
     e.unbind(stream)
     assert graphics.forward_pool == [fwd.id]
-    assert (fwd.userd.get == fwd.userd.put, fwd.pending, fwd.active_entry) == (True, False,
+    assert (fwd.ring.get == fwd.ring.put, fwd.pending, fwd.active_entry) == (True, False,
                                                                                 None)
     trace = e.run()
     assert trace.stalled == []
@@ -583,7 +607,7 @@ def test_bind_while_a_driver_submits_strands_no_buffer():
     e.run(until=lambda e: e.clock >= 0.1)
     e.bind(stream, graphics)
     snap = stream.saved_snapshot
-    assert (e.clock, snap.userd.get, snap.userd.put) == (0.8, 4, 4)
+    assert (e.clock, snap.get, snap.put) == (0.8, 4, 4)
     trace = e.run()
     assert trace.stalled == []
     assert len(trace.exec_intervals(kind="kernel_dispatch")) == 4

@@ -17,7 +17,7 @@ from gpumux.engine import Condition, Engine, MetricsTrace, SemaphoreAtLeast, Tim
 from gpumux.harness import encode_events
 from gpumux.vm import MemorySystem, SizeClass
 from gpumux.workloads import (DatagenMode, EpisodeSpec, PhaseCost, RolloutMode, RolloutSpec,
-                              run_datagen, run_rl_rollout)
+                              SimSession, run_datagen, run_rl_rollout)
 
 
 def compute_engine(n_contexts=1, streams_per=1, config=None):
@@ -610,6 +610,16 @@ def test_translates_per_buffer_are_pinned(monkeypatch):
         counts[name] = (submits, calls["translate"])
     assert counts == {"rl": (1280, 6401), "datagen_sequential": (400, 2000),
                       "datagen_pipelined": (400, 2001)}
+
+
+def test_session_maps_one_set_of_command_buffer_pages_per_channel():
+    """Each space of a default session holds 2051 leaves: the context's
+    footprint page, 1024 command-buffer pages for each of its two channels,
+    one stream's semaphore page and one group's buffer. A stream writes its
+    buffers into its channel's pages and maps none of its own."""
+    mem = SimSession(PhaseCost(), batch=128).engine.memory
+    assert [sum(1 for _ in mem.iter_leaves(space))
+            for space in mem.spaces.values()] == [2051, 2051]
 
 
 def test_condition_checks_equal_condition_yields(monkeypatch):

@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from gpumux.channels import ComputeConfig, Ring, Snapshot, UserD
+from gpumux.channels import ComputeConfig
 from gpumux.config import DeviceConfig
 from gpumux.engine import MetricsTrace
 from gpumux.harness import ExperimentConfig
@@ -14,7 +14,7 @@ from gpumux.vm import (DEFAULT_HIGH_BASE, DEFAULT_LOW_BASE, CopyEngineLog, Graft
 from gpumux.workloads import (DatagenMode, EpisodeSpec, Metrics, PhaseCost, RolloutMode,
                               RolloutSpec)
 
-_RING, _USERD, _TRACE = Ring(4), UserD(), MetricsTrace()
+_TRACE = MetricsTrace()
 
 # class, its fields in positional order, the values of one instance, and a
 # keyword change that gives an unequal one
@@ -40,7 +40,6 @@ MUTABLE = [
     (CopyEngineLog, ("reads", "writes"), (3, 4), {"writes": 5}),
     (GraftReport, ("pdes_copied", "max_depth_descended", "entry_writes",
                    "tlb_invalidations"), (1, 2, 3, 4), {"entry_writes": 0}),
-    (Snapshot, ("ring", "userd", "token"), (_RING, _USERD, 7), {"token": 8}),
     (Metrics, ("env", "mode", "steps", "batch", "groups", "makespan", "throughput",
                "trace"),
      ("PickCube", "pipelined", 5, 16, 2, 4.5, 17.7, _TRACE), {"makespan": 4.25}),
