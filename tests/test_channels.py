@@ -197,6 +197,35 @@ def test_pool_exhaustion_on_second_stream():
         e.bind(streams[1], graphics)
 
 
+def test_bound_stream_writes_its_buffers_into_its_own_compute_pages():
+    e, compute, graphics, (stream,) = build()
+    native = e.channels[stream.channel_id]
+    e.bind(stream, graphics)
+    fwd = e.channels[stream.bound_channel_id]
+    page = SizeClass.SMALL.nbytes
+    work = [kernel_dispatch(1.0, 0.1)]
+    # the forwarding channel's page for the slot at PUT is not written
+    slot = fwd.ring.put % fwd.ring.capacity
+    e.memory.unmap_range(e.memory.spaces[graphics.space_id], fwd.cmdbuf_base + slot * page, 1)
+    seq = e.submit(stream, work)
+    assert fwd.ring.slots[slot].seq == seq
+    # the stream's own channel's page for that slot, in compute memory, is
+    slot = fwd.ring.put % fwd.ring.capacity
+    e.memory.unmap_range(e.memory.spaces[compute.space_id], native.cmdbuf_base + slot * page,
+                         1)
+    before = (fwd.ring.put, stream.next_semaphore_value)
+    with pytest.raises(PageFault):
+        e.submit(stream, work)
+    assert (fwd.ring.put, stream.next_semaphore_value) == before
+
+
+def test_a_new_channel_ring_is_empty_and_holds_its_token():
+    e, _, _, (stream,) = build(DeviceConfig(ring_capacity=3))
+    ring = e.channels[stream.channel_id].ring
+    assert (ring.capacity, ring.slots, ring.get, ring.put) == (3, [None] * 3, 0, 0)
+    assert ring.token == 0x1000 + stream.channel_id
+
+
 def test_submit_after_bind_lands_in_forwarding_ring():
     e, _, graphics, (stream,) = build()
     own_put = e.channels[stream.channel_id].ring.put
