@@ -10,14 +10,16 @@ channel's ring can be swapped whole for a forwarding channel's (and the saved
 ring put back later), which is how compute work is redirected into the
 graphics group. The command buffers are still written into the stream's own
 channel's pages, in compute memory. Each context is one timeslice group,
-whose id is the context's.
+whose id is the context's, and holds its own ``AddressSpace``
+(``Context.space``), so the engine reaches a context's page table without a
+lookup by space id.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .vm import _SlotValue
+from .vm import AddressSpace, _SlotValue
 
 
 class ChannelError(Exception):
@@ -103,10 +105,10 @@ class Channel:
 
 
 class Context:
-    def __init__(self, context_id: int, kind: ContextKind, space_id: int):
+    def __init__(self, context_id: int, kind: ContextKind, space: AddressSpace):
         self.id = context_id
         self.kind = kind
-        self.space_id = space_id
+        self.space = space   # the context's own address space (its page table)
         self.tsg_id = context_id
         self.channels: list[int] = []   # the group's channels, in creation order
         self.compute_state = ComputeConfig()

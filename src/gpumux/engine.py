@@ -10,7 +10,10 @@ running command stretches by the same factor, recomputed at each event
 boundary. Commands are never preempted mid-flight; when a group's quantum
 expires, in-flight commands finish, trailing zero-duration commands of the
 same buffer (semaphore writes) flush with them, and only then does the next
-group take over. Suspended buffers resume in the group's next slice.
+group take over. Suspended buffers resume in the group's next slice. At each
+event boundary the active group's channels are scanned for head commands to
+start, and scanned again only when that scan woke a driver, which may have
+submitted more.
 
 Time is whole nanoseconds (``Engine.now``); inputs and outputs stay in float
 seconds, each rounded to the nearest tick once, where it enters the engine.
@@ -20,16 +23,20 @@ so the command that set the step reaches exactly zero.
 
 Workload drivers are generator processes. They submit work, then yield wait
 conditions (a stream semaphore threshold, or an absolute deadline) and are
-resumed when the condition holds. A yielded condition is checked once, with
-its ``satisfied``; after that, waiting drivers are not polled. A semaphore
-waiter sits in a min-heap keyed by the physical location its semaphore
-translates to, as a ``(threshold, pid)`` entry, and is looked at only after a
-write to that location, by comparing the value there with its threshold; an
-unmap or graft that may move a translation re-keys every waiter first. A
-deadline sits in a timer heap keyed by its tick, whose top alone is compared
-with the clock. Drivers resume in rounds, each in ascending pid order (see
+resumed when the condition holds. A yielded condition is checked once: a
+deadline with its ``satisfied``, a semaphore by translating its address once
+and comparing the value at that location with the threshold. After that,
+waiting drivers are not polled. A semaphore waiter sits in a min-heap keyed
+by the physical location its semaphore translated to at the yield, as a
+``(threshold, pid)`` entry, and is looked at only after a write to that
+location, by comparing the value there with its threshold; an unmap or graft
+that may move a translation re-keys every waiter first. A deadline sits in a
+timer heap keyed by its tick, whose top alone is compared with the clock.
+Drivers resume in rounds, each in ascending pid order (see
 ``Engine._run_ready_processes``). A semaphore write translates its address
-once, when it is checked, and writes through that translation.
+once, when it is checked, and writes through that translation. Each context
+holds its ``AddressSpace``, which the submission and execution paths use
+directly.
 Resumption order, completion ties, and channel launch order are all broken on
 ids, so identical inputs produce byte-identical traces.
 
@@ -56,7 +63,8 @@ from .channels import (AlreadyBound, Channel, ComputeConfig, Context, ContextKin
                        NotBound, PoolExhausted, Ring, RingFull, StreamHandle)
 from .commands import CommandKind, GpuCommand, init_compute, semaphore_write
 from .config import TICKS_PER_S, DeviceConfig, ticks
-from .vm import AllocPolicy, MemorySystem, PageFault, SizeClass, _SlotValue
+from .vm import (AddressSpaceExhausted, AllocPolicy, MemorySystem, PageFault, SizeClass,
+                 _SlotValue)
 
 # the command kinds the per-command path compares, read as module globals: on
 # Python 3.11 a ``CommandKind.X`` read goes through the enum's class
@@ -282,14 +290,35 @@ class Engine:
     # construction
 
     def create_context(self, kind: ContextKind) -> Context:
-        """New context with a fresh timeslice group, table, and default channel."""
+        """New context with a fresh timeslice group, table, and default channel.
+
+        The *i*-th compute context allocates in its own VA window, the *i*-th
+        entry, from ``high_base``'s, of the first table level at which
+        ``low_base`` and ``high_base`` index different slots (the 0th window
+        starts at ``high_base`` itself). Grafted into one graphics context,
+        two compute spaces therefore never share a directory entry. Raises
+        AddressSpaceExhausted before any change when the window would pass
+        the VA width."""
         mem = self.memory
         if kind is ContextKind.COMPUTE:
-            space = mem.create_space(AllocPolicy.HIGH_RANGE, base=self.config.high_base)
+            cfg = self.config
+            geo = cfg.geometry
+            level = next(lv for lv in range(geo.levels)
+                         if geo.index(cfg.low_base, lv) != geo.index(cfg.high_base, lv))
+            span = geo.entry_span(level)
+            i = sum(1 for c in self.contexts if c.kind is ContextKind.COMPUTE)
+            first = cfg.high_base - cfg.high_base % span
+            limit = first + (i + 1) * span
+            if limit > geo.va_limit:
+                raise AddressSpaceExhausted(
+                    f"no VA window left for compute context {i}: [{first + i * span:#x}, "
+                    f"{limit:#x}) passes 2**va_width")
+            space = mem.create_space(AllocPolicy.HIGH_RANGE,
+                                     base=max(cfg.high_base, first + i * span), limit=limit)
         else:
             space = mem.create_space(AllocPolicy.LOW_RANGE, base=self.config.low_base,
                                      limit=self.config.high_base)
-        ctx = Context(len(self.contexts), kind, space.id)
+        ctx = Context(len(self.contexts), kind, space)
         self.contexts.append(ctx)
         # small always-present footprint standing in for runtime-internal state
         va = mem.allocate(space, 1, SizeClass.SMALL)
@@ -302,7 +331,7 @@ class Engine:
 
     def _create_channel(self, ctx: Context, visible_to_app: bool) -> Channel:
         mem = self.memory
-        space = mem.spaces[ctx.space_id]
+        space = ctx.space
         cap = self.config.ring_capacity
         cmdbuf_base = mem.allocate(space, cap, SizeClass.SMALL)
         mem.map_range(space, cmdbuf_base, mem.alloc_phys(SizeClass.SMALL, cap))
@@ -318,7 +347,7 @@ class Engine:
         """Client work queue. Compute streams get their own channel; graphics
         streams share the context's single app-visible channel."""
         mem = self.memory
-        space = mem.spaces[ctx.space_id]
+        space = ctx.space
         if ctx.kind is ContextKind.COMPUTE:
             channel = self._create_channel(ctx, visible_to_app=True)
         else:
@@ -384,7 +413,7 @@ class Engine:
         put = ring.put
         slot = put % ring.capacity
         # 1: command buffer written
-        self.memory.translate(self.memory.spaces[self.contexts[ch.context_id].space_id],
+        self.memory.translate(self.contexts[ch.context_id].space,
                               ch.cmdbuf_base + slot * SizeClass.SMALL.nbytes)
         micro_ops = 1
         # 2: ring entry appended
@@ -448,9 +477,8 @@ class Engine:
         if ch.faulted or not self._drain(ch):
             raise EngineError(f"channel {ch.id} faulted with stream {stream.id}'s work; "
                               "reset the stream and run before bind")
-        src = self.memory.spaces[ctx.space_id]
-        if graphics_ctx.space_id not in src.subscribers:
-            self.memory.graft(src, self.memory.spaces[graphics_ctx.space_id])
+        if graphics_ctx.space.id not in ctx.space.subscribers:
+            self.memory.graft(ctx.space, graphics_ctx.space)
         fwd = self.channels[graphics_ctx.forward_pool.pop(0)]
         if fwd.compute_config != ctx.compute_state:
             self.bootstrap(fwd, ctx.compute_state)
@@ -497,11 +525,11 @@ class Engine:
 
     def stream_semaphore(self, stream: StreamHandle) -> int:
         ctx = self.contexts[stream.context_id]
-        return self._read_semaphore(ctx.space_id, stream.sync_vaddr)
+        return self._read_semaphore(ctx.space.id, stream.sync_vaddr)
 
     def stream_condition(self, stream: StreamHandle, value: int) -> SemaphoreAtLeast:
         ctx = self.contexts[stream.context_id]
-        return SemaphoreAtLeast(ctx.space_id, stream.sync_vaddr, value)
+        return SemaphoreAtLeast(ctx.space.id, stream.sync_vaddr, value)
 
     def request_inference(self, latency: float) -> TimeReached:
         """One shared off-device inference queue: requests serialize FIFO."""
@@ -573,10 +601,13 @@ class Engine:
         so every waiter's key is the location its semaphore translates to
         now, and the waiters of a dirty location are woken by comparing the
         value stored there with the threshold in their heap entries, with no
-        translation. A driver's new condition is checked with ``satisfied``,
-        once per yield. A semaphore that does not translate, at the yield or
-        at a re-key, logs a ``fault`` and leaves its driver in no wake-up
-        structure: it stays stalled, also after a later map.
+        translation. A driver's new condition is checked once per yield: a
+        deadline with its ``satisfied``, a semaphore by translating it once
+        and comparing the value at that location with the threshold; if the
+        value is short, the waiter is filed under that same location. A
+        semaphore that does not translate, at the yield or at a re-key, logs
+        a ``fault`` and leaves its driver in no wake-up structure: it stays
+        stalled, also after a later map.
         """
         ready = self._ready
         if self.memory.total_tlb_invalidations != self._waiters_resolved_at:
@@ -598,24 +629,31 @@ class Engine:
         while self._yielded:
             pid = self._yielded.pop()
             cond = procs[pid].condition
-            try:
-                if cond is None or cond.satisfied(self):
+            if cond is None:
+                ready.append(pid)
+            elif type(cond) is TimeReached:
+                if cond.satisfied(self):
                     ready.append(pid)
-                elif type(cond) is TimeReached:
-                    heappush(timers, (ticks(cond.time), pid))
                 else:
-                    self._wait_semaphore(self._sem_waiters, pid)
-            except PageFault as pf:
-                self._semaphore_fault(pf)
+                    heappush(timers, (ticks(cond.time), pid))
+            else:
+                try:
+                    loc = self._semaphore_location(cond)
+                except PageFault as pf:
+                    self._semaphore_fault(pf)
+                    continue
+                if phys_mem.get(loc, 0) >= cond.value:
+                    ready.append(pid)
+                else:
+                    heappush(self._sem_waiters.setdefault(loc, []), (cond.value, pid))
 
-    def _wait_semaphore(self, index: dict, pid: int):
-        """Key the waiting process ``pid`` in ``index`` by the location its
-        semaphore translates to now, in a min-heap of ``(threshold, pid)``
-        entries; ``_collect_ready`` compares that threshold with the location's
-        value after each write to it."""
-        cond = self.processes[pid].condition
+    def _semaphore_location(self, cond: SemaphoreAtLeast) -> tuple[int, int]:
+        """The physical location ``(page id, offset)`` the condition's
+        semaphore translates to now: the key of its waiter's min-heap of
+        ``(threshold, pid)`` entries, whose threshold ``_collect_ready``
+        compares with the location's value after each write to it."""
         page, off = self.memory.translate(self.memory.spaces[cond.space_id], cond.vaddr)
-        heappush(index.setdefault((page.id, off), []), (cond.value, pid))
+        return page.id, off
 
     def _semaphore_fault(self, pf: PageFault):
         """Log a waiting driver's semaphore that does not translate."""
@@ -627,12 +665,15 @@ class Engine:
         a translation, and re-check each location. A waiter whose semaphore
         no longer translates is dropped (see ``_collect_ready``)."""
         index: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        procs = self.processes
         for heap in self._sem_waiters.values():
-            for _, pid in heap:
+            for value, pid in heap:
                 try:
-                    self._wait_semaphore(index, pid)
+                    loc = self._semaphore_location(procs[pid].condition)
                 except PageFault as pf:
                     self._semaphore_fault(pf)
+                    continue
+                heappush(index.setdefault(loc, []), (value, pid))
         self._sem_waiters = index
         self._dirty.update(index)
         self._waiters_resolved_at = self.memory.total_tlb_invalidations
@@ -740,11 +781,14 @@ class Engine:
 
     def _launch_ready(self, tsg: int, inflight: dict):
         """Start head commands on every pending channel of the active group.
-        Loops because zero-duration completions can wake drivers that submit
-        more work eligible to start at the same instant."""
+        Zero-duration completions can wake drivers that submit more work
+        eligible to start at the same instant, so the group is scanned again
+        while the scan's ``_run_ready_processes`` resumed a driver, and only
+        then: a launch or a zero-duration flush changes no other channel of
+        the group, so a scan after one that resumed no driver would start
+        nothing."""
         group = self.contexts[tsg].channels
         while True:
-            progressed = False
             for cid in group:
                 ch = self.channels[cid]
                 if ch.faulted or cid in inflight or not ch.pending:
@@ -755,10 +799,7 @@ class Engine:
                 inflight[cid] = _Inflight(ticks(cmd.base_duration), cmd)
                 self._log("exec_start", ch.id, tsg, ch.active_entry.stream_id,
                           cmd.kind._value_, ch.active_entry.seq)
-                progressed = True
-            if self._run_ready_processes():
-                progressed = True
-            if not progressed:
+            if not self._run_ready_processes():
                 return
 
     def _next_timed_command(self, ch: Channel) -> GpuCommand | None:
@@ -826,7 +867,7 @@ class Engine:
             if ctx.kind is not _GRAPHICS:
                 return self._record_fault(ch, "execution_fault",
                                           "draw without fixed-function hardware state")
-        space = self.memory.spaces[ctx.space_id]
+        space = ctx.space
         vaddrs = cmd.touched_vaddrs
         if kind is _SEM_WRITE:
             vaddrs += (cmd.sem_vaddr,)

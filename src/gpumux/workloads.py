@@ -174,8 +174,8 @@ class SimSession:
         self.sim_stream = e.create_stream(self.compute_ctx)
         self.render_stream = e.create_stream(self.graphics_ctx)
         mem = e.memory
-        cspace = mem.spaces[self.compute_ctx.space_id]
-        gspace = mem.spaces[self.graphics_ctx.space_id]
+        cspace = self.compute_ctx.space
+        gspace = self.graphics_ctx.space
         self.state_vaddrs = []   # per-group physics state, in compute memory
         self.frame_vaddrs = []   # per-group framebuffer, in graphics memory
         for _ in range(groups):

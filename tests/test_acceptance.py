@@ -154,7 +154,7 @@ def _redirection_engine():
     graphics = e.create_context(ContextKind.GRAPHICS)
     e.provision_forwarding_pool(graphics, 2)
     stream = e.create_stream(compute)
-    space = e.memory.spaces[compute.space_id]
+    space = compute.space
     state = e.memory.allocate(space, 1, BIG)
     e.memory.map_range(space, state, e.memory.alloc_phys(BIG))
     return e, compute, graphics, stream, state
@@ -174,7 +174,7 @@ def test_criterion_4_redirection_end_to_end():
                          and interval_inside_windows(trace, kernel[0], kernel[1],
                                                      graphics.tsg_id))
     # the semaphore landed at the compute-space sync region
-    page, off = e.memory.translate(e.memory.spaces[compute.space_id],
+    page, off = e.memory.translate(compute.space,
                                    stream.sync_vaddr)
     sem_ok = e.phys_mem[(page.id, off)] == 1
     micro_bound = [ev["micro_ops"] for ev in trace.events if ev["event"] == "submit"]

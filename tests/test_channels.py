@@ -8,7 +8,7 @@ from gpumux.channels import (AlreadyBound, ComputeConfig, ContextKind, NotBound,
 from gpumux.commands import graphics_draw, kernel_dispatch
 from gpumux.config import DeviceConfig
 from gpumux.engine import Engine, EngineError, TimeReached
-from gpumux.vm import PageFault, SizeClass
+from gpumux.vm import AddressSpaceExhausted, PageFault, PageGeometry, SizeClass
 
 
 def build(config=None, pool=1, streams=1):
@@ -51,7 +51,7 @@ def test_contexts_get_distinct_groups_and_spaces():
     a = e.create_context(ContextKind.COMPUTE)
     b = e.create_context(ContextKind.COMPUTE)
     assert a.tsg_id != b.tsg_id
-    assert a.space_id != b.space_id
+    assert a.space is not b.space
 
 
 def test_native_compute_channels_are_preconfigured():
@@ -130,7 +130,7 @@ def test_ring_full_with_engine_paused():
 def test_failed_submit_changes_nothing():
     e, compute, _, (stream,) = build(DeviceConfig(ring_capacity=2))
     ch = e.channels[stream.channel_id]
-    space = e.memory.spaces[compute.space_id]
+    space = compute.space
     work = [kernel_dispatch(1.0, 0.1)]
 
     def state():
@@ -169,18 +169,85 @@ def test_bind_swaps_token_and_grafts_once():
     fwd = e.channels[stream.bound_channel_id]
     assert ch.ring.token == fwd.ring.token != original_token
     assert ch.ring is fwd.ring
-    spaces = e.memory.spaces
-    assert spaces[compute.space_id].subscribers == [graphics.space_id]
+    assert compute.space.subscribers == [graphics.space.id]
 
 
 def test_bind_into_an_already_grafted_pair_grafts_nothing():
     e, compute, graphics, (stream,) = build()
     mem = e.memory
-    target = mem.spaces[graphics.space_id]
-    mem.graft(mem.spaces[compute.space_id], target)
+    target = graphics.space
+    mem.graft(compute.space, target)
     before = (mem.copy_log.reads, mem.copy_log.writes, target.tlb_invalidations)
     e.bind(stream, graphics)
     assert (mem.copy_log.reads, mem.copy_log.writes, target.tlb_invalidations) == before
+
+
+@pytest.mark.parametrize("apps", [2, 7])
+def test_apps_in_their_own_windows_bind_into_one_graphics_context(apps):
+    # hw_max_queues = 8 leaves room for 7 forwarding channels, one per app
+    e = Engine(DeviceConfig(ring_capacity=16))
+    graphics = e.create_context(ContextKind.GRAPHICS)
+    e.provision_forwarding_pool(graphics, apps)
+    render = e.create_stream(graphics)
+    computes = [e.create_context(ContextKind.COMPUTE) for _ in range(apps)]
+    window = 512 << 30   # a level-1 entry: the first level low_base and high_base part at
+    assert [(c.space.base, c.space.limit) for c in computes] == [
+        (0x7000_0000_0000 + i * window, 0x7000_0000_0000 + (i + 1) * window)
+        for i in range(apps)]
+    streams = [e.create_stream(c) for c in computes]
+    mem = e.memory
+
+    def mapped(space):
+        va = mem.allocate(space, 1, SizeClass.BIG)
+        mem.map_range(space, va, mem.alloc_phys(SizeClass.BIG))
+        return va
+
+    before = [mapped(c.space) for c in computes]
+    for s in streams:
+        e.bind(s, graphics)
+    after = [mapped(c.space) for c in computes]   # reaches the graphics table too
+    for s, va, vb in zip(streams, before, after):
+        e.submit(s, [kernel_dispatch(0.5, 0.1, touched=(va, vb))])
+    e.submit(render, [graphics_draw(0.5, 0.2, 0.5, touched=(mapped(graphics.space),))])
+    trace = e.run()
+    check_all(trace)
+    assert (fault_details(trace), trace.stalled) == ([], [])
+    # the graphics table holds, above its own window, exactly every app's
+    # leaves, and no two apps share an address
+    leaves = [dict(mem.iter_leaves(c.space)) for c in computes]
+    union = {va: page for own in leaves for va, page in own.items()}
+    assert len(union) == sum(map(len, leaves))
+    table = dict(mem.iter_leaves(graphics.space))
+    assert {va: page for va, page in table.items() if va >= e.config.high_base} == union
+    for s in streams:
+        e.unbind(s)
+    assert graphics.forward_pool == graphics.channels[1:]
+
+
+def test_compute_context_past_the_last_window_raises_and_changes_nothing():
+    # three levels and a 39-bit VA: low_base and high_base part at the root,
+    # whose entries span 1 GiB, and two windows fit above high_base
+    geometry = PageGeometry(levels=3, big_page_level=1, va_width=39)
+    e = Engine(DeviceConfig(ring_capacity=16, geometry=geometry, high_base=510 << 30))
+    a, b = (e.create_context(ContextKind.COMPUTE) for _ in range(2))
+    assert [(c.space.base, c.space.limit) for c in (a, b)] == [
+        (510 << 30, 511 << 30), (511 << 30, 512 << 30)]
+    mem = e.memory
+
+    def state():
+        return (len(e.contexts), len(e.channels), list(mem.spaces), list(mem.nodes),
+                mem.alloc_phys(SizeClass.SMALL)[0].id)
+
+    before = state()
+    with pytest.raises(AddressSpaceExhausted, match="no VA window left for compute context 2"):
+        e.create_context(ContextKind.COMPUTE)
+    after = state()
+    assert after[:4] == before[:4] and after[4] == before[4] + 1
+    graphics = e.create_context(ContextKind.GRAPHICS)
+    e.provision_forwarding_pool(graphics, 1)
+    stream = e.create_stream(a)
+    e.bind(stream, graphics)
+    assert graphics.space.id in a.space.subscribers
 
 
 def test_double_bind_rejected():
@@ -206,12 +273,12 @@ def test_bound_stream_writes_its_buffers_into_its_own_compute_pages():
     work = [kernel_dispatch(1.0, 0.1)]
     # the forwarding channel's page for the slot at PUT is not written
     slot = fwd.ring.put % fwd.ring.capacity
-    e.memory.unmap_range(e.memory.spaces[graphics.space_id], fwd.cmdbuf_base + slot * page, 1)
+    e.memory.unmap_range(graphics.space, fwd.cmdbuf_base + slot * page, 1)
     seq = e.submit(stream, work)
     assert fwd.ring.slots[slot].seq == seq
     # the stream's own channel's page for that slot, in compute memory, is
     slot = fwd.ring.put % fwd.ring.capacity
-    e.memory.unmap_range(e.memory.spaces[compute.space_id], native.cmdbuf_base + slot * page,
+    e.memory.unmap_range(compute.space, native.cmdbuf_base + slot * page,
                          1)
     before = (fwd.ring.put, stream.next_semaphore_value)
     with pytest.raises(PageFault):

@@ -14,10 +14,11 @@ from gpumux.commands import (CommandKind, GpuCommand, graphics_draw, kernel_disp
                              semaphore_write, sleep)
 from gpumux.config import TICKS_PER_S, DeviceConfig
 from gpumux.engine import Condition, Engine, MetricsTrace, SemaphoreAtLeast, TimeReached
-from gpumux.harness import encode_events
+from gpumux.harness import encode_events, parse_config
 from gpumux.vm import MemorySystem, SizeClass
 from gpumux.workloads import (DatagenMode, EpisodeSpec, PhaseCost, RolloutMode, RolloutSpec,
                               SimSession, run_datagen, run_rl_rollout)
+from test_golden import CASES
 
 
 def compute_engine(n_contexts=1, streams_per=1, config=None):
@@ -35,7 +36,7 @@ def faults(trace):
 
 
 def mapped_vaddr(e, ctx, size_class=SizeClass.BIG):
-    space = e.memory.spaces[ctx.space_id]
+    space = ctx.space
     va = e.memory.allocate(space, 1, size_class)
     e.memory.map_range(space, va, e.memory.alloc_phys(size_class))
     return va
@@ -293,7 +294,7 @@ def test_semaphore_lands_in_physical_memory():
     e.submit(s, [kernel_dispatch(0.5, 0.1)])
     e.run()
     ctx = e.contexts[s.context_id]
-    page, off = e.memory.translate(e.memory.spaces[ctx.space_id], s.sync_vaddr)
+    page, off = e.memory.translate(ctx.space, s.sync_vaddr)
     assert e.phys_mem[(page.id, off)] == 1
 
 
@@ -383,6 +384,39 @@ def test_semaphore_waiters_wake_by_threshold_then_pid():
     assert trace.stalled == []
 
 
+def test_semaphore_condition_satisfied_reads_the_stream_semaphore():
+    # the engine checks a yielded semaphore wait itself; ``satisfied`` stays
+    # the condition's own answer, read through the semaphore's translation
+    e, ((s,),) = compute_engine()
+    e.submit(s, [kernel_dispatch(1.0, 0.1)])
+    low, high = e.stream_condition(s, 1), e.stream_condition(s, 2)
+    assert (low.satisfied(e), high.satisfied(e)) == (False, False)
+    e.run()
+    assert (low.satisfied(e), high.satisfied(e)) == (True, False)
+    assert e.stream_semaphore(s) == 1
+
+
+def test_work_submitted_on_a_launch_scan_wake_starts_at_that_instant():
+    # stream 2's empty buffer completes during the launch scan, after stream
+    # 1's channel was passed over; its driver then submits on stream 1, so
+    # the group is scanned again and that kernel starts at once, beside the
+    # running one, in the only window
+    e, ((s0, s1, s2),) = compute_engine(streams_per=3)
+    e.submit(s0, [kernel_dispatch(1.0, 0.2)])
+    e.submit(s2, [])
+
+    def driver():
+        yield e.stream_condition(s2, 1)
+        e.submit(s1, [kernel_dispatch(0.5, 0.2)])
+
+    e.spawn(driver())
+    trace = e.run()
+    starts = {ev["stream"]: ev["time"] for ev in trace.events if ev["event"] == "exec_start"}
+    assert starts == {s0.id: 0.0, s1.id: 0.0}
+    assert [(t0, t1) for _, t0, t1 in trace.windows] == [(0.0, 1.0)]
+    assert (trace.makespan, trace.stalled) == (1.0, [])
+
+
 def test_condition_already_holding_resumes_next_round():
     # all three wake at t=1 in one round; pids 0 and 2 then yield conditions
     # that already hold, so they resume in a second round at t=1, after pid 1
@@ -394,6 +428,17 @@ def test_condition_already_holding_resumes_next_round():
     e.spawn(logging_driver(e, log, 2, [TimeReached(1.0), TimeReached(0.5)]))
     e.run()
     assert log == [(0, 1.0), (1, 1.0), (2, 1.0), (0, 1.0), (2, 1.0), (1, 5.0)]
+
+
+def test_driver_yielding_none_resumes_next_round():
+    # None holds at once: pid 0 resumes in each following round, at t=0
+    e = Engine()
+    log = []
+    e.spawn(logging_driver(e, log, 0, [None, None]))
+    e.spawn(logging_driver(e, log, 1, [TimeReached(1.0)]))
+    trace = e.run()
+    assert log == [(0, 0.0), (0, 0.0), (1, 1.0)]
+    assert trace.stalled == []
 
 
 def test_driver_spawned_mid_round_runs_at_the_round_end():
@@ -475,7 +520,7 @@ def test_waiter_follows_a_remapped_semaphore():
     # the waiter is keyed by physical page; remapping its vaddr must re-key it
     e, ((s,),) = compute_engine()
     ctx = e.contexts[s.context_id]
-    space = e.memory.spaces[ctx.space_id]
+    space = ctx.space
     va = mapped_vaddr(e, ctx, SizeClass.SMALL)
     log = []
     e.spawn(logging_driver(e, log, 0, [SemaphoreAtLeast(space.id, va, 7)]))
@@ -494,7 +539,7 @@ def test_waiter_rekeyed_onto_a_location_that_holds_its_threshold_wakes():
     # further semaphore write
     e, ((s,),) = compute_engine()
     ctx = e.contexts[s.context_id]
-    space = e.memory.spaces[ctx.space_id]
+    space = ctx.space
     va, other = (mapped_vaddr(e, ctx, SizeClass.SMALL) for _ in range(2))
     e.submit(s, [semaphore_write(other, 7)])
     log = []
@@ -524,7 +569,7 @@ def test_semaphore_that_does_not_translate_stalls_only_its_driver(unmap_while_wa
     # and the rest of the device keeps running, on this run and the next
     e, ((s,),) = compute_engine()
     ctx = e.contexts[s.context_id]
-    space = e.memory.spaces[ctx.space_id]
+    space = ctx.space
     va = mapped_vaddr(e, ctx, SizeClass.SMALL)
     log = []
     waiter = logging_driver(e, log, 0, [SemaphoreAtLeast(space.id, va, 7)])
@@ -557,7 +602,7 @@ def test_semaphore_outside_the_va_width_stalls_only_its_driver():
     ctx = e.contexts[s.context_id]
     far = 1 << 60
     log = []
-    e.spawn(logging_driver(e, log, 0, [SemaphoreAtLeast(ctx.space_id, far, 1)]))
+    e.spawn(logging_driver(e, log, 0, [SemaphoreAtLeast(ctx.space.id, far, 1)]))
     e.submit(s, [kernel_dispatch(1.0, 0.1)])
     trace = e.run()
     assert [(f["channel"], f["kind"], f["vaddr"], f["detail"]) for f in faults(trace)] == [
@@ -592,13 +637,13 @@ ENGINE_RUNS = {
 def test_translates_per_buffer_are_pinned(monkeypatch):
     """Exact ``MemorySystem.translate`` calls per run. The semaphore write
     translates its address once and semaphore waiters wake without
-    translating, so each submitted buffer costs five:
+    translating, so each submitted buffer costs four:
     the command-buffer write, the kernel's or draw's touched page, the
-    semaphore write's check (whose translation the write reuses), the
-    ``satisfied`` check of the condition its driver yields and the waiter's
-    key. A bound stream adds one, the bind's bootstrap buffer: a drain
-    reads no semaphore. The golden digests cannot see host work, so this is
-    the test that catches a translation come back."""
+    semaphore write's check (whose translation the write reuses) and the
+    one check of the condition its driver yields, whose location also keys
+    the waiter. A bound stream adds one, the bind's bootstrap buffer: a
+    drain reads no semaphore. The golden digests cannot see host work, so
+    this is the test that catches a translation come back."""
     calls = Counter()
     count_calls(monkeypatch, calls, MemorySystem, "translate")
     counts = {}
@@ -608,8 +653,8 @@ def test_translates_per_buffer_are_pinned(monkeypatch):
         assert metrics.trace.stalled == []
         submits = sum(1 for r in metrics.trace.records if r[1] == "submit")
         counts[name] = (submits, calls["translate"])
-    assert counts == {"rl": (1280, 6401), "datagen_sequential": (400, 2000),
-                      "datagen_pipelined": (400, 2001)}
+    assert counts == {"rl": (1280, 5121), "datagen_sequential": (400, 1600),
+                      "datagen_pipelined": (400, 1601)}
 
 
 def test_session_maps_one_set_of_command_buffer_pages_per_channel():
@@ -623,10 +668,13 @@ def test_session_maps_one_set_of_command_buffer_pages_per_channel():
 
 
 def test_condition_checks_equal_condition_yields(monkeypatch):
-    """``satisfied`` runs once per yielded condition and never on a wake:
-    each rl group yields an inference deadline, its step and its render on
-    each of its 10 steps, 3 * 10 * 64 conditions, and datagen yields a step
-    and a render on each of 200 steps."""
+    """``satisfied`` runs once per yielded deadline and never on a wake or
+    for a semaphore, whose yield is checked by one translation instead: each
+    rl group yields an inference deadline on each of its 10 steps, 10 * 64
+    checks, and datagen yields no deadline. Its step and render waits, 1280
+    in rl, are the yields' translations that
+    ``test_translates_per_buffer_are_pinned`` counts, so one check per yield
+    (640 + 1280 = 1920 in rl) stays pinned."""
     calls = Counter()
     for cls in (SemaphoreAtLeast, TimeReached):
         count_calls(monkeypatch, calls, cls, "satisfied")
@@ -635,7 +683,7 @@ def test_condition_checks_equal_condition_yields(monkeypatch):
         calls.clear()
         run()
         counts[name] = calls["satisfied"]
-    assert counts == {"rl": 1920, "datagen_sequential": 400, "datagen_pipelined": 400}
+    assert counts == {"rl": 640, "datagen_sequential": 0, "datagen_pipelined": 0}
 
 
 def test_rl_condition_checks_do_not_exceed_trace_events(monkeypatch):
@@ -648,6 +696,64 @@ def test_rl_condition_checks_do_not_exceed_trace_events(monkeypatch):
     events = len(metrics.trace.events)
     assert metrics.trace.stalled == []
     assert 0 < calls["satisfied"] <= events
+
+
+def record_finished_commands(monkeypatch) -> list:
+    """Wrap ``Engine._finish_command`` to list every timed command that ran
+    to its end."""
+    ran = []
+    inner = Engine._finish_command
+
+    def finish(self, ch, cmd):
+        ran.append(cmd)
+        return inner(self, ch, cmd)
+    monkeypatch.setattr(Engine, "_finish_command", finish)
+    return ran
+
+
+def assert_work_conserved(trace, ran, config):
+    """For each resource, the work the segments deliver, ``(t1 - t0) * util
+    * capacity`` summed, equals the work the finished commands asked for,
+    ``base_duration * frac`` summed, within one tick per segment."""
+    assert trace.stalled == []
+    segments = trace.segments
+    for col, capacity, frac in ((2, config.compute_capacity, "compute_frac"),
+                                (3, config.graphics_capacity, "graphics_frac")):
+        done = sum((seg[1] - seg[0]) * seg[col] for seg in segments) * capacity / TICKS_PER_S
+        asked = sum(cmd.base_duration * getattr(cmd, frac) for cmd in ran)
+        assert abs(done - asked) <= len(segments) / TICKS_PER_S, (frac, done, asked)
+
+
+@pytest.mark.parametrize("capacities", [(1.0, 1.0), (0.6, 0.7)])
+@pytest.mark.parametrize("mode", list(DatagenMode))
+def test_segments_deliver_the_work_the_commands_ran(monkeypatch, mode, capacities):
+    ran = record_finished_commands(monkeypatch)
+    config = DeviceConfig(compute_capacity=capacities[0], graphics_capacity=capacities[1])
+    metrics = run_datagen(EpisodeSpec(50, 128, mode), PhaseCost(), config)
+    assert len(ran) == 100
+    assert_work_conserved(metrics.trace, ran, config)
+
+
+@pytest.mark.parametrize("case", [name for name, (command, _) in CASES.items()
+                                  if command != "graftbench"])
+def test_golden_cases_conserve_work(monkeypatch, tmp_path, case):
+    # each run of the case's sweep, in this process
+    command, text = CASES[case]
+    path = tmp_path / "case.ini"
+    path.write_text(text)
+    cfg = parse_config(path)
+    ran = record_finished_commands(monkeypatch)
+    for batch in cfg.batches[:1] if command == "trace" else cfg.batches:
+        for mode in RolloutMode if command == "rl" else DatagenMode:
+            ran.clear()
+            if command == "rl":
+                metrics = run_rl_rollout(RolloutSpec(cfg.steps, batch, cfg.groups, mode),
+                                         cfg.costs, cfg.device)
+            else:
+                metrics = run_datagen(EpisodeSpec(cfg.steps, batch, mode), cfg.costs,
+                                      cfg.device)
+            assert ran
+            assert_work_conserved(metrics.trace, ran, cfg.device)
 
 
 # ----------------------------------------------------------------------

@@ -1048,6 +1048,20 @@ def test_cli_any_window_too_small_exits_2(tmp_path, capsys, command, bases):
     assert not out.exists()
 
 
+def test_cli_datagen_runs_on_a_three_level_table(tmp_path):
+    # low_base and high_base part at the root, whose entries span 1 GiB: the
+    # compute window is one of those, not one 2 MiB level-1 entry, which could
+    # not hold a 1024-page command-buffer ring
+    text = GOOD.replace("[device]", "[device]\npage_levels = 3\nbig_page_level = 1\n"
+                        "va_width = 39\nhigh_base = 0x4000000000").replace(
+        "ring_capacity = 64", "ring_capacity = 1024").replace(
+        "steps = 6", "steps = 5").replace("batches = 16 32", "batches = 32")
+    out = tmp_path / "out"
+    assert cli.main(["datagen", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+    assert len((out / "summary.csv").read_text().splitlines()) == 3
+
+
 def test_cli_invariant_violation_exit_code(tmp_path, monkeypatch):
     def broken(cfg, out, seed=0, json_events=False, dump_tables=False):
         raise InvariantViolation("engineered failure")

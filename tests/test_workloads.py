@@ -198,7 +198,7 @@ def test_stall_message_names_the_logged_faults():
     s = SimSession(BALANCED, batch=4)
 
     def driver():
-        yield SemaphoreAtLeast(s.compute_ctx.space_id, 0x7fff_0000_0000, 1)
+        yield SemaphoreAtLeast(s.compute_ctx.space.id, 0x7fff_0000_0000, 1)
 
     s.engine.spawn(driver())
     with pytest.raises(RuntimeError, match=r"^workload stalled \(processes \[0\]\); "
