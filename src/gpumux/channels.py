@@ -3,16 +3,17 @@
 A channel is the hardware submission primitive. Its submission state is one
 ``Ring``: the work entries, the free-running GET/PUT cursors and the doorbell
 token that identifies the channel to the device. A channel also has its own
-command-buffer pages, one per ring slot, in its context's memory. Channels
-belong to a timeslice group fixed at creation. Streams are the client-facing
-handles; a stream normally submits through its own channel, but that
-channel's ring can be swapped whole for a forwarding channel's (and the saved
-ring put back later), which is how compute work is redirected into the
-graphics group. The command buffers are still written into the stream's own
-channel's pages, in compute memory. Each context is one timeslice group,
-whose id is the context's, and holds its own ``AddressSpace``
-(``Context.space``), so the engine reaches a context's page table without a
-lookup by space id.
+command-buffer pages, one per ring slot, in its context's memory. Streams
+are the client-facing handles; a stream normally submits through its own
+channel, but that channel's ring can be swapped whole for a forwarding
+channel's (and the saved ring put back later), which is how compute work is
+redirected into the graphics group. The command buffers are still written
+into the stream's own channel's pages, in compute memory. Each context is
+one timeslice group, whose id is the context's, so a channel's group is its
+``context_id``. A context holds its ``AddressSpace`` (``Context.space``) and
+its group's ``Channel`` objects (``Context.channels``), which the engine uses
+without a lookup by id; a channel holds only its context's id, so the two
+make no reference cycle.
 """
 
 from __future__ import annotations
@@ -91,8 +92,7 @@ class Channel:
     def __init__(self, channel_id: int, context_id: int, ring: Ring, cmdbuf_base: int,
                  visible_to_app: bool):
         self.id = channel_id
-        self.context_id = context_id
-        self.tsg_id = context_id  # the context's group, fixed at creation
+        self.context_id = context_id   # also its timeslice group, fixed at creation
         self.ring = ring
         self.cmdbuf_base = cmdbuf_base
         self.visible_to_app = visible_to_app
@@ -109,8 +109,7 @@ class Context:
         self.id = context_id
         self.kind = kind
         self.space = space   # the context's own address space (its page table)
-        self.tsg_id = context_id
-        self.channels: list[int] = []   # the group's channels, in creation order
+        self.channels: list[Channel] = []   # its group's channels, in creation order
         self.compute_state = ComputeConfig()
         self.forward_pool: list[int] = []   # free forwarding channels, ascending id
 

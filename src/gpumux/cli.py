@@ -58,9 +58,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}; raise ring_capacity in [device]", file=sys.stderr)
         return 2
     except AddressSpaceExhausted as exc:
-        print(f"config error: {exc}; widen that window in [device] (compute spaces get "
-              "high_base to 2**va_width, graphics spaces low_base to high_base)",
-              file=sys.stderr)
+        print(f"config error: {exc}; widen that window in [device] (compute context i gets "
+              "the i-th window from high_base, graftbench's source high_base to 2**va_width, "
+              "graphics spaces low_base to high_base)", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Deterministic discrete-event execution core.
 
-One Engine owns a simulated device: contexts with their page tables, channels
-grouped into timeslice groups, a round-robin runlist, and a small physical
+One Engine owns a simulated device: contexts, each one timeslice group with
+its page table and its channels, a round-robin runlist, and a small physical
 memory for semaphore values. Exactly one timeslice group is active at a time.
 While a group is active, the head commands of all its pending channels run
 concurrently under a two-resource model (compute and graphics): if the
@@ -35,8 +35,8 @@ timer heap keyed by its tick, whose top alone is compared with the clock.
 Drivers resume in rounds, each in ascending pid order (see
 ``Engine._run_ready_processes``). A semaphore write translates its address
 once, when it is checked, and writes through that translation. Each context
-holds its ``AddressSpace``, which the submission and execution paths use
-directly.
+holds its ``AddressSpace`` and its ``Channel`` objects, which the submission
+and execution paths use directly.
 Resumption order, completion ties, and channel launch order are all broken on
 ids, so identical inputs produce byte-identical traces.
 
@@ -96,7 +96,7 @@ class SemaphoreAtLeast(Condition):
         self.value = value
 
     def satisfied(self, engine):
-        return engine._read_semaphore(self.space_id, self.vaddr) >= self.value
+        return engine.phys_mem.get(engine._semaphore_location(self), 0) >= self.value
 
 
 class TimeReached(Condition):
@@ -339,7 +339,7 @@ class Engine:
         token = 0x1000 + channel_id
         channel = Channel(channel_id, ctx.id, Ring(cap, token), cmdbuf_base, visible_to_app)
         self.channels.append(channel)
-        ctx.channels.append(channel_id)
+        ctx.channels.append(channel)
         self._token_owner[token] = channel_id
         return channel
 
@@ -351,7 +351,7 @@ class Engine:
         if ctx.kind is ContextKind.COMPUTE:
             channel = self._create_channel(ctx, visible_to_app=True)
         else:
-            channel = self.channels[ctx.channels[0]]
+            channel = ctx.channels[0]
         sync_vaddr = mem.allocate(space, 1, SizeClass.SMALL)
         mem.map_range(space, sync_vaddr, mem.alloc_phys(SizeClass.SMALL))
         stream = StreamHandle(len(self.streams), ctx.id, channel.id, sync_vaddr)
@@ -381,7 +381,7 @@ class Engine:
         buf = tuple(commands) + (semaphore_write(stream.sync_vaddr, value),)
         seq, owner, micro_ops = self._append(self.channels[stream.channel_id], buf, stream.id)
         stream.next_semaphore_value = value
-        self._log("submit", owner.id, owner.tsg_id, stream.id, seq, micro_ops)
+        self._log("submit", owner.id, owner.context_id, stream.id, seq, micro_ops)
         return seq
 
     def bootstrap(self, channel: Channel, config: ComputeConfig):
@@ -390,7 +390,7 @@ class Engine:
         if ctx.kind is not ContextKind.GRAPHICS:
             raise ValueError("bootstrap targets channels in the graphics group")
         self._append(channel, (init_compute(config),), None)
-        self._log("bootstrap", channel.id, channel.tsg_id, None,
+        self._log("bootstrap", channel.id, channel.context_id, None,
                   config.local_memory_bytes)
 
     def _check_room(self, ch: Channel):
@@ -427,7 +427,7 @@ class Engine:
         # 4: doorbell rung
         owner = self.channels[self._token_owner[ring.token]]
         owner.pending = True
-        self._log("doorbell", owner.id, owner.tsg_id, stream_id, ring.token)
+        self._log("doorbell", owner.id, owner.context_id, stream_id, ring.token)
         micro_ops += 1
         return seq, owner, micro_ops
 
@@ -484,7 +484,7 @@ class Engine:
             self.bootstrap(fwd, ctx.compute_state)
         stream.saved_snapshot, ch.ring = ch.ring, fwd.ring
         stream.bound_channel_id = fwd.id
-        self._log("bind", ch.id, graphics_ctx.tsg_id, stream.id, fwd.id)
+        self._log("bind", ch.id, graphics_ctx.id, stream.id, fwd.id)
 
     def unbind(self, stream: StreamHandle):
         """Drain the forwarding channel (``_drain``), give the stream's channel
@@ -505,7 +505,7 @@ class Engine:
         insort(self.contexts[fwd.context_id].forward_pool, fwd.id)
         stream.saved_snapshot = None
         stream.bound_channel_id = None
-        self._log("unbind", ch.id, ch.tsg_id, stream.id, fwd.id)
+        self._log("unbind", ch.id, ch.context_id, stream.id, fwd.id)
 
     def _drain(self, ch: Channel) -> bool:
         """Run until the channel holds no entry; returns whether it got there
@@ -519,13 +519,9 @@ class Engine:
     # ------------------------------------------------------------------
     # semaphores and processes
 
-    def _read_semaphore(self, space_id: int, vaddr: int) -> int:
-        page, off = self.memory.translate(self.memory.spaces[space_id], vaddr)
-        return self.phys_mem.get((page.id, off), 0)
-
     def stream_semaphore(self, stream: StreamHandle) -> int:
-        ctx = self.contexts[stream.context_id]
-        return self._read_semaphore(ctx.space.id, stream.sync_vaddr)
+        """The value at the stream's semaphore's ``_semaphore_location``, or 0."""
+        return self.phys_mem.get(self._semaphore_location(self.stream_condition(stream, 0)), 0)
 
     def stream_condition(self, stream: StreamHandle, value: int) -> SemaphoreAtLeast:
         ctx = self.contexts[stream.context_id]
@@ -681,10 +677,8 @@ class Engine:
     # ------------------------------------------------------------------
     # scheduling
 
-    def _tsg_runnable(self, tsg_id: int) -> bool:
-        channels = self.channels
-        for cid in self.contexts[tsg_id].channels:
-            ch = channels[cid]
+    def _tsg_runnable(self, tsg: int) -> bool:
+        for ch in self.contexts[tsg].channels:
             if ch.pending and not ch.faulted:
                 return True
         return False
@@ -692,9 +686,9 @@ class Engine:
     def _next_runnable_tsg(self) -> int | None:
         n = len(self.contexts)
         for step in range(1, n + 1):
-            tsg_id = (self._last_tsg + step) % n
-            if self._tsg_runnable(tsg_id):
-                return tsg_id
+            tsg = (self._last_tsg + step) % n
+            if self._tsg_runnable(tsg):
+                return tsg
         return None
 
     def run(self, until=None, on_window=None) -> MetricsTrace:
@@ -789,14 +783,13 @@ class Engine:
         nothing."""
         group = self.contexts[tsg].channels
         while True:
-            for cid in group:
-                ch = self.channels[cid]
-                if ch.faulted or cid in inflight or not ch.pending:
+            for ch in group:
+                if ch.faulted or ch.id in inflight or not ch.pending:
                     continue
                 cmd = self._next_timed_command(ch)
                 if cmd is None:
                     continue
-                inflight[cid] = _Inflight(ticks(cmd.base_duration), cmd)
+                inflight[ch.id] = _Inflight(ticks(cmd.base_duration), cmd)
                 self._log("exec_start", ch.id, tsg, ch.active_entry.stream_id,
                           cmd.kind._value_, ch.active_entry.seq)
             if not self._run_ready_processes():
@@ -823,7 +816,7 @@ class Engine:
     def _finish_command(self, ch: Channel, cmd: GpuCommand):
         entry = ch.active_entry
         # _value_ is what Enum.value returns, without its two Python calls
-        self._log("exec_end", ch.id, ch.tsg_id, entry.stream_id, cmd.kind._value_,
+        self._log("exec_end", ch.id, ch.context_id, entry.stream_id, cmd.kind._value_,
                   entry.seq)
         ch.active_index += 1
         # trailing zero-duration commands (semaphore writes) flush with the
@@ -832,8 +825,9 @@ class Engine:
 
     def _flush_zero_duration(self, ch: Channel) -> bool:
         """Execute the zero-duration commands at the channel's cursor, up to
-        the next timed command, and finish the buffer if they end it.
-        Returns False when one of them faulted."""
+        the next timed command (a semaphore write stores its value where
+        ``_start_command`` translated it), and retire the entry if they end
+        its buffer. Returns False when one of them faulted."""
         entry = ch.active_entry
         while ch.active_index < len(entry.buffer):
             cmd = entry.buffer[ch.active_index]
@@ -842,15 +836,28 @@ class Engine:
             where = self._start_command(ch, cmd)
             if not where:
                 return False
-            self._apply_effects(ch, cmd, where)
+            kind = cmd.kind
+            if kind is _SEM_WRITE:
+                page, off = where
+                loc = (page.id, off)
+                self.phys_mem[loc] = cmd.sem_value
+                self._dirty.add(loc)
+                self._log("semaphore", ch.id, ch.context_id, entry.stream_id,
+                          cmd.sem_value, cmd.sem_vaddr)
+            elif kind is _INIT:
+                ch.compute_config = cmd.config
             ch.active_index += 1
+        self._retire(ch)
+        self._log("buffer_complete", ch.id, ch.context_id, entry.stream_id, entry.seq)
+        return True
+
+    def _retire(self, ch: Channel):
+        """Advance GET past the channel's active entry and clear its cursor."""
         ring = ch.ring
         ring.get += 1
         ch.active_entry = None
         ch.active_index = 0
         ch.pending = ring.get < ring.put
-        self._log("buffer_complete", ch.id, ch.tsg_id, entry.stream_id, entry.seq)
-        return True
 
     def _start_command(self, ch: Channel, cmd: GpuCommand) -> tuple | bool:
         """Check that the command can run on the channel. If it cannot, record
@@ -884,35 +891,17 @@ class Engine:
                       vaddr: int | None = None) -> bool:
         """Halt the channel on a fault; returns False for ``_start_command``."""
         ch.faulted = True
-        self._log("fault", ch.id, ch.tsg_id, ch.active_entry.stream_id, kind, vaddr,
+        self._log("fault", ch.id, ch.context_id, ch.active_entry.stream_id, kind, vaddr,
                   detail)
         return False
 
-    def _apply_effects(self, ch: Channel, cmd: GpuCommand, where):
-        """Run a zero-duration command's effect; ``where`` is what
-        ``_start_command`` returned for it."""
-        kind = cmd.kind
-        if kind is _SEM_WRITE:
-            page, off = where
-            loc = (page.id, off)
-            self.phys_mem[loc] = cmd.sem_value
-            self._dirty.add(loc)
-            self._log("semaphore", ch.id, ch.tsg_id, ch.active_entry.stream_id,
-                      cmd.sem_value, cmd.sem_vaddr)
-        elif kind is _INIT:
-            ch.compute_config = cmd.config
-
     def reset(self, stream: StreamHandle):
         """Clear the fault of the channel now serving the stream (its
-        forwarding channel while bound), discard the faulting buffer and
-        resume at the next entry. EngineError before any change unless that
-        channel is faulted."""
+        forwarding channel while bound) and ``_retire`` the faulting entry,
+        discarding the rest of its buffer. EngineError before any change
+        unless that channel is faulted."""
         ch = self.channels[stream.bound_channel_id if stream.bound else stream.channel_id]
         if not ch.faulted:
             raise EngineError(f"channel {ch.id} of stream {stream.id} is not faulted")
         ch.faulted = False
-        ring = ch.ring
-        ring.get += 1
-        ch.active_entry = None
-        ch.active_index = 0
-        ch.pending = ring.get < ring.put
+        self._retire(ch)

@@ -286,18 +286,27 @@ def _rollout_group(s: SimSession, horizon: int, group: int, batch: int):
 # ----------------------------------------------------------------------
 # entry points
 
-def _finish(session: SimSession, env: str, mode: str, steps: int, batch: int,
-            groups: int, on_window=None) -> Metrics:
+def _run(session: SimSession, overlapped: bool, drivers, env: str, mode: str, steps: int,
+         on_window=None) -> Metrics:
+    """Bind the session's stream if ``overlapped``, spawn the drivers, run,
+    and unbind only after a run that did not stall."""
+    if overlapped:
+        session.custream_bind()
+    for driver in drivers:
+        session.engine.spawn(driver)
     trace = session.engine.run(on_window=on_window)
     if trace.stalled:
         faults = ", ".join(f"{extras[0]}@{t}" for t, event, _, _, _, extras in trace.records
                            if event == "fault") or "none"
         raise RuntimeError(f"workload stalled (processes {trace.stalled}); "
                            f"faults: {faults}")
+    if overlapped:
+        session.custream_unbind()
     makespan = trace.makespan
-    throughput = steps * batch / makespan if makespan > 0 else 0.0
-    return Metrics(env=env, mode=mode, steps=steps, batch=batch, groups=groups,
-                   makespan=makespan, throughput=throughput, trace=trace)
+    throughput = steps * session.batch / makespan if makespan > 0 else 0.0
+    return Metrics(env=env, mode=mode, steps=steps, batch=session.batch,
+                   groups=session.groups, makespan=makespan, throughput=throughput,
+                   trace=trace)
 
 
 def run_datagen(spec: EpisodeSpec, costs: PhaseCost,
@@ -305,30 +314,16 @@ def run_datagen(spec: EpisodeSpec, costs: PhaseCost,
                 on_window=None) -> Metrics:
     session = SimSession(costs, spec.batch, config)
     pipelined = spec.mode is DatagenMode.PIPELINED
-    if pipelined:
-        session.custream_bind()
     driver = (_datagen_pipelined if pipelined else _datagen_sequential)(session, spec.steps)
-    session.engine.spawn(driver)
-    metrics = _finish(session, env, spec.mode.value, spec.steps, spec.batch, 1,
-                      on_window)
-    if pipelined:
-        session.custream_unbind()
-    return metrics
+    return _run(session, pipelined, [driver], env, spec.mode.value, spec.steps, on_window)
 
 
 def run_rl_rollout(spec: RolloutSpec, costs: PhaseCost,
                    config: DeviceConfig | None = None, env: str = "custom",
                    on_window=None) -> Metrics:
     interleaved = spec.mode is RolloutMode.INTERLEAVED
-    groups = spec.groups if interleaved else 1
-    session = SimSession(costs, spec.batch, config, groups=groups)
-    if interleaved:
-        session.custream_bind()
-    for g in range(groups):
-        session.engine.spawn(_rollout_group(session, spec.horizon, g,
-                                            session.group_batch))
-    metrics = _finish(session, env, spec.mode.value, spec.horizon, spec.batch, groups,
-                      on_window)
-    if interleaved:
-        session.custream_unbind()
-    return metrics
+    session = SimSession(costs, spec.batch, config, groups=spec.groups if interleaved else 1)
+    drivers = [_rollout_group(session, spec.horizon, g, session.group_batch)
+               for g in range(session.groups)]
+    return _run(session, interleaved, drivers, env, spec.mode.value, spec.horizon,
+                on_window)

@@ -170,9 +170,9 @@ def test_criterion_4_redirection_end_to_end():
     e.run()
     trace = e.trace
     kernel = trace.exec_intervals(stream_id=stream.id, kind="kernel_dispatch")[-1]
-    in_graphics_slice = (kernel[2] == graphics.tsg_id
+    in_graphics_slice = (kernel[2] == graphics.id
                          and interval_inside_windows(trace, kernel[0], kernel[1],
-                                                     graphics.tsg_id))
+                                                     graphics.id))
     # the semaphore landed at the compute-space sync region
     page, off = e.memory.translate(compute.space,
                                    stream.sync_vaddr)
@@ -186,9 +186,9 @@ def test_criterion_4_redirection_end_to_end():
     micro_unbound = [ev["micro_ops"] for ev in e.trace.events
                      if ev["event"] == "submit"][-1]
     after = e.trace.exec_intervals(stream_id=stream.id, kind="kernel_dispatch")[-1]
-    back_in_compute = (after[2] == compute.tsg_id
+    back_in_compute = (after[2] == compute.id
                        and interval_inside_windows(e.trace, after[0], after[1],
-                                                   compute.tsg_id))
+                                                   compute.id))
     zero_overhead = set(micro_bound) == {4} and micro_unbound == 4
     check_all(e.trace)
     _audited_traces.append(e.trace)

@@ -50,16 +50,16 @@ def test_contexts_get_distinct_groups_and_spaces():
     e = Engine()
     a = e.create_context(ContextKind.COMPUTE)
     b = e.create_context(ContextKind.COMPUTE)
-    assert a.tsg_id != b.tsg_id
+    assert a.id != b.id
     assert a.space is not b.space
 
 
 def test_native_compute_channels_are_preconfigured():
     e = Engine()
     ctx = e.create_context(ContextKind.COMPUTE)
-    assert e.channels[ctx.channels[0]].compute_config is not None
+    assert ctx.channels[0].compute_config is not None
     gfx = e.create_context(ContextKind.GRAPHICS)
-    assert e.channels[gfx.channels[0]].compute_config is None
+    assert gfx.channels[0].compute_config is None
 
 
 # ----------------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_pool_of_four_within_hardware_limit():
     assert len(ids) == 4
     for cid in ids:
         ch = e.channels[cid]
-        assert ch.tsg_id == gfx.tsg_id
+        assert ch.context_id == gfx.id
         assert ch.visible_to_app is False
 
 
@@ -86,7 +86,7 @@ def test_app_visible_channel_count_unchanged_by_provisioning():
     e = Engine()
     gfx = e.create_context(ContextKind.GRAPHICS)
     e.provision_forwarding_pool(gfx, 5)
-    visible = [c for c in gfx.channels if e.channels[c].visible_to_app]
+    visible = [c for c in gfx.channels if c.visible_to_app]
     assert len(visible) == 1
 
 
@@ -221,7 +221,7 @@ def test_apps_in_their_own_windows_bind_into_one_graphics_context(apps):
     assert {va: page for va, page in table.items() if va >= e.config.high_base} == union
     for s in streams:
         e.unbind(s)
-    assert graphics.forward_pool == graphics.channels[1:]
+    assert graphics.forward_pool == [ch.id for ch in graphics.channels[1:]]
 
 
 def test_compute_context_past_the_last_window_raises_and_changes_nothing():
@@ -572,7 +572,7 @@ def mid_buffer(bound):
 
 @pytest.mark.parametrize("setup, call, error, message", [
     (pending_kernel,
-     lambda e, compute, graphics, stream: e.bootstrap(e.channels[compute.channels[0]],
+     lambda e, compute, graphics, stream: e.bootstrap(compute.channels[0],
                                                       ComputeConfig(1 << 20)),
      ValueError, "bootstrap targets channels in the graphics group"),
     (pending_kernel,

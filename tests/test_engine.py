@@ -3,6 +3,8 @@
 import json
 import math
 from collections import Counter
+from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -734,26 +736,140 @@ def test_segments_deliver_the_work_the_commands_ran(monkeypatch, mode, capacitie
     assert_work_conserved(metrics.trace, ran, config)
 
 
-@pytest.mark.parametrize("case", [name for name, (command, _) in CASES.items()
-                                  if command != "graftbench"])
-def test_golden_cases_conserve_work(monkeypatch, tmp_path, case):
-    # each run of the case's sweep, in this process
+def record_timed_commands(monkeypatch) -> dict:
+    """Wrap ``Engine.submit`` to map each submitted buffer's ``seq`` to its
+    timed commands, in buffer order."""
+    timed = {}
+    inner = Engine.submit
+
+    def submit(self, stream, commands):
+        seq = inner(self, stream, commands)
+        timed[seq] = [cmd for cmd in commands if cmd.base_duration > 0]
+        return seq
+    monkeypatch.setattr(Engine, "submit", submit)
+    return timed
+
+
+def assert_processor_sharing(trace, timed, config):
+    """Replay every timed command from its recorded ``exec_start`` under the
+    resource model's definition, in exact fractions of a tick, and check
+    its recorded ``exec_end``.
+
+    A command's work is its ``base_duration``. While a set of flights runs,
+    each does 1 / stretch of work per unit of time, with stretch =
+    max(sum compute_frac / compute capacity, sum graphics_frac / graphics
+    capacity, 1). The set changes only when a flight starts (as recorded) or
+    completes (as replayed), so the replay splits time only there; a window
+    never pre-empts a flight, so it needs no scheduler. The engine rounds
+    each of its steps to a tick, so each recorded end must lie within one
+    tick per replay step that its flight lived through."""
+    assert trace.stalled == []
+    starts, works, demands, ends = [], [], [], []
+    open_flight, taken = {}, Counter()   # channel -> flight index; seq -> commands started
+    for t, event, channel, _, _, extras in trace.records:
+        if event == "exec_start":
+            seq = extras[1]
+            cmd = timed[seq][taken[seq]]
+            taken[seq] += 1
+            open_flight[channel] = len(starts)
+            starts.append(round(t * TICKS_PER_S))
+            works.append(Fraction(cmd.base_duration) * TICKS_PER_S)
+            demands.append((Fraction(cmd.compute_frac), Fraction(cmd.graphics_frac)))
+            ends.append(None)
+        elif event == "exec_end":
+            ends[open_flight.pop(channel)] = round(t * TICKS_PER_S)
+    # every submitted timed command ran once, and all of them ended
+    assert taken == Counter({seq: len(cmds) for seq, cmds in timed.items() if cmds})
+    assert starts and not open_flight
+    compute_cap = Fraction(config.compute_capacity)
+    graphics_cap = Fraction(config.graphics_capacity)
+    remaining: dict[int, Fraction] = {}   # flight index -> work left, in ticks
+    lived = [0] * len(starts)
+    replayed = [None] * len(starts)
+    nxt, now = 0, 0
+    while nxt < len(starts) or remaining:
+        if not remaining:
+            now = starts[nxt]
+        while nxt < len(starts) and starts[nxt] == now:
+            remaining[nxt] = works[nxt]
+            nxt += 1
+        stretch = max(sum(demands[i][0] for i in remaining) / compute_cap,
+                      sum(demands[i][1] for i in remaining) / graphics_cap, Fraction(1))
+        end = now + min(remaining.values()) * stretch
+        if nxt < len(starts) and starts[nxt] < end:
+            end = starts[nxt]
+        progress = (end - now) / stretch
+        now = end
+        for i in list(remaining):
+            remaining[i] -= progress
+            lived[i] += 1
+            if remaining[i] == 0:
+                replayed[i] = now
+                del remaining[i]
+    for i, end in enumerate(ends):
+        assert abs(end - replayed[i]) <= lived[i], (i, end, float(replayed[i]), lived[i])
+
+
+REPLAY_RUNS = {
+    "datagen_sequential": lambda config: run_datagen(
+        EpisodeSpec(50, 128, DatagenMode.SEQUENTIAL), PhaseCost(), config),
+    "datagen_pipelined": lambda config: run_datagen(
+        EpisodeSpec(50, 128, DatagenMode.PIPELINED), PhaseCost(), config),
+    "rl": lambda config: run_rl_rollout(RolloutSpec(5, 256, 8, RolloutMode.INTERLEAVED),
+                                        PhaseCost(), config),
+}
+
+
+@pytest.mark.parametrize("capacities", [(1.0, 1.0), (0.6, 0.7)])
+@pytest.mark.parametrize("run", sorted(REPLAY_RUNS))
+def test_flights_end_where_a_processor_sharing_replay_ends_them(monkeypatch, run,
+                                                                  capacities):
+    timed = record_timed_commands(monkeypatch)
+    config = DeviceConfig(compute_capacity=capacities[0], graphics_capacity=capacities[1])
+    metrics = REPLAY_RUNS[run](config)
+    assert_processor_sharing(metrics.trace, timed, config)
+
+
+def golden_case_runs(case, tmp_path):
+    """The device config of a golden case, and each run of its sweep as a call
+    that runs it in this process."""
     command, text = CASES[case]
     path = tmp_path / "case.ini"
     path.write_text(text)
     cfg = parse_config(path)
-    ran = record_finished_commands(monkeypatch)
+    runs = []
     for batch in cfg.batches[:1] if command == "trace" else cfg.batches:
         for mode in RolloutMode if command == "rl" else DatagenMode:
-            ran.clear()
             if command == "rl":
-                metrics = run_rl_rollout(RolloutSpec(cfg.steps, batch, cfg.groups, mode),
-                                         cfg.costs, cfg.device)
+                spec = RolloutSpec(cfg.steps, batch, cfg.groups, mode)
+                runs.append(partial(run_rl_rollout, spec, cfg.costs, cfg.device))
             else:
-                metrics = run_datagen(EpisodeSpec(cfg.steps, batch, mode), cfg.costs,
-                                      cfg.device)
-            assert ran
-            assert_work_conserved(metrics.trace, ran, cfg.device)
+                spec = EpisodeSpec(cfg.steps, batch, mode)
+                runs.append(partial(run_datagen, spec, cfg.costs, cfg.device))
+    return cfg.device, runs
+
+
+ENGINE_CASES = [name for name, (command, _) in CASES.items() if command != "graftbench"]
+
+
+@pytest.mark.parametrize("case", ENGINE_CASES)
+def test_golden_cases_conserve_work(monkeypatch, tmp_path, case):
+    device, runs = golden_case_runs(case, tmp_path)
+    ran = record_finished_commands(monkeypatch)
+    for run in runs:
+        ran.clear()
+        metrics = run()
+        assert ran
+        assert_work_conserved(metrics.trace, ran, device)
+
+
+@pytest.mark.parametrize("case", ENGINE_CASES)
+def test_golden_cases_replay_processor_sharing(monkeypatch, tmp_path, case):
+    device, runs = golden_case_runs(case, tmp_path)
+    timed = record_timed_commands(monkeypatch)
+    for run in runs:
+        timed.clear()
+        assert_processor_sharing(run().trace, timed, device)
 
 
 # ----------------------------------------------------------------------

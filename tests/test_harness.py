@@ -1038,13 +1038,17 @@ def test_cli_va_width_wider_than_the_radix_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, bases", [
     ("datagen", "high_base = 0xfffffff00000"),
+    # compute context 0's window ends at the root entry's end, not at 2**va_width
+    ("datagen", "high_base = 0x707ffff00000"),
     ("graftbench", "low_base = 0x1000\nhigh_base = 0x2000"),
-], ids=["datagen_high_window", "graftbench_low_window"])
+], ids=["datagen_high_window", "datagen_first_compute_window", "graftbench_low_window"])
 def test_cli_any_window_too_small_exits_2(tmp_path, capsys, command, bases):
     path = write_config(tmp_path, GOOD.replace("[device]", f"[device]\n{bases}"))
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
-    assert "widen that window in [device]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "widen that window in [device]" in err
+    assert "compute context i gets the i-th window from high_base" in err
     assert not out.exists()
 
 

@@ -660,6 +660,31 @@ def test_chain_map_into_the_heads_range_changes_nothing():
         mem.translate(c, start)
 
 
+def test_diamond_subscriber_is_merged_and_invalidated_once():
+    # a -> b -> d and a -> c -> d: d subscribes to a twice over, and a change
+    # in a reaches it once
+    mem = MemorySystem()
+    a = mem.create_space(AllocPolicy.HIGH_RANGE)
+    b, c, d = (mem.create_space(AllocPolicy.LOW_RANGE, base=DEFAULT_LOW_BASE + i * GiB)
+               for i in range(3))
+    for space in (a, b, c, d):
+        map_new(mem, space)
+    for source, target in ((a, b), (a, c), (b, d), (c, d)):
+        mem.graft(source, target)
+    # a fresh level-1 entry: one copy-engine write into each subscriber's node
+    copies = (mem.copy_log.reads, mem.copy_log.writes)
+    va = map_new(mem, a, hint=H + mem.geometry.entry_span(1))
+    assert (mem.copy_log.reads - copies[0], mem.copy_log.writes - copies[1]) == (12, 3)
+    assert mem.translate(d, va)[0] == mem.translate(a, va)[0]
+    assert dict(mem.iter_leaves(d)) == mem.union_oracle(a, d)
+    total, own = mem.total_tlb_invalidations, d.tlb_invalidations
+    mem.unmap_range(a, va, 1)
+    assert (mem.total_tlb_invalidations - total, d.tlb_invalidations - own) == (4, 1)
+    with pytest.raises(PageFault):
+        mem.translate(d, va)
+    assert dict(mem.iter_leaves(d)) == mem.union_oracle(a, d)
+
+
 # ----------------------------------------------------------------------
 # unmaps that span several leaf nodes
 

@@ -200,10 +200,9 @@ def test_stall_message_names_the_logged_faults():
     def driver():
         yield SemaphoreAtLeast(s.compute_ctx.space.id, 0x7fff_0000_0000, 1)
 
-    s.engine.spawn(driver())
     with pytest.raises(RuntimeError, match=r"^workload stalled \(processes \[0\]\); "
                                            r"faults: page_fault@0\.0$"):
-        workloads._finish(s, "custom", "sequential", 0, 4, 1)
+        workloads._run(s, False, [driver()], "custom", "sequential", 0)
 
 
 def test_pipelined_faults_clean():
