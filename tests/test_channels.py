@@ -452,6 +452,56 @@ def test_forwarding_channels_reused_lowest_id_first():
     assert streams[1].bound_channel_id == first_pool[0]
 
 
+def test_the_pool_hands_out_the_lowest_free_channel_in_any_unbind_order():
+    # the 7 apps of test_apps_in_their_own_windows_bind_into_one_graphics_context[7],
+    # each with a kernel queued while bound, so every unbind drains work
+    apps = 7
+    e = Engine(DeviceConfig(ring_capacity=16))
+    graphics = e.create_context(ContextKind.GRAPHICS)
+    provisioned = e.provision_forwarding_pool(graphics, apps)
+    streams = [e.create_stream(e.create_context(ContextKind.COMPUTE)) for _ in range(apps)]
+
+    def free():
+        return graphics.forward_pool
+
+    def serving(stream):
+        return stream.bound_channel_id
+
+    def check():
+        bound = {serving(s) for s in streams if s.bound}
+        assert free() == sorted(set(provisioned) - bound)
+        assert [(e.channels[cid].faulted, e.channels[cid].pending) for cid in free()] == [
+            (False, False)] * len(free())
+
+    def bind(i):
+        lowest = free()[0]
+        e.bind(streams[i], graphics)
+        assert serving(streams[i]) == lowest
+        e.submit(streams[i], [kernel_dispatch(0.1, 0.1)])
+        check()
+
+    def unbind(i):
+        if streams[i].bound:
+            e.unbind(streams[i])
+        else:
+            with pytest.raises(NotBound):
+                e.unbind(streams[i])
+        check()
+
+    check()
+    for i in range(apps):
+        bind(i)
+    for i in (3, 0, 6):
+        unbind(i)
+    for i in (0, 3):
+        bind(i)
+    for i in (5, 1, 4, 2, 0, 3, 6):   # 6 is not bound: NotBound, and the pool stays
+        unbind(i)
+    assert free() == provisioned
+    assert e.trace.stalled == [] and fault_details(e.trace) == []
+    check_all(e.trace)
+
+
 # ----------------------------------------------------------------------
 # bootstrapping
 
