@@ -8,8 +8,11 @@ are the client-facing handles; a stream normally submits through its own
 channel, but that channel's ring can be swapped whole for a forwarding
 channel's (and the saved ring put back later), which is how compute work is
 redirected into the graphics group. The command buffers are still written
-into the stream's own channel's pages, in compute memory. Each context is
-one timeslice group, whose id is the context's, so a channel's group is its
+into the stream's own channel's pages, in compute memory. A ring's token
+names its channel, so a stream is served by the channel whose token its
+channel's ring holds, and a forwarding channel is free while no stream's
+channel holds its ring. Each context is one timeslice group, whose id is the
+context's, so a channel's group is its
 ``context_id``. A context holds its ``AddressSpace`` (``Context.space``) and
 its group's ``Channel`` objects (``Context.channels``), which the engine uses
 without a lookup by id; a channel holds only its context's id, so the two
@@ -111,7 +114,6 @@ class Context:
         self.space = space   # the context's own address space (its page table)
         self.channels: list[Channel] = []   # its group's channels, in creation order
         self.compute_state = ComputeConfig()
-        self.forward_pool: list[int] = []   # free forwarding channels, ascending id
 
 
 class StreamHandle:
@@ -123,7 +125,6 @@ class StreamHandle:
         self.sync_vaddr = sync_vaddr      # semaphore region in the owning space
         self.next_semaphore_value = 0
         self.saved_snapshot: Ring | None = None   # the channel's own ring while bound
-        self.bound_channel_id: int | None = None
 
     @property
     def bound(self) -> bool:

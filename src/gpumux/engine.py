@@ -54,7 +54,6 @@ the run goes on; the trace still keeps them all.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections.abc import Iterable, Iterator
 from heapq import heappop, heappush
 from itertools import chain
@@ -72,6 +71,7 @@ from .vm import (AddressSpaceExhausted, AllocPolicy, MemorySystem, PageFault, Si
 _DISPATCH, _DRAW, _INIT, _SEM_WRITE = (CommandKind.KERNEL_DISPATCH, CommandKind.GRAPHICS_DRAW,
                                        CommandKind.INIT_COMPUTE, CommandKind.SEMAPHORE_WRITE)
 _GRAPHICS = ContextKind.GRAPHICS   # likewise, for the draw and dispatch checks
+_TOKEN_BASE = 0x1000   # a ring's token is this plus its channel's id, wherever it is held
 
 
 class EngineError(Exception):
@@ -266,7 +266,6 @@ class Engine:
         self._dirty: set[tuple[int, int]] = set()   # written since last checked
         self._timers: list[tuple[int, int]] = []   # (deadline tick, pid)
         self._waiters_resolved_at = self.memory.total_tlb_invalidations
-        self._token_owner: dict[int, int] = {}
         self._last_tsg = -1   # the group of the last window; round robin starts after it
         self._infer_busy_until = 0
         self._running = False
@@ -323,10 +322,7 @@ class Engine:
         # small always-present footprint standing in for runtime-internal state
         va = mem.allocate(space, 1, SizeClass.SMALL)
         mem.map_range(space, va, mem.alloc_phys(SizeClass.SMALL))
-        channel = self._create_channel(ctx, visible_to_app=True)
-        if kind is ContextKind.COMPUTE:
-            # natively provisioned compute channels come pre-configured
-            channel.compute_config = ctx.compute_state
+        self._create_channel(ctx, visible_to_app=True)
         return ctx
 
     def _create_channel(self, ctx: Context, visible_to_app: bool) -> Channel:
@@ -335,12 +331,10 @@ class Engine:
         cap = self.config.ring_capacity
         cmdbuf_base = mem.allocate(space, cap, SizeClass.SMALL)
         mem.map_range(space, cmdbuf_base, mem.alloc_phys(SizeClass.SMALL, cap))
-        channel_id = len(self.channels)
-        token = 0x1000 + channel_id
-        channel = Channel(channel_id, ctx.id, Ring(cap, token), cmdbuf_base, visible_to_app)
+        cid = len(self.channels)
+        channel = Channel(cid, ctx.id, Ring(cap, _TOKEN_BASE + cid), cmdbuf_base, visible_to_app)
         self.channels.append(channel)
         ctx.channels.append(channel)
-        self._token_owner[token] = channel_id
         return channel
 
     def create_stream(self, ctx: Context) -> StreamHandle:
@@ -359,16 +353,24 @@ class Engine:
         return stream
 
     def provision_forwarding_pool(self, graphics_ctx: Context, requested: int) -> list[int]:
-        """Create up to hw_max_queues-1 app-invisible channels in the graphics group."""
+        """Create up to hw_max_queues-1 app-invisible channels in the graphics
+        group; returns their ids."""
         if graphics_ctx.kind is not ContextKind.GRAPHICS:
             raise ValueError("forwarding channels live in a graphics context")
         room = max(0, self.config.hw_max_queues - len(graphics_ctx.channels))
-        ids = []
-        for _ in range(min(requested, room)):
-            ch = self._create_channel(graphics_ctx, visible_to_app=False)
-            ids.append(ch.id)
-        graphics_ctx.forward_pool.extend(ids)
-        return ids
+        return [self._create_channel(graphics_ctx, visible_to_app=False).id
+                for _ in range(min(requested, room))]
+
+    def serving_channel(self, stream: StreamHandle) -> Channel:
+        """The channel that owns the ring the stream's channel holds: its
+        forwarding channel while the stream is bound, its own otherwise."""
+        return self.channels[self.channels[stream.channel_id].ring.token - _TOKEN_BASE]
+
+    def forward_pool(self, ctx: Context) -> list[Channel]:
+        """The context's app-invisible channels that serve no bound stream, by
+        ascending id: the forwarding channels ``bind`` can take."""
+        serving = {self.serving_channel(s) for s in self.streams if s.bound}
+        return [ch for ch in ctx.channels if not ch.visible_to_app and ch not in serving]
 
     # ------------------------------------------------------------------
     # submission path
@@ -425,7 +427,7 @@ class Engine:
         ring.put = put + 1
         micro_ops += 1
         # 4: doorbell rung
-        owner = self.channels[self._token_owner[ring.token]]
+        owner = self.channels[ring.token - _TOKEN_BASE]
         owner.pending = True
         self._log("doorbell", owner.id, owner.context_id, stream_id, ring.token)
         micro_ops += 1
@@ -437,10 +439,8 @@ class Engine:
         Raises RingFull before any change if one of those rings is full."""
         if ctx.kind is not ContextKind.COMPUTE:
             raise ValueError("only compute contexts carry a scratch pool")
-        fwds = []
-        if nbytes > ctx.compute_state.local_memory_bytes:
-            fwds = [self.channels[s.bound_channel_id] for s in self.streams
-                    if s.context_id == ctx.id and s.bound]
+        fwds = [self.serving_channel(s) for s in self.streams if s.context_id == ctx.id
+                and s.bound] if nbytes > ctx.compute_state.local_memory_bytes else []
         for fwd in fwds:
             self._check_room(fwd)
         ctx.compute_state = ComputeConfig(nbytes)
@@ -451,16 +451,18 @@ class Engine:
     # stream redirection
 
     def bind(self, stream: StreamHandle, graphics_ctx: Context):
-        """Snapshot-and-swap the stream onto a forwarding channel.
+        """Snapshot-and-swap the stream onto the first of ``forward_pool``.
 
         Drains the stream's own channel (``_drain``), makes sure the context
         pair's tables are grafted, bootstraps the forwarding channel unless it
         holds the context's compute state, then saves the channel's ring in
-        the stream and gives it the forwarding channel's ring (its buffers
-        still go into its own pages). Control-plane call: not valid from
-        inside a running driver process. If the stream's channel is faulted
-        (checked before the drain too), it still holds the stream's work:
-        EngineError before the graft, and the stream stays unbound.
+        the stream and gives it the forwarding channel's ring, whose token
+        makes that channel the stream's ``serving_channel`` (its buffers still
+        go into its own pages). Control-plane call: not valid from inside a
+        running driver process. PoolExhausted before the drain if the pool is
+        empty. If the stream's channel is faulted (checked before the drain
+        too), it still holds the stream's work: EngineError before the graft,
+        and the stream stays unbound.
         """
         if self._running:
             raise EngineError("bind is a control-plane call, not valid mid-run")
@@ -471,7 +473,7 @@ class Engine:
             raise ValueError("only compute streams bind")
         if graphics_ctx.kind is not ContextKind.GRAPHICS:
             raise ValueError("streams bind to graphics contexts")
-        if not graphics_ctx.forward_pool:
+        if not (pool := self.forward_pool(graphics_ctx)):
             raise PoolExhausted("no forwarding channels available")
         ch = self.channels[stream.channel_id]
         if ch.faulted or not self._drain(ch):
@@ -479,32 +481,29 @@ class Engine:
                               "reset the stream and run before bind")
         if graphics_ctx.space.id not in ctx.space.subscribers:
             self.memory.graft(ctx.space, graphics_ctx.space)
-        fwd = self.channels[graphics_ctx.forward_pool.pop(0)]
+        fwd = pool[0]   # the drain bound nothing: control-plane calls raise mid-run
         if fwd.compute_config != ctx.compute_state:
             self.bootstrap(fwd, ctx.compute_state)
         stream.saved_snapshot, ch.ring = ch.ring, fwd.ring
-        stream.bound_channel_id = fwd.id
         self._log("bind", ch.id, graphics_ctx.id, stream.id, fwd.id)
 
     def unbind(self, stream: StreamHandle):
-        """Drain the forwarding channel (``_drain``), give the stream's channel
-        back the ring ``bind`` saved (the same object: the restore is exact)
-        and return the forwarding channel, empty, to its pool. If it is
-        faulted (checked before the drain too), it still holds the stream's
-        work: EngineError, and the stream stays bound."""
+        """Drain the stream's ``serving_channel`` (``_drain``) and give the
+        stream's channel back the ring ``bind`` saved (the same object: the
+        restore is exact), which puts the forwarding channel, empty, back in
+        ``forward_pool``. If it is faulted (checked before the drain too), it
+        still holds the stream's work: EngineError, and the stream stays bound."""
         if self._running:
             raise EngineError("unbind is a control-plane call, not valid mid-run")
         if not stream.bound:
             raise NotBound(f"stream {stream.id} is not bound")
-        fwd = self.channels[stream.bound_channel_id]
+        fwd = self.serving_channel(stream)
         if fwd.faulted or not self._drain(fwd):
             raise EngineError(f"forwarding channel {fwd.id} faulted with stream "
                               f"{stream.id}'s work; reset the stream and run before unbind")
         ch = self.channels[stream.channel_id]
         ch.ring = stream.saved_snapshot
-        insort(self.contexts[fwd.context_id].forward_pool, fwd.id)
         stream.saved_snapshot = None
-        stream.bound_channel_id = None
         self._log("unbind", ch.id, ch.context_id, stream.id, fwd.id)
 
     def _drain(self, ch: Channel) -> bool:
@@ -896,11 +895,11 @@ class Engine:
         return False
 
     def reset(self, stream: StreamHandle):
-        """Clear the fault of the channel now serving the stream (its
-        forwarding channel while bound) and ``_retire`` the faulting entry,
-        discarding the rest of its buffer. EngineError before any change
-        unless that channel is faulted."""
-        ch = self.channels[stream.bound_channel_id if stream.bound else stream.channel_id]
+        """Clear the fault of the stream's ``serving_channel`` (its forwarding
+        channel while bound) and ``_retire`` the faulting entry, discarding
+        the rest of its buffer. EngineError before any change unless that
+        channel is faulted."""
+        ch = self.serving_channel(stream)
         if not ch.faulted:
             raise EngineError(f"channel {ch.id} of stream {stream.id} is not faulted")
         ch.faulted = False

@@ -54,10 +54,8 @@ def test_contexts_get_distinct_groups_and_spaces():
     assert a.space is not b.space
 
 
-def test_native_compute_channels_are_preconfigured():
+def test_a_graphics_channel_starts_without_compute_state():
     e = Engine()
-    ctx = e.create_context(ContextKind.COMPUTE)
-    assert ctx.channels[0].compute_config is not None
     gfx = e.create_context(ContextKind.GRAPHICS)
     assert gfx.channels[0].compute_config is None
 
@@ -166,7 +164,7 @@ def test_bind_swaps_token_and_grafts_once():
     ch = e.channels[stream.channel_id]
     original_token = ch.ring.token
     e.bind(stream, graphics)
-    fwd = e.channels[stream.bound_channel_id]
+    fwd = e.serving_channel(stream)
     assert ch.ring.token == fwd.ring.token != original_token
     assert ch.ring is fwd.ring
     assert compute.space.subscribers == [graphics.space.id]
@@ -221,7 +219,7 @@ def test_apps_in_their_own_windows_bind_into_one_graphics_context(apps):
     assert {va: page for va, page in table.items() if va >= e.config.high_base} == union
     for s in streams:
         e.unbind(s)
-    assert graphics.forward_pool == [ch.id for ch in graphics.channels[1:]]
+    assert e.forward_pool(graphics) == graphics.channels[1:]
 
 
 def test_compute_context_past_the_last_window_raises_and_changes_nothing():
@@ -268,7 +266,7 @@ def test_bound_stream_writes_its_buffers_into_its_own_compute_pages():
     e, compute, graphics, (stream,) = build()
     native = e.channels[stream.channel_id]
     e.bind(stream, graphics)
-    fwd = e.channels[stream.bound_channel_id]
+    fwd = e.serving_channel(stream)
     page = SizeClass.SMALL.nbytes
     work = [kernel_dispatch(1.0, 0.1)]
     # the forwarding channel's page for the slot at PUT is not written
@@ -298,7 +296,7 @@ def test_submit_after_bind_lands_in_forwarding_ring():
     own_put = e.channels[stream.channel_id].ring.put
     e.bind(stream, graphics)
     snap = stream.saved_snapshot
-    fwd = e.channels[stream.bound_channel_id]
+    fwd = e.serving_channel(stream)
     put_before = fwd.ring.put  # bootstrap already queued one entry
     e.submit(stream, [kernel_dispatch(1.0, 0.1)])
     assert fwd.ring.put == put_before + 1
@@ -328,12 +326,12 @@ def test_unbind_unbound_rejected():
 
 def test_bind_unbind_hundred_cycles_leak_free():
     e, _, graphics, (stream,) = build(pool=3)
-    pool_before = list(graphics.forward_pool)
+    pool_before = e.forward_pool(graphics)
     channels_before = set(e.channels)
     for _ in range(100):
         e.bind(stream, graphics)
         e.unbind(stream)
-    assert graphics.forward_pool == pool_before
+    assert e.forward_pool(graphics) == pool_before
     assert set(e.channels) == channels_before
 
 
@@ -358,7 +356,7 @@ def test_failed_bind_of_a_graphics_stream_runs_nothing():
     with pytest.raises(ValueError, match="^only compute streams bind$"):
         e.bind(stream, graphics)
     assert (e.clock, len(e.trace.records)) == (0.0, n_records)
-    assert (stream.bound, graphics.forward_pool) == (False, pool)
+    assert (stream.bound, [ch.id for ch in e.forward_pool(graphics)]) == (False, pool)
 
 
 def faulting_bound_stream(streams=1):
@@ -369,7 +367,7 @@ def faulting_bound_stream(streams=1):
     e.bind(stream, graphics)
     e.submit(stream, [kernel_dispatch(1.0, 0.1, touched=(0x123000,))])
     e.submit(stream, [kernel_dispatch(1.0, 0.1)])
-    return e, graphics, created, e.channels[stream.bound_channel_id]
+    return e, graphics, created, e.serving_channel(stream)
 
 
 def test_unbind_of_a_faulted_forwarding_channel_raises_and_keeps_the_binding():
@@ -383,12 +381,12 @@ def test_unbind_of_a_faulted_forwarding_channel_raises_and_keeps_the_binding():
     with pytest.raises(EngineError, match=f"^forwarding channel {fwd.id} faulted"):
         e.unbind(stream)
     assert (e.clock, len(e.trace.records), fwd.ring.get, fwd.ring.put) == before
-    assert (stream.bound_channel_id, graphics.forward_pool) == (fwd.id, [])
+    assert (e.serving_channel(stream), e.forward_pool(graphics)) == (fwd, [])
     e.reset(stream)
     e.run()
     assert e.stream_semaphore(stream) == 2
     e.unbind(stream)
-    assert graphics.forward_pool == [fwd.id]
+    assert e.forward_pool(graphics) == [fwd]
     assert not fwd.faulted and fwd.ring.get == fwd.ring.put
 
 
@@ -422,12 +420,12 @@ def test_bind_of_a_faulted_stream_raises_and_changes_nothing():
         e.bind(stream, graphics)
     assert native.faulted and e.stream_semaphore(stream) == 0
     # already faulted: raises before running anything
-    pool = list(graphics.forward_pool)
+    pool = e.forward_pool(graphics)
     before = (e.clock, len(e.trace.records), native.ring.get, native.ring.put)
     with pytest.raises(EngineError, match=f"^channel {native.id} faulted"):
         e.bind(stream, graphics)
     assert (e.clock, len(e.trace.records), native.ring.get, native.ring.put) == before
-    assert (e.clock, graphics.forward_pool) == (0.0, pool)
+    assert (e.clock, e.forward_pool(graphics)) == (0.0, pool)
     assert (stream.bound, stream.channel_id, stream.saved_snapshot) == (False, native.id,
                                                                          None)
     assert native.ring.token == 0x1000 + native.id
@@ -444,12 +442,12 @@ def test_bind_of_a_faulted_stream_raises_and_changes_nothing():
 
 def test_forwarding_channels_reused_lowest_id_first():
     e, _, graphics, streams = build(pool=2, streams=2)
-    first_pool = list(graphics.forward_pool)
+    first_pool = e.forward_pool(graphics)
     e.bind(streams[0], graphics)
-    assert streams[0].bound_channel_id == first_pool[0]
+    assert e.serving_channel(streams[0]) == first_pool[0]
     e.unbind(streams[0])
     e.bind(streams[1], graphics)
-    assert streams[1].bound_channel_id == first_pool[0]
+    assert e.serving_channel(streams[1]) == first_pool[0]
 
 
 def test_the_pool_hands_out_the_lowest_free_channel_in_any_unbind_order():
@@ -462,10 +460,10 @@ def test_the_pool_hands_out_the_lowest_free_channel_in_any_unbind_order():
     streams = [e.create_stream(e.create_context(ContextKind.COMPUTE)) for _ in range(apps)]
 
     def free():
-        return graphics.forward_pool
+        return [ch.id for ch in e.forward_pool(graphics)]
 
     def serving(stream):
-        return stream.bound_channel_id
+        return e.serving_channel(stream).id
 
     def check():
         bound = {serving(s) for s in streams if s.bound}
@@ -508,7 +506,7 @@ def test_the_pool_hands_out_the_lowest_free_channel_in_any_unbind_order():
 def test_bind_bootstraps_unconfigured_channel():
     e, _, graphics, (stream,) = build()
     e.bind(stream, graphics)
-    fwd = e.channels[stream.bound_channel_id]
+    fwd = e.serving_channel(stream)
     assert fwd.compute_config is None  # queued, not yet executed
     e.submit(stream, [kernel_dispatch(1.0, 0.1)])
     e.run()
@@ -554,7 +552,7 @@ def test_bind_bootstraps_a_pooled_channel_whose_compute_state_is_stale():
     e.bind(stream, graphics)
     e.submit(stream, [kernel_dispatch(1.0, 0.1)])
     e.run()
-    fwd = e.channels[stream.bound_channel_id]
+    fwd = e.serving_channel(stream)
     bootstraps = [ev["local_memory_bytes"] for ev in e.trace.events
                   if ev["event"] == "bootstrap"]
     assert bootstraps == [65536, 4194304, 65536]
@@ -568,7 +566,7 @@ def test_local_memory_growth_with_a_full_ring_changes_nothing():
     for s in streams:
         e.bind(s, graphics)
     e.submit(streams[1], [kernel_dispatch(1.0, 0.1)])  # its ring is now full
-    fwds = [e.channels[s.bound_channel_id] for s in streams]
+    fwds = [e.serving_channel(s) for s in streams]
     state = compute.compute_state
     puts = [ch.ring.put for ch in fwds]
     n_events = len(e.trace.events)
@@ -599,8 +597,8 @@ def control_state(e, stream):
     return (e.clock, len(e.trace.records), len(e.trace.segments),
             [(ch.ring.get, ch.ring.put, ch.compute_config, ch.ring.token, ch.pending,
               ch.faulted) for ch in e.channels],
-            [(c.compute_state, list(c.forward_pool)) for c in e.contexts],
-            [(s.bound, s.bound_channel_id) for s in e.streams],
+            [(c.compute_state, e.forward_pool(c)) for c in e.contexts],
+            [(s.bound, e.serving_channel(s).id) for s in e.streams],
             (stream.bound, stream.channel_id, stream.saved_snapshot), space_state)
 
 
@@ -699,7 +697,7 @@ def test_reset_of_a_bound_stream_that_is_not_faulted_runs_each_kernel_once():
     # raised "stream 0 semaphore went 1 -> 1"
     e, _, graphics, (stream,) = build()
     mid_buffer(True)(e, graphics, stream)
-    assert (e.clock, stream.channel_id, stream.bound_channel_id) == (0.2, 3, 2)
+    assert (e.clock, stream.channel_id, e.serving_channel(stream).id) == (0.2, 3, 2)
     with pytest.raises(EngineError, match="^channel 2 of stream 0 is not faulted$"):
         e.reset(stream)
     trace = e.run()
@@ -732,9 +730,9 @@ def test_unbind_pools_an_empty_channel(setup):
     # the submitting driver's third buffer then ran on the pooled channel
     e, compute, graphics, (stream,) = build()
     setup(e, compute, graphics, stream)
-    fwd = e.channels[stream.bound_channel_id]
+    fwd = e.serving_channel(stream)
     e.unbind(stream)
-    assert graphics.forward_pool == [fwd.id]
+    assert e.forward_pool(graphics) == [fwd]
     assert (fwd.ring.get == fwd.ring.put, fwd.pending, fwd.active_entry) == (True, False,
                                                                                 None)
     trace = e.run()
