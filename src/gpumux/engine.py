@@ -353,8 +353,7 @@ class Engine:
         return stream
 
     def provision_forwarding_pool(self, graphics_ctx: Context, requested: int) -> list[int]:
-        """Create up to hw_max_queues-1 app-invisible channels in the graphics
-        group; returns their ids."""
+        """Create up to hw_max_queues-1 forwarding channels in the group; their ids."""
         if graphics_ctx.kind is not ContextKind.GRAPHICS:
             raise ValueError("forwarding channels live in a graphics context")
         room = max(0, self.config.hw_max_queues - len(graphics_ctx.channels))
@@ -455,15 +454,13 @@ class Engine:
 
         Drains the stream's own channel (``_drain``), makes sure the context
         pair's tables are grafted, bootstraps the forwarding channel unless it
-        holds the context's compute state, then saves the channel's ring in
-        the stream and gives it the forwarding channel's ring, whose token
-        makes that channel the stream's ``serving_channel`` (its buffers still
-        go into its own pages). Control-plane call: not valid from inside a
-        running driver process. PoolExhausted before the drain if the pool is
-        empty. If the stream's channel is faulted (checked before the drain
-        too), it still holds the stream's work: EngineError before the graft,
-        and the stream stays unbound.
-        """
+        holds the context's compute state, then saves the channel's ring in the
+        stream and gives it the forwarding channel's ring, whose token makes
+        that channel the ``serving_channel`` (the buffers still go into the
+        stream's own pages). Control-plane call: not valid mid-run. If the pool
+        is empty, PoolExhausted before the drain; if the stream's channel is
+        faulted (checked before the drain too), it still holds the stream's
+        work: EngineError before the graft, and the stream stays unbound."""
         if self._running:
             raise EngineError("bind is a control-plane call, not valid mid-run")
         if stream.bound:
@@ -502,8 +499,7 @@ class Engine:
             raise EngineError(f"forwarding channel {fwd.id} faulted with stream "
                               f"{stream.id}'s work; reset the stream and run before unbind")
         ch = self.channels[stream.channel_id]
-        ch.ring = stream.saved_snapshot
-        stream.saved_snapshot = None
+        ch.ring, stream.saved_snapshot = stream.saved_snapshot, None
         self._log("unbind", ch.id, ch.context_id, stream.id, fwd.id)
 
     def _drain(self, ch: Channel) -> bool:

@@ -360,7 +360,11 @@ class _Outputs:
         f.write(text)
 
     def commit(self, header: list[str], rows: list[dict]):
-        """Write ``summary.csv`` and move every file into place."""
+        """Write ``summary.csv`` and ``os.replace`` every file into place, so
+        each output is always whole, the old file or the new one. Over an
+        existing output ext4 flushes the new file on that rename (about 2-3 ms
+        per command); removing the old file first would leave neither file if
+        the process died between the two calls."""
         self.add("summary.csv", _csv(header, rows))
         self._created = []
         for name, f in list(self.files.items()):
