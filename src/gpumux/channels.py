@@ -9,10 +9,9 @@ channel, but that channel's ring can be swapped whole for a forwarding
 channel's (and the saved ring put back later), which is how compute work is
 redirected into the graphics group. The command buffers are still written
 into the stream's own channel's pages, in compute memory. A ring's token
-names its channel, so a stream is served by the channel whose token its
-channel's ring holds, and a forwarding channel is free while no stream's
-channel holds its ring. Each context is one timeslice group, whose id is the
-context's, so a channel's group is its
+names its channel, so which channel serves a stream, and which forwarding
+channels are free, is read off the rings. Each context is one timeslice
+group, whose id is the context's, so a channel's group is its
 ``context_id``. A context holds its ``AddressSpace`` (``Context.space``) and
 its group's ``Channel`` objects (``Context.channels``), which the engine uses
 without a lookup by id; a channel holds only its context's id, so the two

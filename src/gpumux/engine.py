@@ -438,8 +438,9 @@ class Engine:
         Raises RingFull before any change if one of those rings is full."""
         if ctx.kind is not ContextKind.COMPUTE:
             raise ValueError("only compute contexts carry a scratch pool")
-        fwds = [self.serving_channel(s) for s in self.streams if s.context_id == ctx.id
-                and s.bound] if nbytes > ctx.compute_state.local_memory_bytes else []
+        grows = nbytes > ctx.compute_state.local_memory_bytes
+        fwds = [self.serving_channel(s) for s in self.streams
+                if grows and s.context_id == ctx.id and s.bound]
         for fwd in fwds:
             self._check_room(fwd)
         ctx.compute_state = ComputeConfig(nbytes)

@@ -3,12 +3,12 @@
 A small device (rings of 2-4 entries, 3-4 queues per group) with one
 graphics context and two compute contexts, each compute context in its own
 VA window. Streams are created, submit kernels, draws and sleeps that touch
-mapped, unmapped and freshly mapped addresses, bind, unbind, reset, grow or
-shrink their context's scratch size and run, with and without an end time;
-touched buffers are unmapped. A call that raises must leave a fingerprint
-of the engine unchanged, but for a ``bind`` or ``unbind`` whose drain ran
-and then stopped at a fault: its run stays, and the stream, the pool and the
-tables are as before. After every step:
+mapped, unmapped, freshly mapped and never mapped addresses, bind, unbind,
+reset, grow or shrink their context's scratch size and run, with and without
+an end time; touched buffers are unmapped. A call that raises must leave a
+fingerprint of the engine unchanged, but for a ``bind`` or ``unbind`` whose
+drain ran and then stopped at a fault: its run stays, and the stream, the
+pool and the tables are as before. After every step:
 
 - the free forwarding channels and the channels serving the bound streams
   are the provisioned ones, each once, and a free one is not faulted and
@@ -44,11 +44,11 @@ class ControlPlane(RuleBasedStateMachine):
         self.provisioned = e.provision_forwarding_pool(self.graphics, queues)
         self.mapped = [[] for _ in self.contexts]     # touchable buffers, per context
         self.unmapped = [[] for _ in self.contexts]   # buffers unmapped since
-        self.value_of = {}      # seq -> (stream id, semaphore value) of a submitted buffer
+        self.value_of = {}      # seq -> semaphore value of each submitted buffer
         self.discarded = set()  # seqs a reset retired
         self.completed = set()
         self.last_value = {}    # stream id -> value of its last completed buffer
-        self.seen = 0           # records already read into the three above
+        self.seen = 0           # records already read into the two above
         for i in range(len(self.contexts)):
             self._map(i)
         for i in (1, 2, 1):
@@ -93,10 +93,6 @@ class ControlPlane(RuleBasedStateMachine):
         self.mapped[i].append(va)
         return va
 
-    @rule(i=st.integers(0, 2))
-    def map_buffer(self, i):
-        self._map(i)
-
     @precondition(lambda self: any(self.mapped))
     @rule(data=st.data())
     def unmap_buffer(self, data):
@@ -115,11 +111,9 @@ class ControlPlane(RuleBasedStateMachine):
             touched = (self._map(i),)
         elif touch == "never":   # the top page of the context's window
             touched = (self.contexts[i].space.limit - SizeClass.SMALL.nbytes,)
-        elif touch == "none" or not (self.mapped[i] if touch == "mapped" else self.unmapped[i]):
-            touched = ()
         else:
-            touched = (data.draw(st.sampled_from(self.mapped[i] if touch == "mapped"
-                                                 else self.unmapped[i])),)
+            vas = {"none": [], "mapped": self.mapped[i], "unmapped": self.unmapped[i]}[touch]
+            touched = (data.draw(st.sampled_from(vas)),) if vas else ()
         command = (kernel_dispatch(duration, 0.5, touched) if kind == "kernel" else
                    graphics_draw(duration, 0.2, 0.5, touched) if kind == "draw" else
                    sleep(duration))
@@ -129,7 +123,7 @@ class ControlPlane(RuleBasedStateMachine):
         except RingFull:
             assert self.fingerprint() == before
         else:
-            self.value_of[seq] = (stream.id, stream.next_semaphore_value)
+            self.value_of[seq] = stream.next_semaphore_value
 
     def pick(self, data, wanted):
         """A stream for which ``wanted`` holds half the time, if there is one;
@@ -224,7 +218,7 @@ class ControlPlane(RuleBasedStateMachine):
         for _, kind, _, _, stream, extras in records[self.seen:]:
             if kind == "buffer_complete" and stream is not None:
                 self.completed.add(extras[0])
-                self.last_value[stream] = self.value_of[extras[0]][1]
+                self.last_value[stream] = self.value_of[extras[0]]
         self.seen = len(records)
 
     @invariant()
@@ -247,6 +241,6 @@ class ControlPlane(RuleBasedStateMachine):
 
 
 ControlPlane.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, derandomize=True, deadline=None,
+    max_examples=100, stateful_step_count=25, derandomize=True, deadline=None,
     database=None)
 TestControlPlane = ControlPlane.TestCase
